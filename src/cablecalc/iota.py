@@ -11,9 +11,12 @@ finite-dimensional graded pieces.
 
 The homology routine runs a valuation-greedy elimination: pivots are chosen
 with minimal U-exponent, which keeps every matrix entry a monomial and each
-row/column operation a plain XOR.  d_lower/d_upper search candidate gradings
-from the top downward, deciding existence of a witness at each grading with
-nullspace computations; brute_oracle re-derives all three invariants by
+row/column operation a plain XOR; it runs once per complex and is kept on
+it, so a GradedComplex must not be mutated after construction.  d_lower and
+d_upper search candidate gradings from the top downward, deciding existence
+of a witness at each grading with nullspace computations (d_upper at the one
+U-power m_max: U times a non-torsion class is non-torsion, so witnesses
+persist as m grows); brute_oracle re-derives all three invariants by
 exhaustive enumeration over a U-truncated model and is used to cross-check.
 """
 
@@ -107,7 +110,7 @@ class GradedComplex:
     """Free F2[U]-complex: ordered generators, exact rational gradings,
     differential stored as generator -> element (missing means zero)."""
 
-    __slots__ = ("generators", "grading", "diff")
+    __slots__ = ("generators", "grading", "diff", "_hom")
 
     def __init__(self, generators: Sequence[tuple[str, Fraction]], diff: Mapping[str, Iterable[Term]]):
         names = [str(n) for n, _ in generators]
@@ -118,6 +121,7 @@ class GradedComplex:
         self.generators: tuple[str, ...] = tuple(names)
         self.grading: dict[str, Fraction] = {str(n): Fraction(g) for n, g in generators}
         self.diff: dict[str, Element] = _clean_map(self.generators, diff, "differential")
+        self._hom = None  # set once by _homology; racing threads at worst both compute it
 
     def __repr__(self) -> str:
         return f"GradedComplex({len(self.generators)} generators)"
@@ -389,8 +393,15 @@ def _snf_monomial(rows: list[int], n_cols: int, row_gr: list[Fraction], col_gr: 
     return pivots, free_rows
 
 
-def _homology(cx: GradedComplex) -> tuple[list[Fraction], list[tuple[Fraction, int]]]:
-    """(free part gradings, torsion (grading, U-order) list) of H_*(C)."""
+def _homology(cx: GradedComplex) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, int], ...]]:
+    """(free part gradings, torsion (grading, U-order) pairs) of H_*(C),
+    computed on first use and kept on the complex."""
+    if cx._hom is None:
+        cx._hom = _reduce_homology(cx)
+    return cx._hom
+
+
+def _reduce_homology(cx: GradedComplex) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, int], ...]]:
     kernel = _kernel_basis(cx)
     gr = cx.grading
     im: list[tuple[Element, Fraction]] = []
@@ -399,7 +410,7 @@ def _homology(cx: GradedComplex) -> tuple[list[Fraction], list[tuple[Fraction, i
         if v:
             im.append((v, gr[g] - 1))
     if not im:
-        return [s for _, s in kernel], []
+        return tuple(s for _, s in kernel), ()
     # express each image generator in the kernel basis (graded bit solve)
     mrows = [0] * len(kernel)
     for l, (v, gv) in enumerate(im):
@@ -420,10 +431,9 @@ def _homology(cx: GradedComplex) -> tuple[list[Fraction], list[tuple[Fraction, i
     pivots, free_rows = _snf_monomial(
         mrows, len(im), [s for _, s in kernel], [gv for _, gv in im], 0
     )
-    free = [kernel[i][1] for i in free_rows]
-    torsion = [(kernel[i][1], e) for i, _, e in pivots if e > 0]
-    torsion.sort(key=lambda t: (-t[0], -t[1]))
-    return free, torsion
+    free = tuple(kernel[i][1] for i in free_rows)
+    torsion = sorted(((kernel[i][1], e) for i, _, e in pivots if e > 0), key=lambda t: (-t[0], -t[1]))
+    return free, tuple(torsion)
 
 
 @dataclass(frozen=True)
@@ -442,7 +452,7 @@ def homology_summary(ic: IotaComplex | GradedComplex, check: bool = True) -> Hom
     if len(free) != 1:
         raise ValidationError(f"localized homology has rank {len(free)}, expected 1")
     n = max((e for _, e in torsion), default=0)
-    return HomologySummary(free[0], tuple(torsion), n)
+    return HomologySummary(free[0], torsion, n)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +541,8 @@ class _PieceCtx:
         """Spanning masks of d(V_{grading+1}) inside V_grading."""
         src = self.piece(grading + 1)
         cols, dst = self.diff_cols(src)
-        assert dst.grading == grading
+        if dst.grading != grading:
+            raise InternalCheckError("boundary piece has the wrong grading")
         return [c for c in cols if c]
 
     def torsionish_masks(self, grading: Fraction, n_exp: int) -> list[int]:
@@ -586,16 +597,13 @@ def d_lower(ic: IotaComplex, check: bool = True, window_slack: int = 0) -> Fract
             continue
         dcols, ddst = ctx.diff_cols(piece)
         icols = ctx.id_iota_cols(piece)
-        up = ctx.piece(g + 1)
-        upd, updst = ctx.diff_cols(up)
-        assert updst.grading == g
         # unknowns (a, b): d a = 0 and (id+iota) a = d b
         nrows = ddst.dim + piece.dim
         stacked = []
         for j in range(piece.dim):
             stacked.append(dcols[j] | (icols[j] << ddst.dim))
-        for j in range(up.dim):
-            stacked.append(upd[j] << ddst.dim)
+        for b in ctx.boundary_masks(g):
+            stacked.append(b << ddst.dim)
         null = BitMatrix.from_columns(stacked, nrows).nullspace()
         mask_a = (1 << piece.dim) - 1
         zs = [v & mask_a for v in null]
@@ -615,8 +623,10 @@ def d_upper(
     window_slack: int = 0,
 ) -> Fraction:
     """Maximal value over triples (x, y, z) with d y = (id+iota) x,
-    d z = U^m x and U^m y + (id+iota) z of non-torsion class; the value is
-    gr(x)+1 when x is nonzero and gr(y) when x = 0."""
+    d z = U^m x and U^m y + (id+iota) z of non-torsion class, m <= m_max;
+    the value is gr(x)+1 when x is nonzero and gr(y) when x = 0.  Only
+    m = m_max is tried: a witness (x, y, z) at m gives (x, y, U z) at m + 1,
+    since U times a non-torsion class is non-torsion."""
     if check:
         require_valid(ic)
     summary = homology_summary(ic, check=False)
@@ -629,9 +639,8 @@ def d_upper(
     piece_gradings = _candidate_gradings(cx, floor - 1)
     values = sorted({v for g in piece_gradings for v in (g, g + 1) if v >= floor}, reverse=True)
     for v in values:
-        for m in range(m_max + 1):
-            if _upper_witness_at(ctx, v, m, n_exp):
-                return v
+        if _upper_witness_at(ctx, v, m_max, n_exp):
+            return v
     raise InternalCheckError("no d_upper witness found within the search window")
 
 
@@ -647,7 +656,8 @@ def _upper_witness_at(ctx: _PieceCtx, v: Fraction, m: int, n_exp: int) -> bool:
         dy_cols, dydst = ctx.diff_cols(py)  # d y in V_{v-1}
         ux_cols, uxdst = ctx.upow_cols(px, m)  # U^m x in V_{v-1-2m}
         dz_cols, dzdst = ctx.diff_cols(pz)  # d z in V_{v-1-2m}
-        assert dydst.grading == px.grading and dzdst.grading == uxdst.grading
+        if dydst.grading != px.grading or dzdst.grading != uxdst.grading:
+            raise InternalCheckError("d_upper equation pieces have mismatched gradings")
         r1, r2 = px.dim, uxdst.dim
         stacked = []
         for j in range(px.dim):
@@ -662,7 +672,8 @@ def _upper_witness_at(ctx: _PieceCtx, v: Fraction, m: int, n_exp: int) -> bool:
         if have_x:
             uy_cols, uydst = ctx.upow_cols(py, m)
             iz_cols = ctx.id_iota_cols(pz)
-            assert uydst.grading == pz.grading
+            if uydst.grading != pz.grading:
+                raise InternalCheckError("U^m y and (id+iota) z land in different pieces")
             phis = []
             for s in null:
                 w = 0
@@ -682,7 +693,8 @@ def _upper_witness_at(ctx: _PieceCtx, v: Fraction, m: int, n_exp: int) -> bool:
             kz = ctx.cycle_masks(pz)
             uy_cols, uydst = ctx.upow_cols(py, m)
             iz_cols = ctx.id_iota_cols(pz)
-            assert uydst.grading == pz.grading
+            if uydst.grading != pz.grading:
+                raise InternalCheckError("U^m y and (id+iota) z land in different pieces")
             phis = []
             for yv in ky:
                 w = 0

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from math import gcd
 
+from .errors import InternalCheckError
+
 __all__ = [
     "AlexanderPoly",
     "alexander_torus",
@@ -126,7 +128,8 @@ def alexander_torus(p: int, q: int) -> AlexanderPoly:
     den2[0], den2[q] = -1, 1
     quot = _poly_divide(_poly_divide(num, den1), den2)
     g = torus_genus(p, q)
-    assert len(quot) - 1 == 2 * g
+    if len(quot) - 1 != 2 * g:
+        raise InternalCheckError(f"Alexander polynomial of T({p},{q}) has span {len(quot) - 1}, expected {2 * g}")
     return AlexanderPoly({e - g: c for e, c in enumerate(quot) if c})
 
 
@@ -153,8 +156,8 @@ def torus_vs(p: int, q: int) -> tuple[int, ...]:
     for s in range(g - 1, -1, -1):
         vs[s] = vs[s + 1] + suf[s + 1]
     vs = tuple(vs)
-    assert vs[-1] == 0
-    assert all(vs[i] - 1 <= vs[i + 1] <= vs[i] for i in range(g))
+    if vs[-1] != 0 or not all(vs[i] - 1 <= vs[i + 1] <= vs[i] for i in range(g)):
+        raise InternalCheckError(f"V-sequence of T({p},{q}) does not end at 0 with steps of 0 or -1")
     return vs
 
 

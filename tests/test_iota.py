@@ -21,6 +21,7 @@ from cablecalc.iota import (
     tensor,
     validate,
 )
+from cablecalc.randgen import random_iota_complex
 
 
 def sphere_model() -> IotaComplex:
@@ -228,6 +229,84 @@ def test_invariants_reject_invalid_complex():
         d_lower(bad)
     with pytest.raises(ValidationError):
         d_upper(bad)
+
+
+def _per_m_d_upper(ic, m_max):
+    """Reference search: at each candidate value, every U-power m <= m_max."""
+    summary = homology_summary(ic, check=False)
+    n = summary.torsion_exponent
+    floor = summary.free_grading - 2 * n - 2
+    ctx = iota._PieceCtx(ic)
+    gradings = iota._candidate_gradings(ic.complex, floor - 1)
+    values = sorted({v for g in gradings for v in (g, g + 1) if v >= floor}, reverse=True)
+    for v in values:
+        if any(iota._upper_witness_at(ctx, v, m, n) for m in range(m_max + 1)):
+            return v
+    return None
+
+
+def _check_single_m_search(ic):
+    n = homology_summary(ic, check=False).torsion_exponent
+    for m_max in range(2 * (n + len(ic.complex.generators)) + 1):
+        ref = _per_m_d_upper(ic, m_max)
+        if ref is None:
+            with pytest.raises(InternalCheckError, match="no d_upper witness"):
+                d_upper(ic, check=False, m_max=m_max)
+        else:
+            assert d_upper(ic, check=False, m_max=m_max) == ref, (ic, m_max)
+
+
+def test_d_upper_needs_a_positive_u_power_on_dual_model():
+    # the top witness (b, 0, c) has d c = U b, so a search at m = 0 alone
+    # must come out lower than the full search
+    ic = dual_model()
+    n = homology_summary(ic).torsion_exponent
+    ctx = iota._PieceCtx(ic)
+    top = d_upper(ic)
+    assert not iota._upper_witness_at(ctx, top, 0, n)
+    assert iota._upper_witness_at(ctx, top, 1, n)
+    assert d_upper(ic, m_max=0) < top
+
+
+def test_d_upper_single_m_matches_per_m_search_on_fixtures():
+    # dual x dual, like dual_model itself, needs m = 1 for its top witness
+    for ic in all_fixtures() + [tensor(dual_model(), dual_model())]:
+        _check_single_m_search(ic)
+
+
+def test_d_upper_single_m_matches_per_m_search_on_random_complexes():
+    for seed in range(50):
+        _check_single_m_search(random_iota_complex(seed, max_order=4))
+
+
+def test_d_upper_single_m_matches_per_m_search_on_products():
+    for j in range(10):
+        a = random_iota_complex(2 * j, max_order=4)
+        b = random_iota_complex(2 * j + 1, max_order=4)
+        _check_single_m_search(tensor(a, b))
+
+
+def test_homology_computed_once_per_complex(monkeypatch):
+    calls = []
+    reduce_homology = iota._reduce_homology
+
+    def counted(cx):
+        calls.append(cx)
+        return reduce_homology(cx)
+
+    monkeypatch.setattr(iota, "_reduce_homology", counted)
+    ic = torsion_model(2)
+    cx = ic.complex
+    assert validate(ic).ok
+    d_results(ic)
+    homology_summary(ic)
+    brute_oracle(ic, truncation=5)
+    identity = IotaComplex(cx, {g: [(g, 0)] for g in cx.generators})
+    d_results(identity)
+    assert calls == [cx]
+    free, torsion = iota._homology(cx)
+    assert isinstance(free, tuple) and isinstance(torsion, tuple)
+    assert torsion and all(isinstance(t, tuple) for t in torsion)
 
 
 # ---------------------------------------------------------------------------
