@@ -7,7 +7,8 @@ The package computes, in exact rational arithmetic:
   `concordance.niwu_d`),
 * the involutive invariants v_lower / v_upper of iterated cables and the
   slice-genus / unknotting-number bounds they feed (`concordance`),
-* V-sequences of torus knots by two independent algorithms (`torus`),
+* V-sequences of torus knots and L-space cables from their semigroups
+  (`torus`),
 * d, d_lower, d_upper of finite iota-complexes over F2[U] (`iota`),
 
 plus self-checking sweeps that cross-validate the pieces against each
@@ -56,7 +57,7 @@ from .iota import (
     validate,
 )
 from .lens import conj_spinc, lens_d, lens_d_vector, selfconj_spinc
-from .torus import alexander_torus, cable_alexander, gap_vs, lspace_cable_check, torus_vs
+from .torus import gap_vs, lspace_cable_check, torus_vs
 from .verify import (
     VerifyReport,
     run_verify_engine,
@@ -80,9 +81,7 @@ __all__ = [
     "UsageError",
     "ValidationError",
     "VerifyReport",
-    "alexander_torus",
     "brute_oracle",
-    "cable_alexander",
     "cable_inv_v0",
     "conj_spinc",
     "d_invariant",

@@ -16,7 +16,8 @@ are exact "num/den" strings, never floats) and --out PATH (write the
 rendered output to a file instead of stdout).
 
 Exit codes: 0 success; 1 usage error; 2 invalid input or insufficient
-data; 3 failed internal check or failed verification sweep.
+data; 3 failed internal check, failed verification sweep, or any other
+exception (a bug, reported with its traceback).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .algebra import format_rational
 from .concordance import (
@@ -327,11 +329,14 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValidationError, ValueError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InternalCheckError, AssertionError) as exc:
+    except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
+        return 3
+    except Exception:  # any other exception is a bug, never bad input
+        traceback.print_exc()
         return 3
 
 

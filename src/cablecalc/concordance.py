@@ -17,18 +17,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .errors import InsufficientDataError, InternalCheckError, ValidationError
-from .lens import conj_spinc, lens_d, selfconj_spinc
-from .torus import (
-    alexander_from_vs,
-    cable_alexander,
-    lspace_cable_check,
-    torsion_coeff,
-    torus_genus,
-    torus_vs,
-)
+from .errors import InsufficientDataError, InternalCheckError, ValidationError, check_coprime
+from .lens import _lens_num, conj_spinc, lens_d, selfconj_spinc
+from .torus import cable_vs, torus_genus, torus_vs
 
 __all__ = [
     "KnotInvariants",
@@ -81,7 +73,11 @@ def _check_vseq(vs, what: str = "v_seq") -> tuple[int, ...]:
     return out
 
 
-def _vseq_get(vs: tuple[int, ...], i: int) -> int:
+def _niwu_v(vs: tuple[int, ...], p: int, q: int, s: int) -> int:
+    """max{V_(s//q), V_((p+q-1-s)//q)}, the V term of the Ni-Wu formula at
+    label s of p/q-surgery.  V is non-increasing and zero past the stored
+    part, so this is V at the smaller index."""
+    i = min(s // q, (p + q - 1 - s) // q)
     return vs[i] if i < len(vs) else 0
 
 
@@ -138,13 +134,7 @@ class CableStage:
     q: int
 
     def __post_init__(self):
-        for name in ("p", "q"):
-            v = _as_int(getattr(self, name), f"cable parameter {name}")
-            if v < 1:
-                raise ValidationError(
-                    f"cable parameters must be positive, got ({self.p!r}, {self.q!r})")
-        if gcd(self.p, self.q) != 1:
-            raise ValidationError(f"cable parameters must be coprime, got ({self.p}, {self.q})")
+        check_coprime(self.p, self.q, "cable parameters")
 
     @property
     def s_even_case(self) -> int:
@@ -232,22 +222,10 @@ class BoundsReport:
         }
 
 
-def _check_surgery(p: int, q: int) -> None:
-    _as_int(p, "surgery parameter p")
-    _as_int(q, "surgery parameter q")
-    if p < 1 or q < 1:
-        raise ValidationError(f"surgery parameters must be positive, got ({p}, {q})")
-    if gcd(p, q) != 1:
-        raise ValidationError(f"surgery parameters must be coprime, got ({p}, {q})")
-
-
 def torus_knot_invariants(p: int, q: int) -> KnotInvariants:
     """Full invariant record of the positive (p, q) torus knot."""
-    try:
-        vs = torus_vs(p, q)
-        g = torus_genus(p, q)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    vs = torus_vs(p, q)
+    g = torus_genus(p, q)
     # Torus knots are L-space knots with v_lower = v_upper = V_0 and g4 = g3.
     return KnotInvariants(v_lower=vs[0], v_upper=vs[0], v_seq=vs,
                           genus3=g, genus4=g, lspace=True)
@@ -260,12 +238,12 @@ def niwu_d(p: int, q: int, vs=None) -> list[Fraction]:
     Ni-Wu surgery formula); the V-sequence reads as zero past its stored
     part, so vs=None or () gives the plain lens-space vector.
     """
-    _check_surgery(p, q)
+    check_coprime(p, q, "surgery parameters")
     seq = _check_vseq(() if vs is None else vs, "V-sequence")
+    nums, den = _lens_num(p, q)
     out = []
-    for s in range(p):
-        v = max(_vseq_get(seq, s // q), _vseq_get(seq, (p + q - 1 - s) // q))
-        out.append(lens_d(p, q, s) - 2 * v)
+    for s, n in enumerate(nums):
+        out.append(Fraction(n - 2 * den * _niwu_v(seq, p, q, s), den))
     return out
 
 
@@ -278,7 +256,7 @@ def involutive_surgery_d(p: int, q: int, inv: KnotInvariants) -> dict[int, tuple
     mod p carries the Ni-Wu value (which needs the V-sequence) below and
     the bare lens value above.
     """
-    _check_surgery(p, q)
+    check_coprime(p, q, "surgery parameters")
     out: dict[int, tuple[Fraction, Fraction]] = {}
     if q % 2 == 1:
         i = ((q - 1) // 2) % p
@@ -290,7 +268,8 @@ def involutive_surgery_d(p: int, q: int, inv: KnotInvariants) -> dict[int, tuple
             raise InsufficientDataError(
                 "insufficient invariants: v_seq is required for the "
                 f"even-parameter surgery label (p={p}, q={q})")
-        out[j] = (niwu_d(p, q, inv.v_seq)[j], lens_d(p, q, j))
+        base = lens_d(p, q, j)
+        out[j] = (base - 2 * _niwu_v(inv.v_seq, p, q, j), base)
     if sorted(out) != selfconj_spinc(p, q):
         raise InternalCheckError(
             f"self-conjugate labels disagree for ({p}, {q}): "
@@ -302,7 +281,7 @@ def spinc_projection_zero(p: int, q: int) -> ProjectionPair:
     """Split the label [0] of pq-surgery on a (p, q)-cable across the two
     summands q/p-surgery and L(p, q).  The case table depends on the
     parities of p and q."""
-    _check_surgery(p, q)
+    check_coprime(p, q, "surgery parameters")
     if p % 2 == 1 and q % 2 == 1:
         return ProjectionPair(((p - 1) // 2) % q, ((q - 1) // 2) % p)
     if p % 2 == 1:
@@ -318,8 +297,8 @@ def cable_inv_v0(stage, inv: KnotInvariants) -> KnotInvariants:
     v_lower = max{V_(s//p), V_((p+q-1-s)//p)} + V_0(T) over the companion's
     V-sequence at s = (p+q-1)/2 mod q, and v_upper = V_0(T).  The output
     carries a V-sequence only when the companion is an L-space knot and the
-    cable stays in the L-space regime, in which case it is computed from
-    the cable's Alexander polynomial.
+    cable stays in the L-space regime, in which case it is counted from
+    the cable's semigroup (torus.cable_vs).
     """
     stage = _as_stage(stage)
     p, q = stage.p, stage.q
@@ -333,20 +312,12 @@ def cable_inv_v0(stage, inv: KnotInvariants) -> KnotInvariants:
                 "insufficient invariants: v_seq of the companion is required "
                 f"for an even-p stage ({p},{q})")
         s = stage.s_even_case
-        lo = max(_vseq_get(inv.v_seq, s // p),
-                 _vseq_get(inv.v_seq, (p + q - 1 - s) // p)) + v0t
+        lo = _niwu_v(inv.v_seq, q, p, s) + v0t
         hi = v0t
-    out_vs = out_g = None
-    lspace = False
-    if inv.lspace and inv.v_seq is not None:
-        alex = alexander_from_vs(inv.v_seq)
-        if lspace_cable_check(alex.degree, p, q):
-            cable_alex = cable_alexander(alex, p, q)
-            out_g = cable_alex.degree
-            out_vs = tuple(torsion_coeff(cable_alex, s) for s in range(out_g + 1))
-            lspace = True
+    out_vs = cable_vs(inv.v_seq, p, q) if inv.lspace else None
+    out_g = None if out_vs is None else len(out_vs) - 1
     return KnotInvariants(v_lower=lo, v_upper=hi, v_seq=out_vs, genus3=out_g,
-                          genus4=out_g if lspace else None, lspace=lspace)
+                          genus4=out_g, lspace=out_vs is not None)
 
 
 def iterated_cable(spec: KnotSpec) -> KnotInvariants:
@@ -422,8 +393,13 @@ def unknotting_bounds(stage, inv_companion: KnotInvariants,
         else:
             entries.append(BoundEntry("involutive-lower-parity", None, na))
             entries.append(BoundEntry("involutive-upper-parity", None, na))
-    entries.append(BoundEntry("hlp", p,
-                              "u >= p (torsion-order bound; assumes a nontrivial companion)"))
+    if any((lo, hi, inv_companion.v_seq and inv_companion.v_seq[0],
+            inv_companion.genus3, inv_companion.genus4)):
+        entries.append(BoundEntry("hlp", p,
+                                  "u >= p (torsion-order bound; assumes a nontrivial companion)"))
+    else:
+        entries.append(BoundEntry("hlp", None, "not applicable: needs a nontrivial companion, "
+                                  "and every invariant given for this one is zero"))
     if v0_companion is not None:
         entries.append(BoundEntry("v0-based", 2 * v0_companion + 2 * v0t - 1,
                                   "u >= 2*V0(K) + 2*V0(T) - 1"))
@@ -502,7 +478,7 @@ def load_knot_spec(path) -> KnotSpec:
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read knot spec: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"knot spec {path} is not valid JSON: {exc}") from None
     return knot_spec_from_dict(data)
 

@@ -1021,7 +1021,7 @@ def load_complex(path: str) -> IotaComplex:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     return complex_from_dict(data)
 

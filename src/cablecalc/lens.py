@@ -3,51 +3,59 @@
 L(p, q) carries p spin-c structures labeled 0..p-1.  d(L(p, q), i) is the
 classical recursive correction term; the recursion swaps (p, q) -> (q, p mod q)
 and terminates at d(L(1, 0), 0) = 0, so every value is an exact rational.
+Whole vectors recurse on integer numerators over one common denominator.
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
-from math import gcd
+from math import lcm
+
+from .errors import ValidationError, check_coprime
 
 __all__ = ["lens_d", "lens_d_vector", "conj_spinc", "selfconj_spinc"]
 
 
-def _check_pq(p: int, q: int) -> None:
-    if p < 1 or q < 1:
-        raise ValueError(f"need p, q >= 1, got ({p}, {q})")
-    if gcd(p, q) != 1:
-        raise ValueError(f"p and q must be coprime, got ({p}, {q})")
+def _check_label(p: int, i: int) -> None:
+    if not 0 <= i < p:
+        raise ValidationError(f"spin-c label {i} out of range 0..{p - 1}")
 
 
-@functools.lru_cache(maxsize=None)
-def _lens_d(p: int, q: int, i: int) -> Fraction:
+def _lens_num(p: int, q: int) -> tuple[list[int], int]:
+    """Integer numerators of d(L(p, q), i) for i = 0..p-1, and their common
+    denominator.  Label i of L(p, q) reads label i mod q of L(q, p mod q)."""
     if p == 1:
-        return Fraction(0)
-    q = q % p
-    num = Fraction((2 * i + 1 - p - q) ** 2 - p * q, 4 * p * q)
-    return num - _lens_d(q, p % q, i % q)
+        return [0], 1
+    q %= p
+    sub, sub_den = _lens_num(q, p % q)
+    den = lcm(4 * p * q, sub_den)
+    a, b = den // (4 * p * q), den // sub_den
+    return [((2 * i + 1 - p - q) ** 2 - p * q) * a - sub[i % q] * b for i in range(p)], den
 
 
 def lens_d(p: int, q: int, i: int) -> Fraction:
     """d(L(p, q), i) for 0 <= i < p; q >= p is reduced mod p (label kept)."""
-    _check_pq(p, q)
-    if not 0 <= i < p:
-        raise ValueError(f"spin-c label {i} out of range 0..{p - 1}")
-    return _lens_d(p, q, i)
+    check_coprime(p, q)
+    _check_label(p, i)
+    d, sign = Fraction(0), 1
+    while p > 1:
+        q %= p
+        d += sign * Fraction((2 * i + 1 - p - q) ** 2 - p * q, 4 * p * q)
+        p, q, i, sign = q, p % q, i % q, -sign
+    return d
 
 
 def lens_d_vector(p: int, q: int) -> list[Fraction]:
     """All p correction terms of L(p, q), indexed by spin-c label."""
-    return [lens_d(p, q, i) for i in range(p)]
+    check_coprime(p, q)
+    nums, den = _lens_num(p, q)
+    return [Fraction(n, den) for n in nums]
 
 
 def conj_spinc(p: int, q: int, i: int) -> int:
     """Label of the conjugate spin-c structure: (p + q - 1 - i) mod p."""
-    _check_pq(p, q)
-    if not 0 <= i < p:
-        raise ValueError(f"spin-c label {i} out of range 0..{p - 1}")
+    check_coprime(p, q)
+    _check_label(p, i)
     return (p + q - 1 - i) % p
 
 
@@ -57,7 +65,7 @@ def selfconj_spinc(p: int, q: int) -> list[int]:
     Both odd: one label (q-1)/2.  One of p, q even: the even/odd split gives
     (q-1)/2 and/or (p+q-1)/2, all taken mod p.
     """
-    _check_pq(p, q)
+    check_coprime(p, q)
     if p % 2 == 1 and q % 2 == 1:
         labels = {((q - 1) // 2) % p}
     elif p % 2 == 0:

@@ -35,7 +35,7 @@ from .iota import (
 )
 from .lens import lens_d
 from .randgen import random_iota_complex
-from .torus import alexander_from_vs, alexander_torus, lspace_cable_check, torsion_coeff
+from .torus import lspace_cable_check, torus_vs
 
 __all__ = [
     "VerifyReport",
@@ -134,7 +134,7 @@ def run_verify_identity13(max_q: int) -> VerifyReport:
 
     def case(pq):
         p, q = pq
-        lhs = lens_d(p * q, 1, 0) - 2 * torsion_coeff(alexander_torus(p, q), 0)
+        lhs = lens_d(p * q, 1, 0) - 2 * torus_vs(p, q)[0]
         rhs = lens_d(q, p, ((p - 1) // 2) % q) + lens_d(p, q, ((q - 1) // 2) % p)
         if lhs != rhs:
             return f"(p={p}, q={q}): lhs {lhs} != rhs {rhs}"
@@ -160,7 +160,7 @@ def moser_case(a: int, b: int, p: int, q: int) -> tuple[str, str]:
     not licensed there.
     """
     comp = torus_knot_invariants(a, b)
-    if not lspace_cable_check(alexander_from_vs(comp.v_seq).degree, p, q):
+    if not lspace_cable_check(comp.genus3, p, q):
         return ("skip", f"companion T({a},{b}), stage ({p},{q}): cable leaves the L-space regime")
     cable = cable_inv_v0((p, q), comp)
     lhs = niwu_d(p * q, 1, cable.v_seq)[0]

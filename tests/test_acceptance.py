@@ -9,17 +9,20 @@ import time
 from fractions import Fraction
 from math import gcd
 
+from alexander_oracle import alexander_torus, torsion_coeff
+
 from cablecalc.concordance import (
     KnotInvariants,
     KnotSpec,
     cable_inv_v0,
     iterated_cable,
     slice_obstruction,
+    torus_knot_invariants,
     unknotting_bounds,
 )
 from cablecalc.iota import d_results
 from cablecalc.lens import lens_d
-from cablecalc.torus import alexander_torus, gap_vs, torsion_coeff, torus_vs
+from cablecalc.torus import gap_vs, torus_vs
 from cablecalc.verify import (
     figure_eight_complex,
     moser_case,
@@ -99,6 +102,38 @@ def test_vsequence_two_algorithms_agree_everywhere():
     assert torus_vs(2, 3) == (1, 0)
     assert torus_vs(3, 5) == (2, 1, 1, 1, 0)
     assert elapsed < 1.0
+
+
+def sieve_tower_vs(a, b, stages):
+    """V-sequence of an iterated L-space cable of T(a, b) (p >= 2 at every
+    stage) by sieving the members of its semigroup p*S + q*N below 2g."""
+    g = (a - 1) * (b - 1) // 2
+    member = [any((n - a * x) % b == 0 for x in range(n // a + 1)) for n in range(2 * g)]
+    for p, q in stages:
+        g_new = p * g + (p - 1) * (q - 1) // 2
+        new = [False] * (2 * g_new)
+        for s in range(2 * g_new // p + 1):
+            if s >= 2 * g or member[s]:
+                for n in range(p * s, 2 * g_new, q):
+                    new[n] = True
+        member, g = new, g_new
+    vs = [0] * (g + 1)
+    for s in range(g - 1, -1, -1):
+        vs[s] = vs[s + 1] + (not member[s + g])
+    return tuple(vs)
+
+
+def test_genus_5513_tower_is_linear_time():
+    """The T(2,3) tower with stages (5,41), (3,1001), (2,6007) reaches genus
+    5513; its V-sequence matches a semigroup sieve within 0.5 s (the
+    Alexander-polynomial route took about 5 s)."""
+    stages = ((5, 41), (3, 1001), (2, 6007))
+    start = time.perf_counter()
+    got = iterated_cable(KnotSpec(torus_knot_invariants(2, 3), stages))
+    elapsed = time.perf_counter() - start
+    assert (got.genus3, got.lspace) == (5513, True)
+    assert got.v_seq == sieve_tower_vs(2, 3, stages)
+    assert elapsed < 0.5
 
 
 def test_connected_sum_surgery_consistency_pipeline():

@@ -121,6 +121,22 @@ def test_bounds_report(capsys, tmp_path):
     assert "involutive-lower" in names and "hlp" in names
 
 
+def test_bounds_unknot_companion(capsys, tmp_path):
+    # the (2,3)-cable of the unknot is T(2,3), whose unknotting number is 1
+    path = tmp_path / "unknot.json"
+    path.write_text(json.dumps({"base": {"type": "custom", "v_lower": 0, "v_upper": 0,
+                                         "v_seq": [0], "lspace": True}, "stages": []}))
+    code, out, _ = run(capsys, "bounds", "--spec", str(path), "--stage", "2,3")
+    assert code == 0
+    assert "hlp: n/a (not applicable: needs a nontrivial companion" in out
+    assert out.splitlines()[-1] == "maximum: u >= 1"
+    # without v_seq no bound applies at even p: insufficient data, not a guess
+    path.write_text(json.dumps({"base": {"type": "custom", "v_lower": 0, "v_upper": 0}, "stages": []}))
+    code, _, err = run(capsys, "bounds", "--spec", str(path), "--stage", "2,3")
+    assert code == 2
+    assert "no applicable bounds" in err
+
+
 def test_bounds_g4_parity_flag(capsys, trefoil_spec):
     code, out, _ = run(capsys, "bounds", "--spec", trefoil_spec, "--stage", "3,2", "--g4-parity", "odd")
     assert code == 0
@@ -228,6 +244,27 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().strip() == "V(T(2,3)) = [1, 0]"
+
+
+def test_spec_that_is_not_utf8_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"base": "\xe9"}')
+    code, _, err = run(capsys, "cable", "v0", "--spec", str(path))
+    assert code == 2
+    assert "not valid JSON" in err
+    assert run(capsys, "complex", "d", str(path))[0] == 2
+
+
+def test_library_bug_exits_internal(capsys, monkeypatch):
+    # a ValueError raised inside the library is a bug, not bad input
+    def broken(p, q):
+        raise ValueError("broken invariant")
+
+    monkeypatch.setattr("cablecalc.cli.lens_d_vector", broken)
+    code, out, err = run(capsys, "lens", "d", "3", "5")
+    assert code == 3
+    assert out == ""
+    assert "ValueError: broken invariant" in err
 
 
 def test_unknown_flag_is_usage_error(capsys):

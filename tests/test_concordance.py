@@ -1,7 +1,10 @@
 import json
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from alexander_oracle import alexander_cable_vs
 
 from cablecalc.concordance import (
     CableStage,
@@ -20,10 +23,16 @@ from cablecalc.concordance import (
     unknotting_bounds,
 )
 from cablecalc.errors import InsufficientDataError, ValidationError
-from cablecalc.lens import lens_d_vector
+from cablecalc.lens import lens_d, lens_d_vector
 from cablecalc.torus import torus_vs
 
 UNKNOT = KnotInvariants(0, 0, v_seq=(0,), lspace=True)
+
+
+def random_vseq(rng):
+    """A random V-sequence (steps of 0 or -1) followed by 0-3 padding zeros."""
+    steps = [rng.randint(0, 1) for _ in range(rng.randint(0, 12))]
+    return tuple(sum(steps[s:]) for s in range(len(steps) + 1)) + (0,) * rng.randint(0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +104,23 @@ def test_niwu_unknot_matches_lens_space():
 def test_niwu_plus_one_surgery_values():
     assert niwu_d(1, 1, (1, 0)) == [Fraction(-2)]
     assert niwu_d(1, 1, (2, 1, 1, 1, 0)) == [Fraction(-4)]
+
+
+def test_niwu_matches_per_label_formula():
+    rng = random.Random(11)
+    checked = 0
+    while checked < 80:
+        vs, p, q = random_vseq(rng), rng.randint(1, 150), rng.randint(1, 30)
+        if gcd(p, q) != 1:
+            continue
+        v = vs + (0,) * (p // q + 2)
+        want = [lens_d(p, q, s) - 2 * max(v[s // q], v[(p + q - 1 - s) // q]) for s in range(p)]
+        assert niwu_d(p, q, vs) == want, (p, q, vs)
+        if p % 2 == 0 or q % 2 == 0:
+            j = ((p + q - 1) // 2) % p
+            pair = involutive_surgery_d(p, q, KnotInvariants(vs[0], vs[0], v_seq=vs))
+            assert pair[j] == (want[j], lens_d(p, q, j)), (p, q, vs)
+        checked += 1
 
 
 def test_niwu_rejects_bad_parameters():
@@ -204,6 +230,31 @@ def test_cable_vseq_propagation_in_lspace_regime():
     assert (got.v_lower, got.v_upper) == (1, 0)
 
 
+def test_cable_vs_matches_alexander_route_on_custom_lspace_companions():
+    """cable_inv_v0 against the Alexander-polynomial route on random custom
+    L-space V-sequences with padded tails, for p = 1..5 and q at the
+    L-space threshold p(2g - 1) (so (1, 2g - 1) too), just above it, and
+    at random, where the cable often leaves the regime."""
+    rng = random.Random(20241017)
+    checked = 0
+    for _ in range(300):
+        vs = random_vseq(rng)
+        g = sum(1 for v in vs if v > 0)
+        companion = KnotInvariants(vs[0], vs[0], v_seq=vs, lspace=True)
+        for p in range(1, 6):
+            threshold = max(1, p * (2 * g - 1))
+            for q in sorted({threshold, threshold + 1, rng.randint(1, 40)}):
+                if gcd(p, q) != 1:
+                    continue
+                want = alexander_cable_vs(vs, p, q)
+                got = cable_inv_v0((p, q), companion)
+                assert got.v_seq == want, (vs, p, q)
+                assert got.lspace is (want is not None)
+                assert got.genus3 == got.genus4 == (None if want is None else len(want) - 1)
+                checked += 1
+    assert checked > 2000
+
+
 def test_iterated_cable_of_unknot_is_torus_knot():
     got = iterated_cable(KnotSpec(UNKNOT, ((3, 2),)))
     assert (got.v_lower, got.v_upper) == (1, 1)
@@ -256,10 +307,20 @@ def test_unknotting_bounds_report():
 
 
 def test_unknotting_bounds_unknot_companion():
+    # the (3,2)-cable of the unknot is T(3,2), whose unknotting number is 1
     report = unknotting_bounds((3, 2), UNKNOT, v0_companion=0)
     assert report.entry("involutive-lower").value == 0
-    assert report.entry("hlp").value == 3
-    assert report.maximum == 3
+    assert report.entry("hlp").value is None
+    assert "nontrivial companion" in report.entry("hlp").note
+    assert report.maximum == 1
+
+
+def test_hlp_needs_a_nonzero_companion_invariant():
+    # an all-zero companion at (2,3) gives T(2,3), unknotting number 1
+    assert unknotting_bounds((2, 3), UNKNOT, v0_companion=0).maximum == 1
+    for inv in (KnotInvariants(0, 0, v_seq=(0,), genus3=1), KnotInvariants(0, 0, genus4=2),
+                KnotInvariants(1, 0), KnotInvariants(0, -1), KnotInvariants(1, 1, v_seq=(1, 0))):
+        assert unknotting_bounds((2, 3), inv, v0_companion=0).entry("hlp").value == 2
 
 
 def test_unknotting_bounds_torsion_growth():

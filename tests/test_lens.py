@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from cablecalc.errors import ValidationError
 from cablecalc.lens import conj_spinc, lens_d, lens_d_vector, selfconj_spinc
 
 
@@ -34,15 +36,15 @@ def test_integer_surgery_closed_form():
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         lens_d(4, 2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         lens_d(0, 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         lens_d(3, 2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         lens_d(3, 2, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         conj_spinc(3, 2, 5)
 
 
@@ -83,3 +85,32 @@ def test_vector_shape():
     v = lens_d_vector(5, 2)
     assert len(v) == 5
     assert v[1] == lens_d(5, 2, 1)
+
+
+def old_lens_vector(p, q):
+    """The per-label Fraction recursion the vector route replaced, memoized
+    per (p, q, label) as it was."""
+    memo = {}
+
+    def d(p, q, i):
+        if p == 1:
+            return Fraction(0)
+        key = (p, q, i)
+        if key not in memo:
+            q = q % p
+            memo[key] = Fraction((2 * i + 1 - p - q) ** 2 - p * q, 4 * p * q) - d(q, p % q, i % q)
+        return memo[key]
+
+    return [d(p, q, i) for i in range(p)]
+
+
+def test_vector_matches_per_label_and_old_recursion():
+    rng = random.Random(3)
+    cases = [(p, q) for p in range(1, 41) for q in range(1, p + 3) if gcd(p, q) == 1]
+    for p in range(41, 301):
+        cases += [(p, q) for q in (rng.randrange(2, p), p - 2) if gcd(p, q) == 1]
+    cases += [(2999, 1234), (3001, 17), (3000, 7), (2048, 1023)]
+    for p, q in cases:
+        vec = lens_d_vector(p, q)
+        assert vec == old_lens_vector(p, q), (p, q)
+        assert vec == [lens_d(p, q, i) for i in range(p)], (p, q)

@@ -1,18 +1,18 @@
 from math import gcd
 
 import pytest
-
-from cablecalc.torus import (
+from alexander_oracle import (
     AlexanderPoly,
     alexander_from_vs,
     alexander_torus,
     cable_alexander,
     gap_v,
-    lspace_cable_check,
     torsion_coeff,
-    torus_genus,
-    torus_vs,
+    torsion_vs,
 )
+
+from cablecalc.errors import ValidationError
+from cablecalc.torus import cable_vs, gap_vs, lspace_cable_check, torus_genus, torus_vs
 
 
 def test_alexander_trefoil():
@@ -34,9 +34,9 @@ def test_alexander_t34():
 
 
 def test_alexander_poly_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         AlexanderPoly({1: 1, 0: -1})  # not symmetric
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         AlexanderPoly({1: 1, -1: 1, 0: -2})  # value at t=1 is 0
 
 
@@ -44,7 +44,7 @@ def test_torsion_coeff_examples():
     assert torsion_coeff(alexander_torus(2, 3), 0) == 1
     assert torsion_coeff(alexander_torus(3, 4), 0) == 1
     assert torsion_coeff(alexander_torus(2, 3), 5) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         torsion_coeff(alexander_torus(2, 3), -1)
 
 
@@ -73,9 +73,9 @@ def test_torus_vs_matches_gap_count():
 
 
 def test_gap_v_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         gap_v(1, 5, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         gap_v(2, 4, 0)
 
 
@@ -96,7 +96,7 @@ def test_lspace_cable_check():
     assert lspace_cable_check(0, 7, 2)
     assert lspace_cable_check(4, 3, 22)
     assert not lspace_cable_check(4, 3, 20)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         lspace_cable_check(4, 3, 21)
 
 
@@ -104,7 +104,7 @@ def test_alexander_from_vs_roundtrip():
     for p, q in [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (2, 11), (5, 6)]:
         assert alexander_from_vs(torus_vs(p, q)) == alexander_torus(p, q)
     assert alexander_from_vs((0,)) == AlexanderPoly({0: 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         alexander_from_vs((2, 1))
 
 
@@ -118,3 +118,29 @@ def test_cable_vs_semigroup_crosscheck():
     assert len(gaps) == g
     for s in range(g + 1):
         assert torsion_coeff(cab, s) == sum(1 for k in gaps if k > s + g - 1)
+
+
+def test_torus_vs_matches_torsion_coefficients():
+    """Gap counts against the Alexander polynomial for every coprime p, q <= 40."""
+    for p in range(1, 41):
+        for q in range(1, 41):
+            if gcd(p, q) == 1:
+                assert torus_vs(p, q) == torsion_vs(alexander_torus(p, q)) == gap_vs(p, q), (p, q)
+    alex = alexander_torus(7, 9)
+    assert tuple(torsion_coeff(alex, s) for s in range(25)) == torus_vs(7, 9)
+
+
+def test_cable_vs_spots():
+    trefoil = torus_vs(2, 3)
+    # (2,7)-cable of the trefoil: semigroup <4, 6, 7>, gaps 1 2 3 5 9
+    assert cable_vs(trefoil, 2, 7) == (2, 1, 1, 1, 1, 0)
+    # padding zeros do not change the companion's genus
+    assert cable_vs(trefoil + (0, 0, 0), 2, 7) == cable_vs(trefoil, 2, 7)
+    # a (1, q) stage keeps the knot, padding dropped, even at q = 2g - 1
+    assert cable_vs((2, 1, 1, 1, 0, 0), 1, 7) == (2, 1, 1, 1, 0)
+    # below the L-space threshold q = p(2g - 1) there is no V-sequence
+    assert cable_vs(trefoil, 2, 1) is None
+    assert cable_vs(trefoil, 3, 2) is None
+    assert cable_vs((0,), 3, 2) == torus_vs(3, 2)
+    with pytest.raises(ValidationError):
+        cable_vs(trefoil, 2, 4)

@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from alexander_oracle import alexander_torus, torsion_coeff
 
 from cablecalc.errors import UsageError, ValidationError
 from cablecalc.iota import d_results
 from cablecalc.lens import lens_d
-from cablecalc.torus import alexander_torus, torsion_coeff
 from cablecalc.verify import (
     figure_eight_complex,
     moser_case,
