@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: rationals, F2[U] polynomials, GF(2) linear algebra.
+"""Exact scalar arithmetic: rationals and GF(2) linear algebra.
 
 Rationals are stdlib ``fractions.Fraction`` (already exact, lowest terms,
 positive denominator); this module only adds the string forms used by the
@@ -15,10 +15,7 @@ __all__ = [
     "Fraction",
     "parse_rational",
     "format_rational",
-    "F2UPoly",
     "BitMatrix",
-    "solve_f2",
-    "nullspace_f2",
     "Echelon",
     "subspace_not_contained",
 ]
@@ -35,68 +32,6 @@ def parse_rational(s: str) -> Fraction:
 def format_rational(r: Fraction) -> str:
     """Format a rational the way the JSON interfaces expect ("-1/2", "3")."""
     return str(Fraction(r))
-
-
-class F2UPoly:
-    """Polynomial in U over GF(2), stored as the set of exponents with
-    coefficient 1.  Addition is symmetric difference; multiplication is
-    the usual convolution with mod-2 cancellation."""
-
-    __slots__ = ("exps",)
-
-    def __init__(self, exps: Iterable[int] = ()):
-        es = frozenset(exps)
-        for e in es:
-            if not isinstance(e, int) or e < 0:
-                raise ValueError(f"bad exponent {e!r}")
-        self.exps = es
-
-    @classmethod
-    def zero(cls) -> "F2UPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "F2UPoly":
-        return cls((0,))
-
-    @classmethod
-    def monomial(cls, k: int) -> "F2UPoly":
-        return cls((k,))
-
-    def is_zero(self) -> bool:
-        return not self.exps
-
-    def shift(self, k: int) -> "F2UPoly":
-        """Multiply by U**k."""
-        return F2UPoly(e + k for e in self.exps)
-
-    def valuation(self) -> Optional[int]:
-        """Lowest exponent, or None for the zero polynomial."""
-        return min(self.exps) if self.exps else None
-
-    def __add__(self, other: "F2UPoly") -> "F2UPoly":
-        return F2UPoly(self.exps ^ other.exps)
-
-    def __mul__(self, other: "F2UPoly") -> "F2UPoly":
-        acc: set[int] = set()
-        for a in self.exps:
-            for b in other.exps:
-                acc ^= {a + b}
-        return F2UPoly(acc)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, F2UPoly) and self.exps == other.exps
-
-    def __hash__(self) -> int:
-        return hash(self.exps)
-
-    def __bool__(self) -> bool:
-        return bool(self.exps)
-
-    def __repr__(self) -> str:
-        if not self.exps:
-            return "0"
-        return " + ".join("1" if e == 0 else f"U^{e}" for e in sorted(self.exps))
 
 
 class BitMatrix:
@@ -117,9 +52,9 @@ class BitMatrix:
         cols = list(cols)
         rows = [0] * n_rows
         for j, c in enumerate(cols):
-            for i in range(n_rows):
-                if c >> i & 1:
-                    rows[i] |= 1 << j
+            while c:
+                rows[(c & -c).bit_length() - 1] |= 1 << j
+                c &= c - 1
         return cls(rows, len(cols))
 
     def rank(self) -> int:
@@ -128,73 +63,65 @@ class BitMatrix:
             ech.add(r)
         return ech.rank
 
+    def _reduced_echelon(self, extra: int = 0) -> dict[int, int]:
+        """Reduced row echelon form as pivot column -> row.
+
+        Each row's lowest set bit is its pivot column, and no row has a bit
+        at another row's pivot column.  Bit i of ``extra`` rides along as
+        column n_cols of row i (the right side of a system); a row left
+        with only that bit is stored under pivot n_cols.
+        """
+        n = self.n_cols
+        piv: dict[int, int] = {}
+        for i, r in enumerate(self.rows):
+            r |= (extra >> i & 1) << n
+            while r:
+                c = (r & -r).bit_length() - 1
+                p = piv.get(c)
+                if p is None:
+                    piv[c] = r
+                    break
+                r ^= p
+        pivmask = 0
+        for c in piv:
+            pivmask |= 1 << c
+        # clear each row's other pivot columns, highest pivot first, so the
+        # rows it is reduced by are already reduced
+        for c in sorted(piv, reverse=True):
+            r = piv[c]
+            x = r & pivmask & ~(1 << c)
+            while x:
+                r ^= piv[(x & -x).bit_length() - 1]
+                x &= x - 1
+            piv[c] = r
+        return piv
+
     def solve(self, b: int) -> Optional[int]:
         """One solution x (bitmask over columns) of A x = b, or None.
 
         b is a bitmask over rows; free variables are set to 0.
         """
         n = self.n_cols
-        aug = [self.rows[i] | ((b >> i & 1) << n) for i in range(len(self.rows))]
-        pivots: list[int] = []
-        r = 0
-        for c in range(n):
-            p = next((i for i in range(r, len(aug)) if aug[i] >> c & 1), None)
-            if p is None:
-                continue
-            aug[r], aug[p] = aug[p], aug[r]
-            for i in range(len(aug)):
-                if i != r and aug[i] >> c & 1:
-                    aug[i] ^= aug[r]
-            pivots.append(c)
-            r += 1
-            if r == len(aug):
-                break
-        for i in range(r, len(aug)):
-            if aug[i]:
-                return None
+        piv = self._reduced_echelon(b)
+        if n in piv:
+            return None
         x = 0
-        for i, c in enumerate(pivots):
-            if aug[i] >> n & 1:
+        for c, r in piv.items():
+            if r >> n & 1:
                 x |= 1 << c
         return x
 
     def nullspace(self) -> list[int]:
-        """Basis (bitmasks over columns) of {x : A x = 0}."""
-        n = self.n_cols
-        rows = list(self.rows)
-        pivot_of_col: dict[int, int] = {}
-        r = 0
-        for c in range(n):
-            p = next((i for i in range(r, len(rows)) if rows[i] >> c & 1), None)
-            if p is None:
-                continue
-            rows[r], rows[p] = rows[p], rows[r]
-            for i in range(len(rows)):
-                if i != r and rows[i] >> c & 1:
-                    rows[i] ^= rows[r]
-            pivot_of_col[c] = r
-            r += 1
-            if r == len(rows):
-                break
-        basis = []
-        for c in range(n):
-            if c in pivot_of_col:
-                continue
-            v = 1 << c
-            for pc, pr in pivot_of_col.items():
-                if rows[pr] >> c & 1:
-                    v |= 1 << pc
-            basis.append(v)
-        return basis
-
-
-def solve_f2(rows: list[int], n_cols: int, b: int) -> Optional[int]:
-    """Solve the GF(2) system given by row masks; returns None if inconsistent."""
-    return BitMatrix(rows, n_cols).solve(b)
-
-
-def nullspace_f2(rows: list[int], n_cols: int) -> list[int]:
-    return BitMatrix(rows, n_cols).nullspace()
+        """Basis (bitmasks over columns) of {x : A x = 0}, one vector per
+        non-pivot column c, with bit c set and no other non-pivot bit."""
+        piv = self._reduced_echelon()
+        basis = {c: 1 << c for c in range(self.n_cols) if c not in piv}
+        for pc, r in piv.items():
+            x = r & ~(1 << pc)
+            while x:
+                basis[(x & -x).bit_length() - 1] |= 1 << pc
+                x &= x - 1
+        return list(basis.values())
 
 
 class Echelon:

@@ -9,6 +9,15 @@ determined by a GF(2) bit matrix whose U-exponents are forced by the
 gradings; all heavy lifting reduces to bit-packed linear algebra over the
 finite-dimensional graded pieces.
 
+Inside the engine gradings are integers: each public call scales the
+complex's gradings by D, the lcm of their denominators, so d has degree -D
+and U degree -2D, and only generators in one class mod 2D meet in a graded
+piece.  Fractions are made only for the values returned.  The scaled view
+and the pieces built on it live in a piece context that belongs to one
+public call and is dropped when it returns; the public calls it makes on
+the same complex (d_results -> validate, d_lower, d_upper) share it, so no
+piece or torsion-class nullspace is built twice in one call.
+
 The homology routine runs a valuation-greedy elimination: pivots are chosen
 with minimal U-exponent, which keeps every matrix entry a monomial and each
 row/column operation a plain XOR; it runs once per complex and is kept on
@@ -23,9 +32,12 @@ exhaustive enumeration over a U-truncated model and is used to cross-check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .algebra import BitMatrix, Echelon, format_rational, parse_rational, subspace_not_contained
 from .errors import InternalCheckError, ValidationError
@@ -141,6 +153,164 @@ class IotaComplex:
 
 
 # ---------------------------------------------------------------------------
+# scaled-integer gradings and per-call piece contexts
+
+
+class _PieceCtx:
+    """One complex on its scaled-integer gradings, plus the graded pieces and
+    piece-level masks built so far.  It lives for one public call."""
+
+    def __init__(self, cx: GradedComplex):
+        self.cx = cx
+        scale = 1
+        for q in cx.grading.values():
+            scale = lcm(scale, q.denominator)
+        self.D = scale
+        self.gr: dict[str, int] = {
+            g: q.numerator * (scale // q.denominator) for g, q in cx.grading.items()
+        }
+        # generators by grading class mod 2D, in generator order: only these
+        # can appear in a piece of a grading in that class
+        self.classes: dict[int, list[tuple[str, int]]] = {}
+        for g in cx.generators:
+            self.classes.setdefault(self.gr[g] % (2 * scale), []).append((g, self.gr[g]))
+        self._pieces: dict[int, _Piece] = {}
+        self._dcols: dict[int, list[int]] = {}
+        self._w: dict[int, list[int]] = {}
+
+    def scaled(self, q: Fraction) -> int:
+        return q.numerator * (self.D // q.denominator)
+
+    def unscaled(self, g: int) -> Fraction:
+        return Fraction(g, self.D)
+
+    def piece(self, grading: int) -> _Piece:
+        p = self._pieces.get(grading)
+        if p is None:
+            p = _piece_for(self, grading)
+            self._pieces[grading] = p
+        return p
+
+    def map_cols(self, mp: Mapping[str, Element], src: _Piece, dst: _Piece) -> list[int]:
+        index = dst.index
+        cols = []
+        for g, k in src.basis:
+            v = 0
+            for h, e in mp.get(g, ZERO):
+                i = index.get((h, e + k))
+                if i is None:
+                    raise InternalCheckError(f"image of {(g, k)} leaves the piece of grading {dst.grading}")
+                v |= 1 << i
+            cols.append(v)
+        return cols
+
+    def diff_cols(self, src: _Piece) -> tuple[list[int], _Piece]:
+        dst = self.piece(src.grading - self.D)
+        cols = self._dcols.get(src.grading)
+        if cols is None:
+            cols = self._dcols[src.grading] = self.map_cols(self.cx.diff, src, dst)
+        return cols, dst
+
+    def upow_cols(self, src: _Piece, m: int) -> tuple[list[int], _Piece]:
+        dst = self.piece(src.grading - 2 * m * self.D)
+        index = dst.index
+        cols = []
+        for g, k in src.basis:
+            i = index.get((g, k + m))
+            cols.append(0 if i is None else 1 << i)
+        return cols, dst
+
+    def boundary_masks(self, grading: int) -> list[int]:
+        """Spanning masks of d(V_{grading+1}) inside V_grading."""
+        cols, dst = self.diff_cols(self.piece(grading + self.D))
+        if dst.grading != grading:
+            raise InternalCheckError("boundary piece has the wrong grading")
+        return [c for c in cols if c]
+
+    def torsionish_masks(self, grading: int, n_exp: int) -> list[int]:
+        """Spanning masks of {w : U^N w in im d} inside V_grading."""
+        cached = self._w.get(grading)
+        if cached is not None:
+            return cached
+        piece = self.piece(grading)
+        ucols, udst = self.upow_cols(piece, n_exp)
+        null = BitMatrix.from_columns(ucols + self.boundary_masks(udst.grading), udst.dim).nullspace()
+        mask_a = (1 << piece.dim) - 1
+        out = [v & mask_a for v in null if v & mask_a]
+        self._w[grading] = out
+        return out
+
+    def cycle_masks(self, piece: _Piece) -> list[int]:
+        cols, dst = self.diff_cols(piece)
+        return BitMatrix.from_columns(cols, dst.dim).nullspace()
+
+    def candidate_gradings(self, floor: int) -> list[int]:
+        """Every grading G - 2kD >= floor of a generator, from the top down."""
+        vals: set[int] = set()
+        for g in self.gr.values():
+            vals.update(range(g, floor - 1, -2 * self.D))
+        return sorted(vals, reverse=True)
+
+
+# The piece context of the public call in progress; a nested public call on
+# the same complex (d_results -> validate, d_lower, d_upper) reuses it.
+_CALL_CTX: ContextVar[Optional[_PieceCtx]] = ContextVar("cablecalc_iota_call", default=None)
+
+
+@contextmanager
+def _call_ctx(cx: GradedComplex) -> Iterator[_PieceCtx]:
+    ctx = _CALL_CTX.get()
+    if ctx is not None and ctx.cx is cx:
+        yield ctx
+        return
+    ctx = _PieceCtx(cx)
+    token = _CALL_CTX.set(ctx)
+    try:
+        yield ctx
+    finally:
+        _CALL_CTX.reset(token)
+
+
+class _Piece:
+    """GF(2) vector space of homogeneous elements at one scaled grading."""
+
+    __slots__ = ("grading", "basis", "index")
+
+    def __init__(self, grading: int, basis: list[Term]):
+        self.grading = grading
+        self.basis = basis
+        self.index = {t: i for i, t in enumerate(basis)}
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def coords(self, x: Element) -> int:
+        v = 0
+        for t in x:
+            i = self.index.get(t)
+            if i is None:
+                raise InternalCheckError(f"term {t} not homogeneous of scaled grading {self.grading}")
+            v |= 1 << i
+        return v
+
+
+def _piece_for(ctx: _PieceCtx, grading: int, truncation: Optional[int] = None) -> _Piece:
+    step = 2 * ctx.D
+    basis: list[Term] = []
+    for g, gg in ctx.classes.get(grading % step, ()):
+        if gg >= grading:
+            k = (gg - grading) // step
+            if truncation is None or k < truncation:
+                basis.append((g, k))
+    return _Piece(grading, basis)
+
+
+def _id_plus_iota(ic: IotaComplex) -> dict[str, Element]:
+    return {g: ic.iota.get(g, ZERO) ^ {(g, 0)} for g in ic.complex.generators}
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 
@@ -163,10 +333,11 @@ class ValidationReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _check_degree(cx: GradedComplex, mp: Mapping[str, Element], degree: int) -> Optional[str]:
+def _check_degree(ctx: _PieceCtx, mp: Mapping[str, Element], degree: int) -> Optional[str]:
+    gr, step = ctx.gr, 2 * ctx.D
     for src, val in mp.items():
         for g, e in sorted(val):
-            if cx.grading[src] + degree != cx.grading[g] - 2 * e:
+            if gr[src] + degree * ctx.D != gr[g] - step * e:
                 return f"term U^{e}*{g} in image of {src} breaks degree {degree}"
     return None
 
@@ -179,55 +350,50 @@ def _check_d_squared(cx: GradedComplex) -> Optional[str]:
     return None
 
 
-def _iota_squared_homotopy(ic: IotaComplex) -> Optional[dict[str, Element]]:
+def _iota_squared_homotopy(ic: IotaComplex, ctx: _PieceCtx) -> Optional[dict[str, Element]]:
     """A degree +1 map H with dH + Hd = iota^2 + id, or None.
 
-    Unknowns are the admissible bit-matrix entries of H; the equation is
-    solved coordinate-wise over the graded pieces.
+    Unknowns are the admissible bit-matrix entries of H: U^k y in H(x) needs
+    gr(y) = gr(x) + 1 + 2k, so y comes from one grading class mod 2D.  The
+    equation is solved coordinate-wise over the graded pieces.
     """
     cx = ic.complex
     gens = cx.generators
-    gr = cx.grading
+    step = 2 * ctx.D
     unknowns: list[tuple[str, str, int]] = []  # (src, dst, exponent)
-    uidx: dict[tuple[str, str], int] = {}
+    targets: dict[str, list[tuple[str, int, int]]] = {}  # src -> [(dst, exponent, unknown)]
     for x in gens:
-        for y in gens:
-            k2 = gr[y] - gr[x] - 1
-            if k2.denominator == 1 and k2 >= 0 and int(k2) % 2 == 0:
-                uidx[(x, y)] = len(unknowns)
-                unknowns.append((x, y, int(k2) // 2))
+        lo = ctx.gr[x] + ctx.D
+        targets[x] = row = []
+        for y, gy in ctx.classes.get(lo % step, ()):
+            if gy >= lo:
+                k = (gy - lo) // step
+                row.append((y, k, len(unknowns)))
+                unknowns.append((x, y, k))
     rows: list[int] = []
     rhs = 0
     coord_of: dict[tuple[str, str, int], int] = {}  # (eq gen, term gen, exp) -> row
 
-    def row_for(x: str, term: Term) -> int:
-        key = (x, term[0], term[1])
-        if key not in coord_of:
-            coord_of[key] = len(rows)
+    def row_for(x: str, g: str, e: int) -> int:
+        key = (x, g, e)
+        r = coord_of.get(key)
+        if r is None:
+            r = coord_of[key] = len(rows)
             rows.append(0)
-        return coord_of[key]
+        return r
 
     for x in gens:
         # dH(x): unknown (x, y) contributes U^k * d(y)
-        for y in gens:
-            j = uidx.get((x, y))
-            if j is None:
-                continue
-            k = unknowns[j][2]
+        for y, k, j in targets[x]:
             for g, e in cx.diff.get(y, ZERO):
-                rows[row_for(x, (g, e + k))] ^= 1 << j
+                rows[row_for(x, g, e + k)] ^= 1 << j
         # Hd(x): term U^c*w of d(x) contributes U^c * H(w)
         for w, c in cx.diff.get(x, ZERO):
-            for y in gens:
-                j = uidx.get((w, y))
-                if j is None:
-                    continue
-                k = unknowns[j][2]
-                rows[row_for(x, (y, c + k))] ^= 1 << j
+            for y, k, j in targets[w]:
+                rows[row_for(x, y, c + k)] ^= 1 << j
         # right side: iota(iota(x)) + x
-        target = apply_map(ic.iota, ic.iota.get(x, ZERO)) ^ {(x, 0)}
-        for term in target:
-            rhs |= 1 << row_for(x, term)
+        for g, e in apply_map(ic.iota, ic.iota.get(x, ZERO)) ^ {(x, 0)}:
+            rhs |= 1 << row_for(x, g, e)
     sol = BitMatrix(rows, len(unknowns)).solve(rhs)
     if sol is None:
         return None
@@ -248,37 +414,38 @@ def validate(ic: IotaComplex) -> ValidationReport:
         checks.append(ValidationCheck(name, detail is None, detail or ""))
         return detail is None
 
-    structural = True
-    structural &= run("differential-degree", lambda: _check_degree(cx, cx.diff, -1))
-    structural &= run("differential-squared", lambda: _check_d_squared(cx))
-    structural &= run("iota-degree", lambda: _check_degree(cx, ic.iota, 0))
-    if not structural:
-        skipped = ("iota-chain-map", "iota-squared-homotopic-identity", "localized-rank-one")
-        for name in skipped:
-            checks.append(ValidationCheck(name, False, "not checked: structural failure"))
-        return ValidationReport(tuple(checks))
+    with _call_ctx(cx) as ctx:
+        structural = True
+        structural &= run("differential-degree", lambda: _check_degree(ctx, cx.diff, -1))
+        structural &= run("differential-squared", lambda: _check_d_squared(cx))
+        structural &= run("iota-degree", lambda: _check_degree(ctx, ic.iota, 0))
+        if not structural:
+            skipped = ("iota-chain-map", "iota-squared-homotopic-identity", "localized-rank-one")
+            for name in skipped:
+                checks.append(ValidationCheck(name, False, "not checked: structural failure"))
+            return ValidationReport(tuple(checks))
 
-    def chain() -> Optional[str]:
-        for g in cx.generators:
-            lhs = apply_map(cx.diff, ic.iota.get(g, ZERO))
-            rhs = apply_map(ic.iota, cx.diff.get(g, ZERO))
-            if lhs != rhs:
-                return f"iota fails to commute with d on {g}"
-        return None
+        def chain() -> Optional[str]:
+            for g in cx.generators:
+                lhs = apply_map(cx.diff, ic.iota.get(g, ZERO))
+                rhs = apply_map(ic.iota, cx.diff.get(g, ZERO))
+                if lhs != rhs:
+                    return f"iota fails to commute with d on {g}"
+            return None
 
-    run("iota-chain-map", chain)
-    run(
-        "iota-squared-homotopic-identity",
-        lambda: None if _iota_squared_homotopy(ic) is not None else "no homotopy from iota^2 to id",
-    )
+        run("iota-chain-map", chain)
+        run(
+            "iota-squared-homotopic-identity",
+            lambda: None if _iota_squared_homotopy(ic, ctx) is not None else "no homotopy from iota^2 to id",
+        )
 
-    def rank_one() -> Optional[str]:
-        free, _ = _homology(cx)
-        if len(free) != 1:
-            return f"localized homology has rank {len(free)}, expected 1"
-        return None
+        def rank_one() -> Optional[str]:
+            free, _ = _homology(cx)
+            if len(free) != 1:
+                return f"localized homology has rank {len(free)}, expected 1"
+            return None
 
-    run("localized-rank-one", rank_one)
+        run("localized-rank-one", rank_one)
     return ValidationReport(tuple(checks))
 
 
@@ -293,10 +460,11 @@ def require_valid(ic: IotaComplex) -> None:
 # homology over F2[U] (valuation-greedy elimination; entries stay monomials)
 
 
-def _kernel_basis(cx: GradedComplex) -> list[tuple[Element, Fraction]]:
-    """Basis of ker(d) as (element, grading) pairs; spans the full kernel."""
+def _kernel_basis(ctx: _PieceCtx) -> list[tuple[Element, int]]:
+    """Basis of ker(d) as (element, scaled grading) pairs; spans the full kernel."""
+    cx = ctx.cx
     gens = cx.generators
-    gr = cx.grading
+    gr = [ctx.gr[g] for g in gens]
     n = len(gens)
     idx = {g: i for i, g in enumerate(gens)}
     cols = [0] * n
@@ -304,13 +472,9 @@ def _kernel_basis(cx: GradedComplex) -> list[tuple[Element, Fraction]]:
         for h, _ in cx.diff.get(g, ZERO):
             cols[j] |= 1 << idx[h]
     trans = [1 << j for j in range(n)]  # current source basis in original coordinates
-    col_grading = [gr[g] for g in gens]
-
-    def exp(i: int, j: int) -> Fraction:
-        return (gr[gens[i]] - col_grading[j] + 1) / 2
-
     done_cols: set[int] = set()
     while True:
+        # pivot of least U-exponent (gr_i - gr_j + D) / 2D: least gr_i - gr_j
         best = None
         for j in range(n):
             if j in done_cols or not cols[j]:
@@ -319,9 +483,9 @@ def _kernel_basis(cx: GradedComplex) -> list[tuple[Element, Fraction]]:
             while v:
                 i = (v & -v).bit_length() - 1
                 v &= v - 1
-                e = exp(i, j)
-                if best is None or (e, i, j) < best:
-                    best = (e, i, j)
+                key = (gr[i] - gr[j], i, j)
+                if best is None or key < best:
+                    best = key
         if best is None:
             break
         _, pi, pj = best
@@ -330,36 +494,33 @@ def _kernel_basis(cx: GradedComplex) -> list[tuple[Element, Fraction]]:
                 cols[j] ^= cols[pj]
                 trans[j] ^= trans[pj]
         done_cols.add(pj)
+    step = 2 * ctx.D
     out = []
     for j in range(n):
         if j in done_cols:
             continue
         if cols[j]:
             raise InternalCheckError("kernel reduction left a nonzero non-pivot column")
-        sigma = col_grading[j]
         terms = []
         for i in range(n):
             if trans[j] >> i & 1:
-                k2 = gr[gens[i]] - sigma
-                if k2.denominator != 1 or int(k2) % 2 != 0 or k2 < 0:
+                k2 = gr[i] - gr[j]
+                if k2 % step or k2 < 0:
                     raise InternalCheckError("inadmissible exponent in kernel vector")
-                terms.append((gens[i], int(k2) // 2))
-        out.append((frozenset(terms), sigma))
+                terms.append((gens[i], k2 // step))
+        out.append((frozenset(terms), gr[j]))
     return out
 
 
-def _snf_monomial(rows: list[int], n_cols: int, row_gr: list[Fraction], col_gr: list[Fraction], degree: int):
-    """Greedy Smith reduction of a homogeneous monomial matrix.
+def _snf_monomial(rows: list[int], row_gr: list[int], col_gr: list[int], step: int):
+    """Greedy Smith reduction of a homogeneous degree-0 monomial matrix whose
+    entry (i, j) is U^((row_gr[i] - col_gr[j]) / step).
 
     Returns (pivots, free_rows) where pivots is a list of (row, col, exponent)
     and free_rows are the rows never used as a pivot.
     """
     rows = list(rows)
     m = len(rows)
-
-    def exp(i: int, j: int) -> Fraction:
-        return (row_gr[i] - col_gr[j] - degree) / 2
-
     done_rows: set[int] = set()
     done_cols: set[int] = set()
     pivots: list[tuple[int, int, int]] = []
@@ -374,13 +535,13 @@ def _snf_monomial(rows: list[int], n_cols: int, row_gr: list[Fraction], col_gr: 
                 v &= v - 1
                 if j in done_cols:
                     continue
-                e = exp(i, j)
-                if best is None or (e, i, j) < best:
-                    best = (e, i, j)
+                key = (row_gr[i] - col_gr[j], i, j)
+                if best is None or key < best:
+                    best = key
         if best is None:
             break
-        e, pi, pj = best
-        if e.denominator != 1 or e < 0:
+        e2, pi, pj = best
+        if e2 % step or e2 < 0:
             raise InternalCheckError("inadmissible pivot exponent")
         for i in range(m):
             if i != pi and rows[i] >> pj & 1:
@@ -388,7 +549,7 @@ def _snf_monomial(rows: list[int], n_cols: int, row_gr: list[Fraction], col_gr: 
         rows[pi] = 1 << pj
         done_rows.add(pi)
         done_cols.add(pj)
-        pivots.append((pi, pj, int(e)))
+        pivots.append((pi, pj, e2 // step))
     free_rows = [i for i in range(m) if i not in done_rows]
     return pivots, free_rows
 
@@ -402,38 +563,35 @@ def _homology(cx: GradedComplex) -> tuple[tuple[Fraction, ...], tuple[tuple[Frac
 
 
 def _reduce_homology(cx: GradedComplex) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, int], ...]]:
-    kernel = _kernel_basis(cx)
-    gr = cx.grading
-    im: list[tuple[Element, Fraction]] = []
-    for g in cx.generators:
-        v = cx.diff.get(g, ZERO)
-        if v:
-            im.append((v, gr[g] - 1))
-    if not im:
-        return tuple(s for _, s in kernel), ()
-    # express each image generator in the kernel basis (graded bit solve)
-    mrows = [0] * len(kernel)
-    for l, (v, gv) in enumerate(im):
-        piece = _piece_for(cx, gv)
-        cols = []
-        admissible = []
-        for mth, (kvec, sigma) in enumerate(kernel):
-            a2 = sigma - gv
-            if a2.denominator == 1 and a2 >= 0 and int(a2) % 2 == 0:
-                cols.append(piece.coords(elt_shift(kvec, int(a2) // 2)))
-                admissible.append(mth)
-        sol = BitMatrix.from_columns(cols, len(piece.basis)).solve(piece.coords(v))
-        if sol is None:
-            raise InternalCheckError("image vector not in span of kernel basis")
-        for bit, mth in enumerate(admissible):
-            if sol >> bit & 1:
-                mrows[mth] |= 1 << l
-    pivots, free_rows = _snf_monomial(
-        mrows, len(im), [s for _, s in kernel], [gv for _, gv in im], 0
-    )
-    free = tuple(kernel[i][1] for i in free_rows)
-    torsion = sorted(((kernel[i][1], e) for i, _, e in pivots if e > 0), key=lambda t: (-t[0], -t[1]))
-    return free, tuple(torsion)
+    with _call_ctx(cx) as ctx:
+        kernel = _kernel_basis(ctx)
+        step = 2 * ctx.D
+        im: list[tuple[Element, int]] = []
+        for g in cx.generators:
+            v = cx.diff.get(g, ZERO)
+            if v:
+                im.append((v, ctx.gr[g] - ctx.D))
+        # express each image generator in the kernel basis (graded bit solve)
+        mrows = [0] * len(kernel)
+        for l, (v, gv) in enumerate(im):
+            piece = ctx.piece(gv)
+            cols = []
+            admissible = []
+            for mth, (kvec, sigma) in enumerate(kernel):
+                a2 = sigma - gv
+                if a2 >= 0 and a2 % step == 0:
+                    cols.append(piece.coords(elt_shift(kvec, a2 // step)))
+                    admissible.append(mth)
+            sol = BitMatrix.from_columns(cols, piece.dim).solve(piece.coords(v))
+            if sol is None:
+                raise InternalCheckError("image vector not in span of kernel basis")
+            for bit, mth in enumerate(admissible):
+                if sol >> bit & 1:
+                    mrows[mth] |= 1 << l
+        pivots, free_rows = _snf_monomial(mrows, [s for _, s in kernel], [gv for _, gv in im], step)
+        free = tuple(ctx.unscaled(kernel[i][1]) for i in free_rows)
+        torsion = sorted(((kernel[i][1], e) for i, _, e in pivots if e > 0), key=lambda t: (-t[0], -t[1]))
+        return free, tuple((ctx.unscaled(s), e) for s, e in torsion)
 
 
 @dataclass(frozen=True)
@@ -456,126 +614,12 @@ def homology_summary(ic: IotaComplex | GradedComplex, check: bool = True) -> Hom
 
 
 # ---------------------------------------------------------------------------
-# graded pieces
+# the three correction terms
 
 
-class _Piece:
-    """GF(2) vector space of homogeneous elements at one grading."""
-
-    __slots__ = ("grading", "basis", "index")
-
-    def __init__(self, grading: Fraction, basis: list[Term]):
-        self.grading = grading
-        self.basis = basis
-        self.index = {t: i for i, t in enumerate(basis)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def coords(self, x: Element) -> int:
-        v = 0
-        for t in x:
-            i = self.index.get(t)
-            if i is None:
-                raise InternalCheckError(f"term {t} not homogeneous of grading {self.grading}")
-            v |= 1 << i
-        return v
-
-    def unpack(self, v: int) -> Element:
-        return frozenset(self.basis[i] for i in range(self.dim) if v >> i & 1)
-
-
-def _piece_for(cx: GradedComplex, grading: Fraction, truncation: Optional[int] = None) -> _Piece:
-    basis: list[Term] = []
-    for g in cx.generators:
-        k2 = cx.grading[g] - grading
-        if k2.denominator == 1 and k2 >= 0 and int(k2) % 2 == 0:
-            k = int(k2) // 2
-            if truncation is None or k < truncation:
-                basis.append((g, k))
-    return _Piece(Fraction(grading), basis)
-
-
-class _PieceCtx:
-    """Cached graded pieces and piece-level matrices for one complex."""
-
-    def __init__(self, ic: IotaComplex, truncation: Optional[int] = None):
-        self.ic = ic
-        self.cx = ic.complex
-        self.truncation = truncation
-        self._pieces: dict[Fraction, _Piece] = {}
-        self._w: dict[Fraction, list[int]] = {}
-        self._id_iota: dict[str, Element] = {
-            g: (ic.iota.get(g, ZERO) ^ {(g, 0)}) for g in self.cx.generators
-        }
-        self.n_gens = len(self.cx.generators)
-
-    def piece(self, grading: Fraction) -> _Piece:
-        p = self._pieces.get(grading)
-        if p is None:
-            p = _piece_for(self.cx, grading, self.truncation)
-            self._pieces[grading] = p
-        return p
-
-    def map_cols(self, mp: Mapping[str, Element], src: _Piece, dst: _Piece) -> list[int]:
-        return [dst.coords(apply_map(mp, frozenset((t,)))) for t in src.basis]
-
-    def diff_cols(self, src: _Piece) -> tuple[list[int], _Piece]:
-        dst = self.piece(src.grading - 1)
-        return self.map_cols(self.cx.diff, src, dst), dst
-
-    def id_iota_cols(self, src: _Piece) -> list[int]:
-        dst = self.piece(src.grading)
-        return self.map_cols(self._id_iota, src, dst)
-
-    def upow_cols(self, src: _Piece, m: int) -> tuple[list[int], _Piece]:
-        dst = self.piece(src.grading - 2 * m)
-        cols = []
-        for g, k in src.basis:
-            t = (g, k + m)
-            cols.append(1 << dst.index[t] if t in dst.index else 0)
-        return cols, dst
-
-    def boundary_masks(self, grading: Fraction) -> list[int]:
-        """Spanning masks of d(V_{grading+1}) inside V_grading."""
-        src = self.piece(grading + 1)
-        cols, dst = self.diff_cols(src)
-        if dst.grading != grading:
-            raise InternalCheckError("boundary piece has the wrong grading")
-        return [c for c in cols if c]
-
-    def torsionish_masks(self, grading: Fraction, n_exp: int) -> list[int]:
-        """Spanning masks of {w : U^N w in im d} inside V_grading."""
-        key = grading
-        cached = self._w.get(key)
-        if cached is not None:
-            return cached
-        piece = self.piece(grading)
-        ucols, udst = self.upow_cols(piece, n_exp)
-        bcols = self.boundary_masks(udst.grading)
-        nd = len(udst.basis)
-        stacked = ucols + bcols
-        null = BitMatrix.from_columns(stacked, nd).nullspace()
-        mask_a = (1 << piece.dim) - 1
-        out = [v & mask_a for v in null]
-        out = [v for v in out if v]
-        self._w[key] = out
-        return out
-
-    def cycle_masks(self, piece: _Piece) -> list[int]:
-        cols, dst = self.diff_cols(piece)
-        return BitMatrix.from_columns(cols, dst.dim).nullspace()
-
-
-def _candidate_gradings(cx: GradedComplex, floor: Fraction) -> list[Fraction]:
-    vals: set[Fraction] = set()
-    for g in cx.generators:
-        gamma = cx.grading[g]
-        while gamma >= floor:
-            vals.add(gamma)
-            gamma -= 2
-    return sorted(vals, reverse=True)
+def _search_floor(ctx: _PieceCtx, summary: HomologySummary, window_slack: int) -> int:
+    """Scaled bottom of the search window, d - 2N - 2 - window_slack."""
+    return ctx.scaled(summary.free_grading) - ctx.D * (2 * summary.torsion_exponent + 2 + window_slack)
 
 
 def d_invariant(ic: IotaComplex | GradedComplex, check: bool = True) -> Fraction:
@@ -585,34 +629,26 @@ def d_invariant(ic: IotaComplex | GradedComplex, check: bool = True) -> Fraction
 
 def d_lower(ic: IotaComplex, check: bool = True, window_slack: int = 0) -> Fraction:
     """Maximal grading of a non-U-torsion cycle a with (id+iota)a a boundary."""
-    if check:
-        require_valid(ic)
-    summary = homology_summary(ic, check=False)
-    n_exp = summary.torsion_exponent
-    floor = summary.free_grading - 2 * n_exp - 2 - window_slack
-    ctx = _PieceCtx(ic)
-    for g in _candidate_gradings(ic.complex, floor):
-        piece = ctx.piece(g)
-        if not piece.dim:
-            continue
-        dcols, ddst = ctx.diff_cols(piece)
-        icols = ctx.id_iota_cols(piece)
-        # unknowns (a, b): d a = 0 and (id+iota) a = d b
-        nrows = ddst.dim + piece.dim
-        stacked = []
-        for j in range(piece.dim):
-            stacked.append(dcols[j] | (icols[j] << ddst.dim))
-        for b in ctx.boundary_masks(g):
-            stacked.append(b << ddst.dim)
-        null = BitMatrix.from_columns(stacked, nrows).nullspace()
-        mask_a = (1 << piece.dim) - 1
-        zs = [v & mask_a for v in null]
-        zs = [v for v in zs if v]
-        if not zs:
-            continue
-        ws = ctx.torsionish_masks(g, n_exp)
-        if subspace_not_contained(zs, ws) is not None:
-            return g
+    with _call_ctx(ic.complex) as ctx:
+        if check:
+            require_valid(ic)
+        summary = homology_summary(ic, check=False)
+        n_exp = summary.torsion_exponent
+        id_iota = _id_plus_iota(ic)
+        for g in ctx.candidate_gradings(_search_floor(ctx, summary, window_slack)):
+            piece = ctx.piece(g)
+            if not piece.dim:
+                continue
+            dcols, ddst = ctx.diff_cols(piece)
+            icols = ctx.map_cols(id_iota, piece, piece)
+            # unknowns (a, b): d a = 0 and (id+iota) a = d b
+            stacked = [dcols[j] | (icols[j] << ddst.dim) for j in range(piece.dim)]
+            stacked += [b << ddst.dim for b in ctx.boundary_masks(g)]
+            null = BitMatrix.from_columns(stacked, ddst.dim + piece.dim).nullspace()
+            mask_a = (1 << piece.dim) - 1
+            zs = [v & mask_a for v in null if v & mask_a]
+            if zs and subspace_not_contained(zs, ctx.torsionish_masks(g, n_exp)) is not None:
+                return ctx.unscaled(g)
     raise InternalCheckError("no d_lower witness found within the search window")
 
 
@@ -627,54 +663,47 @@ def d_upper(
     the value is gr(x)+1 when x is nonzero and gr(y) when x = 0.  Only
     m = m_max is tried: a witness (x, y, z) at m gives (x, y, U z) at m + 1,
     since U times a non-torsion class is non-torsion."""
-    if check:
-        require_valid(ic)
-    summary = homology_summary(ic, check=False)
-    n_exp = summary.torsion_exponent
-    cx = ic.complex
-    if m_max is None:
-        m_max = n_exp + len(cx.generators)
-    floor = summary.free_grading - 2 * n_exp - 2 - window_slack
-    ctx = _PieceCtx(ic)
-    piece_gradings = _candidate_gradings(cx, floor - 1)
-    values = sorted({v for g in piece_gradings for v in (g, g + 1) if v >= floor}, reverse=True)
-    for v in values:
-        if _upper_witness_at(ctx, v, m_max, n_exp):
-            return v
+    with _call_ctx(ic.complex) as ctx:
+        if check:
+            require_valid(ic)
+        summary = homology_summary(ic, check=False)
+        n_exp = summary.torsion_exponent
+        if m_max is None:
+            m_max = n_exp + len(ic.complex.generators)
+        id_iota = _id_plus_iota(ic)
+        floor = _search_floor(ctx, summary, window_slack)
+        gradings = ctx.candidate_gradings(floor - ctx.D)
+        values = sorted({v for g in gradings for v in (g, g + ctx.D) if v >= floor}, reverse=True)
+        for v in values:
+            if _upper_witness_at(ctx, id_iota, v, m_max, n_exp):
+                return ctx.unscaled(v)
     raise InternalCheckError("no d_upper witness found within the search window")
 
 
-def _upper_witness_at(ctx: _PieceCtx, v: Fraction, m: int, n_exp: int) -> bool:
-    px = ctx.piece(v - 1)
+def _upper_witness_at(ctx: _PieceCtx, id_iota: Mapping[str, Element], v: int, m: int, n_exp: int) -> bool:
+    px = ctx.piece(v - ctx.D)
     py = ctx.piece(v)
-    pz = ctx.piece(v - 2 * m)
-    ws = ctx.torsionish_masks(pz.grading, n_exp)
-    wspan = Echelon(ws)
+    pz = ctx.piece(v - 2 * m * ctx.D)
+    wspan = Echelon(ctx.torsionish_masks(pz.grading, n_exp))
     # branch with x nonzero: value gr(x) + 1
     if px.dim:
-        ix_cols = ctx.id_iota_cols(px)  # (id+iota) x in V_{v-1}
+        ix_cols = ctx.map_cols(id_iota, px, px)  # (id+iota) x in V_{v-1}
         dy_cols, dydst = ctx.diff_cols(py)  # d y in V_{v-1}
         ux_cols, uxdst = ctx.upow_cols(px, m)  # U^m x in V_{v-1-2m}
         dz_cols, dzdst = ctx.diff_cols(pz)  # d z in V_{v-1-2m}
         if dydst.grading != px.grading or dzdst.grading != uxdst.grading:
             raise InternalCheckError("d_upper equation pieces have mismatched gradings")
         r1, r2 = px.dim, uxdst.dim
-        stacked = []
-        for j in range(px.dim):
-            stacked.append(ix_cols[j] | (ux_cols[j] << r1))
-        for j in range(py.dim):
-            stacked.append(dy_cols[j])
-        for j in range(pz.dim):
-            stacked.append(dz_cols[j] << r1)
+        stacked = [ix_cols[j] | (ux_cols[j] << r1) for j in range(px.dim)]
+        stacked += dy_cols
+        stacked += [c << r1 for c in dz_cols]
         null = BitMatrix.from_columns(stacked, r1 + r2).nullspace()
         mask_x = (1 << px.dim) - 1
-        have_x = any(s & mask_x for s in null)
-        if have_x:
+        if any(s & mask_x for s in null):
             uy_cols, uydst = ctx.upow_cols(py, m)
-            iz_cols = ctx.id_iota_cols(pz)
+            iz_cols = ctx.map_cols(id_iota, pz, pz)
             if uydst.grading != pz.grading:
                 raise InternalCheckError("U^m y and (id+iota) z land in different pieces")
-            phis = []
             for s in null:
                 w = 0
                 for j in range(py.dim):
@@ -683,33 +712,24 @@ def _upper_witness_at(ctx: _PieceCtx, v: Fraction, m: int, n_exp: int) -> bool:
                 for j in range(pz.dim):
                     if s >> (px.dim + py.dim + j) & 1:
                         w ^= iz_cols[j]
-                phis.append(w)
-            if any(not wspan.contains(p) for p in phis):
-                return True
+                if not wspan.contains(w):
+                    return True
     # branch with x = 0, y a nonzero cycle: value gr(y)
     if py.dim:
         ky = ctx.cycle_masks(py)
         if ky:
-            kz = ctx.cycle_masks(pz)
             uy_cols, uydst = ctx.upow_cols(py, m)
-            iz_cols = ctx.id_iota_cols(pz)
+            iz_cols = ctx.map_cols(id_iota, pz, pz)
             if uydst.grading != pz.grading:
                 raise InternalCheckError("U^m y and (id+iota) z land in different pieces")
-            phis = []
-            for yv in ky:
-                w = 0
-                for j in range(py.dim):
-                    if yv >> j & 1:
-                        w ^= uy_cols[j]
-                phis.append(w)
-            for zv in kz:
-                w = 0
-                for j in range(pz.dim):
-                    if zv >> j & 1:
-                        w ^= iz_cols[j]
-                phis.append(w)
-            if any(not wspan.contains(p) for p in phis):
-                return True
+            for vecs, cols in ((ky, uy_cols), (ctx.cycle_masks(pz), iz_cols)):
+                for s in vecs:
+                    w = 0
+                    for j, c in enumerate(cols):
+                        if s >> j & 1:
+                            w ^= c
+                    if not wspan.contains(w):
+                        return True
     return False
 
 
@@ -730,14 +750,16 @@ def d_results(
     m_max: Optional[int] = None,
     window_slack: int = 0,
 ) -> DResults:
-    """All three correction terms, asserting d_lower <= d <= d_upper."""
-    if check:
-        require_valid(ic)
-    return DResults(
-        d_invariant(ic, check=False),
-        d_lower(ic, check=False, window_slack=window_slack),
-        d_upper(ic, check=False, m_max=m_max, window_slack=window_slack),
-    )
+    """All three correction terms, asserting d_lower <= d <= d_upper.  The
+    calls share one piece context, so no graded piece is built twice."""
+    with _call_ctx(ic.complex):
+        if check:
+            require_valid(ic)
+        return DResults(
+            d_invariant(ic, check=False),
+            d_lower(ic, check=False, window_slack=window_slack),
+            d_upper(ic, check=False, m_max=m_max, window_slack=window_slack),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -808,40 +830,38 @@ class _BruteCtx:
     held in full (untruncated) piece coordinates so nothing is lost."""
 
     def __init__(self, ic: IotaComplex, full: _PieceCtx, truncation: int):
-        self.ic = ic
         self.full = full
-        self.trunc = _PieceCtx(ic, truncation=truncation)
+        self.truncation = truncation
+        self.id_iota = _id_plus_iota(ic)
+        self._pieces: dict[int, _Piece] = {}
         self._cache: dict[tuple, list[int]] = {}
 
-    def piece(self, grading: Fraction) -> _Piece:
-        return self.trunc.piece(grading)
+    def piece(self, grading: int) -> _Piece:
+        p = self._pieces.get(grading)
+        if p is None:
+            p = self._pieces[grading] = _piece_for(self.full, grading, self.truncation)
+        return p
 
-    def _images(self, kind: str, grading: Fraction, m: int, col_fn) -> list[int]:
+    def _images(self, kind: str, grading: int, m: int, col_fn) -> list[int]:
         key = (kind, grading, m)
         got = self._cache.get(key)
         if got is None:
-            got = _mask_images([col_fn(t) for t in self.trunc.piece(grading).basis])
-            self._cache[key] = got
+            got = self._cache[key] = _mask_images(col_fn(self.piece(grading)))
         return got
 
-    def diff_images(self, grading: Fraction) -> list[int]:
-        dst = self.full.piece(grading - 1)
-        diff = self.ic.complex.diff
-        return self._images("d", grading, 0, lambda t: dst.coords(apply_map(diff, frozenset((t,)))))
+    def diff_images(self, grading: int) -> list[int]:
+        full = self.full
+        dst = full.piece(grading - full.D)
+        return self._images("d", grading, 0, lambda src: full.map_cols(full.cx.diff, src, dst))
 
-    def id_iota_images(self, grading: Fraction) -> list[int]:
+    def id_iota_images(self, grading: int) -> list[int]:
         dst = self.full.piece(grading)
-        mp = self.full._id_iota
-        return self._images("i", grading, 0, lambda t: dst.coords(apply_map(mp, frozenset((t,)))))
+        return self._images("i", grading, 0, lambda src: self.full.map_cols(self.id_iota, src, dst))
 
-    def upow_images(self, grading: Fraction, m: int) -> list[int]:
-        dst = self.full.piece(grading - 2 * m)
-        return self._images("u", grading, m, lambda t: 1 << dst.index[(t[0], t[1] + m)])
-
-    def embed_images(self, grading: Fraction) -> list[int]:
-        """Truncated-piece masks re-expressed in full-piece coordinates."""
-        dst = self.full.piece(grading)
-        return self._images("e", grading, 0, lambda t: 1 << dst.index[t])
+    def upow_images(self, grading: int, m: int) -> list[int]:
+        """U^m of truncated-piece masks in full-piece coordinates (m = 0
+        re-expresses them)."""
+        return self._images("u", grading, m, lambda src: self.full.upow_cols(src, m)[0])
 
 
 def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResults:
@@ -854,81 +874,81 @@ def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResul
     torsion_exponent + number of generators, which makes the truncated
     search exhaustive as well.
     """
-    if check:
-        require_valid(ic)
-    summary = homology_summary(ic, check=False)
-    n_exp = summary.torsion_exponent
-    cx = ic.complex
-    min_trunc = n_exp + len(cx.generators)
-    if truncation < min_trunc:
-        raise ValidationError(f"truncation {truncation} too small; need at least {min_trunc}")
-    full = _PieceCtx(ic)
-    br = _BruteCtx(ic, full, truncation)
-    floor = summary.free_grading - 2 * n_exp - 2
-    gradings = _candidate_gradings(cx, floor)
-    torsionish = {g: Echelon(full.torsionish_masks(g, n_exp)) for g in gradings}
+    with _call_ctx(ic.complex) as full:
+        if check:
+            require_valid(ic)
+        summary = homology_summary(ic, check=False)
+        n_exp = summary.torsion_exponent
+        min_trunc = n_exp + len(ic.complex.generators)
+        if truncation < min_trunc:
+            raise ValidationError(f"truncation {truncation} too small; need at least {min_trunc}")
+        br = _BruteCtx(ic, full, truncation)
+        floor = _search_floor(full, summary, 0)
+        gradings = full.candidate_gradings(floor)
+        torsionish = {g: Echelon(full.torsionish_masks(g, n_exp)) for g in gradings}
 
-    d_val = None
-    for g in gradings:
-        dim = br.piece(g).dim
-        dimg, femb, ws = br.diff_images(g), br.embed_images(g), torsionish[g]
-        if any(
-            dimg[mask] == 0 and not ws.contains(femb[mask]) for mask in range(1, 1 << dim)
-        ):
-            d_val = g
-            break
-    if d_val is None:
-        raise InternalCheckError("brute search found no non-torsion cycle")
-
-    lower_val = None
-    for g in gradings:
-        dim = br.piece(g).dim
-        dimg, femb, ws = br.diff_images(g), br.embed_images(g), torsionish[g]
-        iimg = br.id_iota_images(g)
-        bnd = Echelon(full.boundary_masks(g))
-        found = False
-        for mask in range(1, 1 << dim):
-            if dimg[mask]:
-                continue
-            if not bnd.contains(iimg[mask]):
-                continue
-            if not ws.contains(femb[mask]):
-                found = True
+        d_val = None
+        for g in gradings:
+            dim = br.piece(g).dim
+            dimg, femb, ws = br.diff_images(g), br.upow_images(g, 0), torsionish[g]
+            if any(
+                dimg[mask] == 0 and not ws.contains(femb[mask]) for mask in range(1, 1 << dim)
+            ):
+                d_val = g
                 break
-        if found:
-            lower_val = g
-            break
-    if lower_val is None:
-        raise InternalCheckError("brute search found no d_lower witness")
+        if d_val is None:
+            raise InternalCheckError("brute search found no non-torsion cycle")
 
-    upper_val = None
-    values = sorted({w for g in gradings for w in (g, g + 1)}, reverse=True)
-    for v in values:
-        if _brute_upper_at(br, v, truncation, n_exp):
-            upper_val = v
-            break
-    if upper_val is None:
-        raise InternalCheckError("brute search found no d_upper witness")
-    return DResults(d_val, lower_val, upper_val)
+        lower_val = None
+        for g in gradings:
+            dim = br.piece(g).dim
+            dimg, femb, ws = br.diff_images(g), br.upow_images(g, 0), torsionish[g]
+            iimg = br.id_iota_images(g)
+            bnd = Echelon(full.boundary_masks(g))
+            found = False
+            for mask in range(1, 1 << dim):
+                if dimg[mask]:
+                    continue
+                if not bnd.contains(iimg[mask]):
+                    continue
+                if not ws.contains(femb[mask]):
+                    found = True
+                    break
+            if found:
+                lower_val = g
+                break
+        if lower_val is None:
+            raise InternalCheckError("brute search found no d_lower witness")
+
+        upper_val = None
+        values = sorted({w for g in gradings for w in (g, g + full.D)}, reverse=True)
+        for v in values:
+            if _brute_upper_at(br, v, truncation, n_exp):
+                upper_val = v
+                break
+        if upper_val is None:
+            raise InternalCheckError("brute search found no d_upper witness")
+        return DResults(full.unscaled(d_val), full.unscaled(lower_val), full.unscaled(upper_val))
 
 
-def _brute_upper_at(br: _BruteCtx, v: Fraction, truncation: int, n_exp: int) -> bool:
-    dx = br.piece(v - 1).dim
+def _brute_upper_at(br: _BruteCtx, v: int, truncation: int, n_exp: int) -> bool:
+    step = 2 * br.full.D
+    dx = br.piece(v - br.full.D).dim
     dy = br.piece(v).dim
     if not (dx or dy):
         return False
-    ximg_i = br.id_iota_images(v - 1)
+    ximg_i = br.id_iota_images(v - br.full.D)
     yimg_d = br.diff_images(v)
     y_by_image: dict[int, list[int]] = {}
     for ymask in range(1 << dy):
         y_by_image.setdefault(yimg_d[ymask], []).append(ymask)
     for m in range(truncation + 1):
-        dz = br.piece(v - 2 * m).dim
-        ws = Echelon(br.full.torsionish_masks(v - 2 * m, n_exp))
-        ximg_u = br.upow_images(v - 1, m)
+        dz = br.piece(v - m * step).dim
+        ws = Echelon(br.full.torsionish_masks(v - m * step, n_exp))
+        ximg_u = br.upow_images(v - br.full.D, m)
         yimg_u = br.upow_images(v, m)
-        zimg_d = br.diff_images(v - 2 * m)
-        zimg_i = br.id_iota_images(v - 2 * m)
+        zimg_d = br.diff_images(v - m * step)
+        zimg_i = br.id_iota_images(v - m * step)
         z_by_image: dict[int, list[int]] = {}
         for zmask in range(1 << dz):
             z_by_image.setdefault(zimg_d[zmask], []).append(zmask)

@@ -6,11 +6,8 @@ import pytest
 from cablecalc.algebra import (
     BitMatrix,
     Echelon,
-    F2UPoly,
     format_rational,
-    nullspace_f2,
     parse_rational,
-    solve_f2,
     subspace_not_contained,
 )
 
@@ -34,40 +31,14 @@ def test_format_rational_roundtrip():
         assert parse_rational(format_rational(r)).denominator > 0
 
 
-def test_f2upoly_basics():
-    p = F2UPoly((0, 2))
-    assert p + p == F2UPoly.zero()
-    assert not F2UPoly.zero()
-    assert p.shift(3) == F2UPoly((3, 5))
-    assert p.valuation() == 0
-    assert F2UPoly.zero().valuation() is None
-    with pytest.raises(ValueError):
-        F2UPoly((-1,))
-
-
-def test_f2upoly_mul():
-    one = F2UPoly.one()
-    u = F2UPoly.monomial(1)
-    p = one + u
-    # (1 + U)^2 = 1 + U^2 over GF(2)
-    assert p * p == F2UPoly((0, 2))
-    assert p * one == p
-    rng = random.Random(3)
-    for _ in range(50):
-        a = F2UPoly(rng.sample(range(8), rng.randint(0, 4)))
-        b = F2UPoly(rng.sample(range(8), rng.randint(0, 4)))
-        assert a * b == b * a
-        assert (a + b) * a == a * a + b * a
-
-
 def test_solve_identity():
     rows = [0b001, 0b010, 0b100]
-    assert solve_f2(rows, 3, 0b101) == 0b101
+    assert BitMatrix(rows, 3).solve(0b101) == 0b101
 
 
 def test_solve_inconsistent():
     # x0 = 0 and x0 = 1
-    assert solve_f2([0b1, 0b1], 1, 0b10) is None
+    assert BitMatrix([0b1, 0b1], 1).solve(0b10) is None
 
 
 def test_solve_random_systems():
@@ -80,10 +51,30 @@ def test_solve_random_systems():
         for i, r in enumerate(rows):
             if bin(r & x_true).count("1") & 1:
                 b |= 1 << i
-        x = solve_f2(rows, n, b)
+        x = BitMatrix(rows, n).solve(b)
         assert x is not None
         for i, r in enumerate(rows):
             assert (bin(r & x).count("1") & 1) == (b >> i & 1)
+
+
+def test_solve_sets_free_variables_to_zero():
+    # each nullspace vector carries exactly one free column, its top bit;
+    # solve must leave all of those columns at 0
+    rng = random.Random(14)
+    for _ in range(300):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        mat = BitMatrix([rng.getrandbits(n) & rng.getrandbits(n) for _ in range(m)], n)
+        free = 0
+        for v in mat.nullspace():
+            free |= 1 << (v.bit_length() - 1)
+        assert bin(free).count("1") == n - mat.rank()
+        x = mat.solve(0)
+        assert x == 0
+        x_true, b = rng.getrandbits(n), 0
+        for i, r in enumerate(mat.rows):
+            b |= (bin(r & x_true).count("1") & 1) << i
+        x = mat.solve(b)
+        assert x is not None and x & free == 0
 
 
 def test_nullspace():

@@ -232,16 +232,19 @@ def test_invariants_reject_invalid_complex():
 
 
 def _per_m_d_upper(ic, m_max):
-    """Reference search: at each candidate value, every U-power m <= m_max."""
+    """Reference search: at each candidate value, every U-power m <= m_max.
+    Works on the engine's scaled gradings (D = lcm of denominators)."""
     summary = homology_summary(ic, check=False)
     n = summary.torsion_exponent
-    floor = summary.free_grading - 2 * n - 2
-    ctx = iota._PieceCtx(ic)
-    gradings = iota._candidate_gradings(ic.complex, floor - 1)
-    values = sorted({v for g in gradings for v in (g, g + 1) if v >= floor}, reverse=True)
+    ctx = iota._PieceCtx(ic.complex)
+    D = ctx.D
+    floor = ctx.scaled(summary.free_grading) - (2 * n + 2) * D
+    gradings = ctx.candidate_gradings(floor - D)
+    values = sorted({v for g in gradings for v in (g, g + D) if v >= floor}, reverse=True)
+    id_iota = iota._id_plus_iota(ic)
     for v in values:
-        if any(iota._upper_witness_at(ctx, v, m, n) for m in range(m_max + 1)):
-            return v
+        if any(iota._upper_witness_at(ctx, id_iota, v, m, n) for m in range(m_max + 1)):
+            return Fraction(v, D)
     return None
 
 
@@ -258,14 +261,38 @@ def _check_single_m_search(ic):
 
 def test_d_upper_needs_a_positive_u_power_on_dual_model():
     # the top witness (b, 0, c) has d c = U b, so a search at m = 0 alone
-    # must come out lower than the full search
-    ic = dual_model()
-    n = homology_summary(ic).torsion_exponent
-    ctx = iota._PieceCtx(ic)
-    top = d_upper(ic)
-    assert not iota._upper_witness_at(ctx, top, 0, n)
-    assert iota._upper_witness_at(ctx, top, 1, n)
-    assert d_upper(ic, m_max=0) < top
+    # must come out lower than the full search; shifted by 1/3 the engine
+    # works in thirds (D = 3) and U^m moves the grading by 2mD
+    for r, scale in ((Fraction(0), 1), (Fraction(1, 3), 3)):
+        ic = shift(dual_model(), r)
+        n = homology_summary(ic).torsion_exponent
+        ctx = iota._PieceCtx(ic.complex)
+        assert ctx.D == scale
+        id_iota = iota._id_plus_iota(ic)
+        top = d_upper(ic)
+        assert top == 2 + r
+        assert not iota._upper_witness_at(ctx, id_iota, ctx.scaled(top), 0, n)
+        assert iota._upper_witness_at(ctx, id_iota, ctx.scaled(top), 1, n)
+        assert d_upper(ic, m_max=0) < top
+
+
+def test_d_upper_needs_positive_u_powers_on_dual_products():
+    # randgen complexes never need m > 0; dual_model times them mostly do
+    moved = 0
+    for seed in range(40):
+        base = tensor(dual_model(), random_iota_complex(seed))
+        ref = d_results(base)
+        for r in (Fraction(0), Fraction(1, 3), Fraction(-5, 7)):
+            ic = shift(base, r)
+            res = d_results(ic)
+            assert (res.d, res.lower, res.upper) == (ref.d + r, ref.lower + r, ref.upper + r)
+            s = homology_summary(ic, check=False)
+            span = s.torsion_exponent + len(ic.complex.generators)
+            assert brute_oracle(ic, truncation=span, check=False) == res, (seed, r)
+            wide = d_results(ic, check=False, m_max=2 * span, window_slack=2 * s.torsion_exponent + 2)
+            assert wide == res, (seed, r)
+        moved += d_upper(base, check=False, m_max=0) != ref.upper
+    assert moved >= 30, moved
 
 
 def test_d_upper_single_m_matches_per_m_search_on_fixtures():
@@ -309,18 +336,83 @@ def test_homology_computed_once_per_complex(monkeypatch):
     assert torsion and all(isinstance(t, tuple) for t in torsion)
 
 
+def test_d_results_builds_each_piece_once(monkeypatch):
+    built = []
+    piece_for = iota._piece_for
+
+    def counted(ctx, grading, truncation=None):
+        built.append((id(ctx), grading, truncation))
+        return piece_for(ctx, grading, truncation)
+
+    monkeypatch.setattr(iota, "_piece_for", counted)
+    prod = tensor(random_iota_complex(5, max_order=4), random_iota_complex(6, max_order=4))
+    assert len(prod.complex.generators) == 25
+    built.clear()
+    d_results(prod)  # validate, homology, d_lower and d_upper in one call
+    assert built and len(set(built)) == len(built)
+    assert len({ctx for ctx, _, _ in built}) == 1
+    assert iota._CALL_CTX.get() is None
+    ic = random_iota_complex(5, max_order=4)
+    n = homology_summary(ic).torsion_exponent
+    built.clear()
+    brute_oracle(ic, truncation=n + 5)
+    assert any(t is not None for _, _, t in built)
+    assert len(set(built)) == len(built)
+
+
 # ---------------------------------------------------------------------------
 # shift and tensor
 
 
+def _invalid_models():
+    yield IotaComplex(GradedComplex([("x", 0), ("y", 1)], {"y": [("x", 1)]}), {"x": [("x", 0)], "y": [("y", 0)]})
+    cx = GradedComplex([("e1", 0), ("e2", 0), ("f", 1)], {"f": [("e1", 0), ("e2", 0)]})
+    yield IotaComplex(cx, {"e1": [("e1", 0), ("e2", 0)], "e2": [("e2", 0)], "f": [("f", 0)]})
+    yield IotaComplex(GradedComplex([("x0", 0)], {}), {})
+    yield IotaComplex(GradedComplex([("x", 0), ("y", 0)], {}), {"x": [("x", 0)], "y": [("y", 0)]})
+    yield IotaComplex(cx, {"e1": [("e2", 1)], "e2": [("e1", 0)], "f": [("f", 0)]})
+
+
+def _report(ic):
+    return [(c.name, c.ok, c.detail) for c in validate(ic).checks]
+
+
 def test_shift_covariance():
-    for r in (Fraction(2), Fraction(-3), Fraction(1, 2)):
-        for ic in (torsion_model(1), dual_model()):
-            res = d_results(ic)
-            sres = d_results(shift(ic, r))
+    cases = all_fixtures() + [random_iota_complex(s, max_order=4) for s in range(50)]
+    cases += [
+        tensor(random_iota_complex(2 * j, max_order=4), random_iota_complex(2 * j + 1, max_order=4))
+        for j in range(10)
+    ]
+    for ic in cases:
+        res = d_results(ic)
+        report = _report(ic)
+        for r in (Fraction(1, 3), Fraction(-5, 7), Fraction(7, 6)):
+            moved = shift(ic, r)
+            assert _report(moved) == report
+            sres = d_results(moved)
             assert sres.d == res.d + r
             assert sres.lower == res.lower + r
             assert sres.upper == res.upper + r
+    for ic in _invalid_models():
+        report = _report(ic)
+        assert not validate(ic).ok
+        for r in (Fraction(2), Fraction(1, 2), Fraction(-5, 7)):
+            assert _report(shift(ic, r)) == report
+    # A shifted by 1/2 times B shifted by 1/3: gradings in sixths (D = 6)
+    for j in range(10):
+        a = random_iota_complex(2 * j, max_order=4)
+        b = random_iota_complex(2 * j + 1, max_order=4)
+        base = tensor(a, b)
+        prod = tensor(shift(a, Fraction(1, 2)), shift(b, Fraction(1, 3)))
+        assert {q.denominator for q in prod.complex.grading.values()} == {6}
+        assert iota._PieceCtx(prod.complex).D == 6
+        assert _report(prod) == _report(base)
+        res, pres = d_results(base), d_results(prod)
+        r = Fraction(5, 6)
+        assert (pres.d, pres.lower, pres.upper) == (res.d + r, res.lower + r, res.upper + r)
+        n = homology_summary(prod).torsion_exponent
+        if len(prod.complex.generators) <= 9:
+            assert brute_oracle(prod, truncation=n + len(prod.complex.generators)) == pres
 
 
 def test_tensor_unit():
