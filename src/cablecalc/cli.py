@@ -15,9 +15,10 @@ Every subcommand takes --json (stable machine-readable output; rationals
 are exact "num/den" strings, never floats) and --out PATH (write the
 rendered output to a file instead of stdout).
 
-Exit codes: 0 success; 1 usage error; 2 invalid input or insufficient
-data; 3 failed internal check, failed verification sweep, or any other
-exception (a bug, reported with its traceback).
+Exit codes: 0 success; 1 usage error; 2 invalid input, insufficient data,
+or input too large for available memory; 3 failed internal check, failed
+verification sweep, or any other exception (a bug, reported with its
+traceback).
 """
 
 from __future__ import annotations
@@ -331,6 +332,9 @@ def main(argv=None) -> int:
         return 1
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: input too large for available memory", file=sys.stderr)
         return 2
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

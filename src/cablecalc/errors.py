@@ -3,7 +3,7 @@ check every layer uses.
 
 The CLI maps these onto exit codes: UsageError -> 1, ValidationError (and
 its subclasses) -> 2, InternalCheckError and any exception outside this
-hierarchy (a bug) -> 3.
+hierarchy (a bug) -> 3, except MemoryError (input too large) -> 2.
 """
 
 from __future__ import annotations

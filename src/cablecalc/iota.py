@@ -18,15 +18,19 @@ public call and is dropped when it returns; the public calls it makes on
 the same complex (d_results -> validate, d_lower, d_upper) share it, so no
 piece or torsion-class nullspace is built twice in one call.
 
-The homology routine runs a valuation-greedy elimination: pivots are chosen
-with minimal U-exponent, which keeps every matrix entry a monomial and each
-row/column operation a plain XOR; it runs once per complex and is kept on
-it, so a GradedComplex must not be mutated after construction.  d_lower and
-d_upper search candidate gradings from the top downward, deciding existence
-of a witness at each grading with nullspace computations (d_upper at the one
-U-power m_max: U times a non-torsion class is non-torsion, so witnesses
-persist as m grows); brute_oracle re-derives all three invariants by
-exhaustive enumeration over a U-truncated model and is used to cross-check.
+Homology comes from one valuation-greedy reduction of d: each pivot has the
+least U-exponent left, which keeps every entry a monomial and each column
+operation a plain XOR.  Because d^2 = 0 each pivot pair x_j -> U^e x_i splits
+off as a direct summand, a torsion class F2[U]/U^e when e > 0, and the
+generators left unpaired carry the free part.  It runs once per complex and
+is kept on it, so a GradedComplex must not be mutated after construction.
+
+d_lower and d_upper search candidate gradings from the top downward,
+deciding existence of a witness at each grading with nullspace computations
+(d_upper at the one U-power m_max: U times a non-torsion class is
+non-torsion, so witnesses persist as m grows); brute_oracle re-derives all
+three invariants by exhaustive enumeration over a U-truncated model and is
+used to cross-check.
 """
 
 from __future__ import annotations
@@ -285,15 +289,6 @@ class _Piece:
     def dim(self) -> int:
         return len(self.basis)
 
-    def coords(self, x: Element) -> int:
-        v = 0
-        for t in x:
-            i = self.index.get(t)
-            if i is None:
-                raise InternalCheckError(f"term {t} not homogeneous of scaled grading {self.grading}")
-            v |= 1 << i
-        return v
-
 
 def _piece_for(ctx: _PieceCtx, grading: int, truncation: Optional[int] = None) -> _Piece:
     step = 2 * ctx.D
@@ -457,101 +452,7 @@ def require_valid(ic: IotaComplex) -> None:
 
 
 # ---------------------------------------------------------------------------
-# homology over F2[U] (valuation-greedy elimination; entries stay monomials)
-
-
-def _kernel_basis(ctx: _PieceCtx) -> list[tuple[Element, int]]:
-    """Basis of ker(d) as (element, scaled grading) pairs; spans the full kernel."""
-    cx = ctx.cx
-    gens = cx.generators
-    gr = [ctx.gr[g] for g in gens]
-    n = len(gens)
-    idx = {g: i for i, g in enumerate(gens)}
-    cols = [0] * n
-    for j, g in enumerate(gens):
-        for h, _ in cx.diff.get(g, ZERO):
-            cols[j] |= 1 << idx[h]
-    trans = [1 << j for j in range(n)]  # current source basis in original coordinates
-    done_cols: set[int] = set()
-    while True:
-        # pivot of least U-exponent (gr_i - gr_j + D) / 2D: least gr_i - gr_j
-        best = None
-        for j in range(n):
-            if j in done_cols or not cols[j]:
-                continue
-            v = cols[j]
-            while v:
-                i = (v & -v).bit_length() - 1
-                v &= v - 1
-                key = (gr[i] - gr[j], i, j)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        _, pi, pj = best
-        for j in range(n):
-            if j != pj and j not in done_cols and cols[j] >> pi & 1:
-                cols[j] ^= cols[pj]
-                trans[j] ^= trans[pj]
-        done_cols.add(pj)
-    step = 2 * ctx.D
-    out = []
-    for j in range(n):
-        if j in done_cols:
-            continue
-        if cols[j]:
-            raise InternalCheckError("kernel reduction left a nonzero non-pivot column")
-        terms = []
-        for i in range(n):
-            if trans[j] >> i & 1:
-                k2 = gr[i] - gr[j]
-                if k2 % step or k2 < 0:
-                    raise InternalCheckError("inadmissible exponent in kernel vector")
-                terms.append((gens[i], k2 // step))
-        out.append((frozenset(terms), gr[j]))
-    return out
-
-
-def _snf_monomial(rows: list[int], row_gr: list[int], col_gr: list[int], step: int):
-    """Greedy Smith reduction of a homogeneous degree-0 monomial matrix whose
-    entry (i, j) is U^((row_gr[i] - col_gr[j]) / step).
-
-    Returns (pivots, free_rows) where pivots is a list of (row, col, exponent)
-    and free_rows are the rows never used as a pivot.
-    """
-    rows = list(rows)
-    m = len(rows)
-    done_rows: set[int] = set()
-    done_cols: set[int] = set()
-    pivots: list[tuple[int, int, int]] = []
-    while True:
-        best = None
-        for i in range(m):
-            if i in done_rows or not rows[i]:
-                continue
-            v = rows[i]
-            while v:
-                j = (v & -v).bit_length() - 1
-                v &= v - 1
-                if j in done_cols:
-                    continue
-                key = (row_gr[i] - col_gr[j], i, j)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        e2, pi, pj = best
-        if e2 % step or e2 < 0:
-            raise InternalCheckError("inadmissible pivot exponent")
-        for i in range(m):
-            if i != pi and rows[i] >> pj & 1:
-                rows[i] ^= rows[pi]
-        rows[pi] = 1 << pj
-        done_rows.add(pi)
-        done_cols.add(pj)
-        pivots.append((pi, pj, e2 // step))
-    free_rows = [i for i in range(m) if i not in done_rows]
-    return pivots, free_rows
+# homology over F2[U] (one valuation-greedy reduction of d)
 
 
 def _homology(cx: GradedComplex) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, int], ...]]:
@@ -563,34 +464,58 @@ def _homology(cx: GradedComplex) -> tuple[tuple[Fraction, ...], tuple[tuple[Frac
 
 
 def _reduce_homology(cx: GradedComplex) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, int], ...]]:
+    """Split C into pairs x_j -> U^e x_i plus free generators.
+
+    d is held as bit columns over the generators; entry (i, j) stands for
+    U^e with e = (gr_i - gr_j + D) / 2D.  Each step takes the live entry of
+    least e, clears row i from the other live columns (a change of source
+    basis x_k -> x_k + U^c x_j) and retires i and j.  Clearing column j by
+    row operations (x_i -> x_i + U^c x_r) and the same changes on the other
+    side of the map touch only row j and column i, so the bits are not
+    tracked: in the new basis d x_j = U^e x_i, and d^2 = 0 forces d x_i = 0
+    and leaves x_j out of every other image, so the pair splits off as a
+    direct summand.  It adds F2[U]/U^e at gr_i when e > 0; the generators
+    still live at the end carry the free part.
+    """
     with _call_ctx(cx) as ctx:
-        kernel = _kernel_basis(ctx)
-        step = 2 * ctx.D
-        im: list[tuple[Element, int]] = []
-        for g in cx.generators:
-            v = cx.diff.get(g, ZERO)
-            if v:
-                im.append((v, ctx.gr[g] - ctx.D))
-        # express each image generator in the kernel basis (graded bit solve)
-        mrows = [0] * len(kernel)
-        for l, (v, gv) in enumerate(im):
-            piece = ctx.piece(gv)
-            cols = []
-            admissible = []
-            for mth, (kvec, sigma) in enumerate(kernel):
-                a2 = sigma - gv
-                if a2 >= 0 and a2 % step == 0:
-                    cols.append(piece.coords(elt_shift(kvec, a2 // step)))
-                    admissible.append(mth)
-            sol = BitMatrix.from_columns(cols, piece.dim).solve(piece.coords(v))
-            if sol is None:
-                raise InternalCheckError("image vector not in span of kernel basis")
-            for bit, mth in enumerate(admissible):
-                if sol >> bit & 1:
-                    mrows[mth] |= 1 << l
-        pivots, free_rows = _snf_monomial(mrows, [s for _, s in kernel], [gv for _, gv in im], step)
-        free = tuple(ctx.unscaled(kernel[i][1]) for i in free_rows)
-        torsion = sorted(((kernel[i][1], e) for i, _, e in pivots if e > 0), key=lambda t: (-t[0], -t[1]))
+        for detail in (_check_degree(ctx, cx.diff, -1), _check_d_squared(cx)):
+            if detail is not None:
+                raise InternalCheckError(f"homology of a non-complex: {detail}")
+        gens = cx.generators
+        n, step = len(gens), 2 * ctx.D
+        gr = [ctx.gr[g] for g in gens]
+        idx = {g: i for i, g in enumerate(gens)}
+        cols = [0] * n
+        for j, g in enumerate(gens):
+            for h, _ in cx.diff.get(g, ZERO):
+                cols[j] |= 1 << idx[h]
+        live = (1 << n) - 1
+        torsion = []
+        while True:
+            best = None  # least (2D * exponent, i, j) over live entries
+            for j in range(n):
+                if not live >> j & 1:
+                    continue
+                v = cols[j] & live
+                while v:
+                    i = (v & -v).bit_length() - 1
+                    v &= v - 1
+                    key = (gr[i] - gr[j] + ctx.D, i, j)
+                    if best is None or key < best:
+                        best = key
+            if best is None:
+                break
+            e2, pi, pj = best
+            if e2 % step or e2 < 0:
+                raise InternalCheckError("inadmissible pivot exponent")
+            live &= ~(1 << pi | 1 << pj)
+            for j in range(n):
+                if live >> j & 1 and cols[j] >> pi & 1:
+                    cols[j] ^= cols[pj]
+            if e2:
+                torsion.append((gr[pi], e2 // step))
+        free = tuple(ctx.unscaled(gr[j]) for j in range(n) if live >> j & 1)
+        torsion.sort(key=lambda t: (-t[0], -t[1]))
         return free, tuple((ctx.unscaled(s), e) for s, e in torsion)
 
 

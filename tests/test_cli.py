@@ -267,6 +267,18 @@ def test_library_bug_exits_internal(capsys, monkeypatch):
     assert "ValueError: broken invariant" in err
 
 
+def test_memory_error_is_a_data_error(capsys, monkeypatch):
+    # an input too large for available memory is refused, not a bug
+    def exhausted(p, q):
+        raise MemoryError
+
+    monkeypatch.setattr("cablecalc.cli.lens_d_vector", exhausted)
+    code, out, err = run(capsys, "lens", "d", "3", "5")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: input too large for available memory"
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, err = run(capsys, "lens", "d", "3", "5", "--frobnicate")
     assert code == 1

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cablecalc.algebra import BitMatrix
 from cablecalc.errors import InternalCheckError, ValidationError
 from cablecalc import iota
 from cablecalc.iota import (
@@ -22,6 +23,7 @@ from cablecalc.iota import (
     validate,
 )
 from cablecalc.randgen import random_iota_complex
+from cablecalc.verify import figure_eight_complex
 
 
 def sphere_model() -> IotaComplex:
@@ -189,6 +191,62 @@ def test_homology_dual_model():
 def test_homology_rejects_rank_two():
     with pytest.raises(ValidationError):
         homology_summary(GradedComplex([("x", 0), ("y", 2)], {}))
+
+
+def test_homology_refuses_non_complexes():
+    # a <- b <- c has d^2 != 0; y -> U x has the wrong degree
+    not_square_zero = GradedComplex([("a", 0), ("b", 1), ("c", 2)], {"c": [("b", 0)], "b": [("a", 0)]})
+    wrong_degree = GradedComplex([("x", 0), ("y", 1)], {"y": [("x", 1)]})
+    for cx, detail in ((not_square_zero, "d(d(c)) != 0"), (wrong_degree, "breaks degree -1")):
+        with pytest.raises(InternalCheckError) as exc:
+            homology_summary(cx)
+        assert detail in str(exc.value)
+        assert cx._hom is None
+
+
+def _predicted_dims(ctx, free, torsion, gradings):
+    """dim H_g for each scaled grading g, from free gradings and torsion pairs."""
+    step = 2 * ctx.D
+    towers = [(ctx.scaled(f), None) for f in free] + [(ctx.scaled(s), e) for s, e in torsion]
+    dims = dict.fromkeys(gradings, 0)
+    for top, order in towers:
+        for g in gradings:
+            k, r = divmod(top - g, step)
+            if not r and k >= 0 and (order is None or k < order):
+                dims[g] += 1
+    return dims
+
+
+def _check_homology_by_ranks(ic):
+    cx = ic.complex
+    free, torsion = iota._homology(cx)
+    ctx = iota._PieceCtx(cx)
+    n_exp = max((e for _, e in torsion), default=0)
+    gradings = ctx.candidate_gradings(min(ctx.gr.values()) - 2 * ctx.D * (n_exp + 2))
+    predicted = _predicted_dims(ctx, free, torsion, gradings)
+    for g in gradings:
+        piece = ctx.piece(g)
+        cols, dst = ctx.diff_cols(piece)
+        cycles = piece.dim - BitMatrix.from_columns(cols, dst.dim).rank()
+        boundaries = BitMatrix.from_columns(ctx.boundary_masks(g), piece.dim).rank()
+        assert cycles - boundaries == predicted[g], (ic, ctx.unscaled(g))
+
+
+def test_homology_matches_piece_ranks():
+    # dim H_g = dim ker d - dim im d on each graded piece, with no reduction of d
+    cases = []
+    for seed in range(300):
+        ic = random_iota_complex(seed)
+        cases += [ic, shift(ic, Fraction(1, 3))]
+    for j in range(40):
+        a = random_iota_complex(2 * j, max_order=4)
+        b = random_iota_complex(2 * j + 1, max_order=4)
+        cases.append(tensor(a, b))
+    cases += [tensor(dual_model(), random_iota_complex(seed)) for seed in range(10)]
+    f8 = figure_eight_complex()
+    cases.append(tensor(f8, f8))
+    for ic in cases:
+        _check_homology_by_ranks(ic)
 
 
 # ---------------------------------------------------------------------------
