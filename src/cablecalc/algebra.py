@@ -29,9 +29,14 @@ def parse_rational(s: str) -> Fraction:
         raise ValueError(f"not a rational: {s!r}") from exc
 
 
-def format_rational(r: Fraction) -> str:
-    """Format a rational the way the JSON interfaces expect ("-1/2", "3")."""
-    return str(Fraction(r))
+def format_rational(r: Fraction | int) -> str:
+    """Format a rational the way the JSON interfaces expect ("-1/2", "3").
+
+    A ``Fraction`` is already in lowest terms with a positive denominator,
+    and an ``int`` prints as a ``Fraction`` with denominator 1 does, so
+    ``str`` is the whole conversion.
+    """
+    return str(r)
 
 
 class BitMatrix:

@@ -15,18 +15,26 @@ Every subcommand takes --json (stable machine-readable output; rationals
 are exact "num/den" strings, never floats) and --out PATH (write the
 rendered output to a file instead of stdout).
 
+main(argv) may be called repeatedly in one process: the argument parser is
+built on the first call and reused, so a query costs what its answer
+costs.  build_parser() still returns a fresh parser for callers that
+extend it.
+
 Exit codes: 0 success; 1 usage error; 2 invalid input, insufficient data,
-or input too large for available memory; 3 failed internal check, failed
-verification sweep, or any other exception (a bug, reported with its
-traceback).
+a label vector longer than lens.MAX_VECTOR_LABELS (lens d without --spinc,
+surgery d without --involutive), or input too large for available memory;
+3 failed internal check, failed verification sweep, or any other exception
+(a bug, reported with its traceback).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
+from typing import Iterable
 
 from .algebra import format_rational
 from .concordance import (
@@ -65,8 +73,9 @@ def _pair(text: str) -> tuple[int, int]:
         raise UsageError(f"expected two comma-separated integers P,Q, got {text!r}") from None
 
 
-def _emit(args, lines: list[str], payload: dict) -> None:
-    """Render either the text lines or the JSON payload, to stdout or --out."""
+def _emit(args, lines: Iterable[str], payload: dict) -> None:
+    """Render either the text lines or the JSON payload, to stdout or --out.
+    The lines may be a generator: they are consumed only in text mode."""
     if args.json:
         text = json.dumps(payload, indent=2, sort_keys=True)
     else:
@@ -85,24 +94,13 @@ def _emit(args, lines: list[str], payload: dict) -> None:
 def _cmd_lens(args) -> int:
     p, q = args.p, args.q
     if args.spinc is not None:
-        value = lens_d(p, q, args.spinc)
-        lines = [f"d(L({p},{q}), [{args.spinc}]) = {format_rational(value)}"]
-        payload = {
-            "schema": "cablecalc/lens-d/v1",
-            "p": p,
-            "q": q,
-            "spinc": args.spinc,
-            "d": format_rational(value),
-        }
+        d = format_rational(lens_d(p, q, args.spinc))
+        lines = [f"d(L({p},{q}), [{args.spinc}]) = {d}"]
+        payload = {"schema": "cablecalc/lens-d/v1", "p": p, "q": q, "spinc": args.spinc, "d": d}
     else:
-        vector = lens_d_vector(p, q)
-        lines = [f"d(L({p},{q}), [{i}]) = {format_rational(v)}" for i, v in enumerate(vector)]
-        payload = {
-            "schema": "cablecalc/lens-d/v1",
-            "p": p,
-            "q": q,
-            "d": [format_rational(v) for v in vector],
-        }
+        ds = [format_rational(v) for v in lens_d_vector(p, q)]
+        lines = (f"d(L({p},{q}), [{i}]) = {d}" for i, d in enumerate(ds))
+        payload = {"schema": "cablecalc/lens-d/v1", "p": p, "q": q, "d": ds}
     _emit(args, lines, payload)
     return 0
 
@@ -158,35 +156,28 @@ def _cmd_surgery(args) -> int:
     inv = iterated_cable(spec)
     p, q = args.pq
     if args.involutive:
-        table = involutive_surgery_d(p, q, inv)
-        lines = [
-            f"[{s}] d_lower = {format_rational(lo)}, d_upper = {format_rational(hi)}"
-            for s, (lo, hi) in sorted(table.items())
-        ]
+        labels = {
+            str(s): {"d_lower": format_rational(lo), "d_upper": format_rational(hi)}
+            for s, (lo, hi) in sorted(involutive_surgery_d(p, q, inv).items())
+        }
+        lines = (
+            f"[{s}] d_lower = {v['d_lower']}, d_upper = {v['d_upper']}" for s, v in labels.items()
+        )
         payload = {
             "schema": "cablecalc/surgery-d/v1",
             "p": p,
             "q": q,
             "involutive": True,
-            "labels": {
-                str(s): {"d_lower": format_rational(lo), "d_upper": format_rational(hi)}
-                for s, (lo, hi) in sorted(table.items())
-            },
+            "labels": labels,
         }
     else:
         if inv.v_seq is None:
             raise InsufficientDataError(
                 "insufficient invariants: the knot's v_seq is required for surgery d-invariants"
             )
-        vector = niwu_d(p, q, inv.v_seq)
-        lines = [f"[{s}] d = {format_rational(v)}" for s, v in enumerate(vector)]
-        payload = {
-            "schema": "cablecalc/surgery-d/v1",
-            "p": p,
-            "q": q,
-            "involutive": False,
-            "d": [format_rational(v) for v in vector],
-        }
+        ds = [format_rational(v) for v in niwu_d(p, q, inv.v_seq)]
+        lines = (f"[{s}] d = {d}" for s, d in enumerate(ds))
+        payload = {"schema": "cablecalc/surgery-d/v1", "p": p, "q": q, "involutive": False, "d": ds}
     _emit(args, lines, payload)
     return 0
 
@@ -244,6 +235,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the whole command tree (main reuses one of these)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     common.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
@@ -319,11 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser main reuses: built on first use, once per process.
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as exc:  # --help exits through argparse
             return exc.code if isinstance(exc.code, int) else 0
         return args.func(args)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientDataError, InternalCheckError, ValidationError, check_coprime
-from .lens import _lens_num, conj_spinc, lens_d, selfconj_spinc
+from .lens import _check_vector_size, _fractions, _lens_num, conj_spinc, lens_d, selfconj_spinc
 from .torus import cable_vs, torus_genus, torus_vs
 
 __all__ = [
@@ -240,11 +240,9 @@ def niwu_d(p: int, q: int, vs=None) -> list[Fraction]:
     """
     check_coprime(p, q, "surgery parameters")
     seq = _check_vseq(() if vs is None else vs, "V-sequence")
+    _check_vector_size(p)
     nums, den = _lens_num(p, q)
-    out = []
-    for s, n in enumerate(nums):
-        out.append(Fraction(n - 2 * den * _niwu_v(seq, p, q, s), den))
-    return out
+    return _fractions((n - 2 * den * _niwu_v(seq, p, q, s) for s, n in enumerate(nums)), den)
 
 
 def involutive_surgery_d(p: int, q: int, inv: KnotInvariants) -> dict[int, tuple[Fraction, Fraction]]:

@@ -31,6 +31,14 @@ def test_format_rational_roundtrip():
         assert parse_rational(format_rational(r)).denominator > 0
 
 
+def test_format_rational_of_int_and_fraction():
+    # every caller passes a Fraction or an int; both print as Fraction(r) does
+    for r in (0, 3, -7, Fraction(0), Fraction(-4, 6), Fraction(10, 5), Fraction(1, 3)):
+        assert format_rational(r) == str(Fraction(r))
+    assert format_rational(Fraction(-4, 6)) == "-2/3"
+    assert format_rational(Fraction(10, 5)) == "2"
+
+
 def test_solve_identity():
     rows = [0b001, 0b010, 0b100]
     assert BitMatrix(rows, 3).solve(0b101) == 0b101

@@ -1,9 +1,13 @@
 import json
+import tracemalloc
 
 import pytest
 
+from cablecalc import cli
 from cablecalc.cli import main
+from cablecalc.concordance import niwu_d
 from cablecalc.iota import dump_complex
+from cablecalc.lens import MAX_VECTOR_LABELS, lens_d
 from cablecalc.verify import figure_eight_complex
 
 
@@ -157,6 +161,18 @@ def test_surgery_d_vector(capsys, trefoil_spec):
     assert out.splitlines() == ["[0] d = -11/6", "[1] d = -11/6", "[2] d = -1/2"]
 
 
+def test_surgery_d_vector_text_lines(capsys, trefoil_spec):
+    # the text lines are rendered from the same strings as the JSON list
+    argv = ["surgery", "d", "--spec", trefoil_spec, "--pq", "53,4"]
+    want = niwu_d(53, 4, (1, 0))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [f"[{s}] d = {v}" for s, v in enumerate(want)]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert parse_json(out)["d"] == [str(v) for v in want]
+
+
 def test_surgery_d_involutive(capsys, trefoil_spec):
     code, out, _ = run(capsys, "surgery", "d", "--spec", trefoil_spec, "--pq", "1,1", "--involutive")
     assert code == 0
@@ -293,3 +309,90 @@ def test_missing_subcommand_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_label_vector_over_limit_is_refused_before_allocating(capsys, trefoil_spec):
+    for argv in (["lens", "d", "100000007", "2"],
+                 ["surgery", "d", "--spec", trefoil_spec, "--pq", "100000007,1"]):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2, argv
+        assert out == ""
+        assert f"p = 100000007 exceeds the label-vector limit of {MAX_VECTOR_LABELS}" in err
+        assert peak < 2**20, (argv, peak)
+
+
+def test_single_label_past_the_vector_limit(capsys):
+    code, out, _ = run(capsys, "lens", "d", "1000003", "2", "--spinc", "5")
+    assert code == 0
+    assert out.strip() == f"d(L(1000003,2), [5]) = {lens_d(1000003, 2, 5)}"
+
+
+def _call(capsys, argv, out_path):
+    """Exit code, stdout, stderr and --out bytes (None when not written)."""
+    if out_path.exists():
+        out_path.unlink()
+    code = main(argv)
+    captured = capsys.readouterr()
+    written = out_path.read_bytes() if out_path.exists() else None
+    return code, captured.out, captured.err, written
+
+
+def test_reused_parser_matches_a_fresh_parser(capsys, monkeypatch, tmp_path, trefoil_spec):
+    # flags of one call must not leak into the next through the shared parser
+    out = str(tmp_path / "out")
+    first = ["lens", "d", "3", "5", "--spinc", "2"]
+    bounds = ["bounds", "--spec", trefoil_spec, "--stage", "3,2"]
+    surgery = ["surgery", "d", "--spec", trefoil_spec, "--pq", "3,2"]
+    sequence = [
+        first,
+        ["lens", "d", "3", "5"],
+        ["lens", "d", "3", "5", "--json", "--out", out],
+        bounds + ["--g4-parity", "odd"],
+        bounds,
+        bounds + ["--json", "--out", out],
+        surgery + ["--involutive"],
+        surgery,
+        surgery + ["--json", "--out", out],
+        ["lens", "d", "3", "5", "--frobnicate"],
+        ["--help"],
+        first,
+    ]
+    reused = [_call(capsys, argv, tmp_path / "out") for argv in sequence]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [_call(capsys, argv, tmp_path / "out") for argv in sequence]
+    assert reused == fresh
+    assert [r[0] for r in reused] == [0] * 9 + [1, 0, 0]
+    assert len(reused[1][1].splitlines()) == 3
+    assert parse_json(reused[2][3])["d"] == ["1/6", "1/6", "-1/2"]
+    assert "involutive-lower-parity" in reused[3][1]
+    assert "involutive-lower-parity" not in reused[4][1]
+    assert reused[7][1].splitlines() == ["[0] d = -11/6", "[1] d = -11/6", "[2] d = -1/2"]
+    assert parse_json(reused[8][3])["involutive"] is False
+    assert reused[-1] == reused[0]
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser()
+    per_tree = len(built)
+    built.clear()
+    cli._parser.cache_clear()
+    for _ in range(5):
+        assert main(["lens", "d", "3", "5", "--spinc", "2"]) == 0
+        assert main(["torus", "vs", "2", "3", "--json"]) == 0
+        assert main(["lens", "d", "3", "5", "--frobnicate"]) == 1
+    capsys.readouterr()
+    assert per_tree > 1
+    assert len(built) == per_tree

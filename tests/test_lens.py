@@ -87,6 +87,14 @@ def test_vector_shape():
     assert v[1] == lens_d(5, 2, 1)
 
 
+def test_vector_shares_one_fraction_per_value():
+    # d(i) = d(conj i): a repeated value is the same object, and 0 is reused too
+    vec = lens_d_vector(2003, 45)
+    assert len({id(v) for v in vec}) == len(set(vec)) == 1002
+    vec = lens_d_vector(4, 1)
+    assert vec[1] == 0 and vec[1] is vec[3]
+
+
 def old_lens_vector(p, q):
     """The per-label Fraction recursion the vector route replaced, memoized
     per (p, q, label) as it was."""
