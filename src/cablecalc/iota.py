@@ -28,7 +28,9 @@ is kept on it, so a GradedComplex must not be mutated after construction.
 d_lower and d_upper search candidate gradings from the top downward,
 deciding existence of a witness at each grading with nullspace computations
 (d_upper at the one U-power m_max: U times a non-torsion class is
-non-torsion, so witnesses persist as m grows); brute_oracle re-derives all
+non-torsion, so witnesses persist as m grows).  Every witness is a
+non-torsion homogeneous cycle, which lives only in a grading d - 2kD, so
+they scan only d's class mod 2D, from its top; brute_oracle re-derives all
 three invariants by exhaustive enumeration over a U-truncated model and is
 used to cross-check.
 """
@@ -558,23 +560,28 @@ def d_lower(ic: IotaComplex, check: bool = True, window_slack: int = 0) -> Fract
         if check:
             require_valid(ic)
         summary = homology_summary(ic, check=False)
-        n_exp = summary.torsion_exponent
         id_iota = _id_plus_iota(ic)
-        for g in ctx.candidate_gradings(_search_floor(ctx, summary, window_slack)):
-            piece = ctx.piece(g)
-            if not piece.dim:
-                continue
-            dcols, ddst = ctx.diff_cols(piece)
-            icols = ctx.map_cols(id_iota, piece, piece)
-            # unknowns (a, b): d a = 0 and (id+iota) a = d b
-            stacked = [dcols[j] | (icols[j] << ddst.dim) for j in range(piece.dim)]
-            stacked += [b << ddst.dim for b in ctx.boundary_masks(g)]
-            null = BitMatrix.from_columns(stacked, ddst.dim + piece.dim).nullspace()
-            mask_a = (1 << piece.dim) - 1
-            zs = [v & mask_a for v in null if v & mask_a]
-            if zs and subspace_not_contained(zs, ctx.torsionish_masks(g, n_exp)) is not None:
+        d, step = ctx.scaled(summary.free_grading), 2 * ctx.D
+        top = max(gg for gg in ctx.gr.values() if (gg - d) % step == 0)
+        for g in range(top, _search_floor(ctx, summary, window_slack) - 1, -step):
+            if _lower_witness_at(ctx, id_iota, g, summary.torsion_exponent):
                 return ctx.unscaled(g)
     raise InternalCheckError("no d_lower witness found within the search window")
+
+
+def _lower_witness_at(ctx: _PieceCtx, id_iota: Mapping[str, Element], g: int, n_exp: int) -> bool:
+    piece = ctx.piece(g)
+    if not piece.dim:
+        return False
+    dcols, ddst = ctx.diff_cols(piece)
+    icols = ctx.map_cols(id_iota, piece, piece)
+    # unknowns (a, b): d a = 0 and (id+iota) a = d b
+    stacked = [dcols[j] | (icols[j] << ddst.dim) for j in range(piece.dim)]
+    stacked += [b << ddst.dim for b in ctx.boundary_masks(g)]
+    null = BitMatrix.from_columns(stacked, ddst.dim + piece.dim).nullspace()
+    mask_a = (1 << piece.dim) - 1
+    zs = [v & mask_a for v in null if v & mask_a]
+    return bool(zs) and subspace_not_contained(zs, ctx.torsionish_masks(g, n_exp)) is not None
 
 
 def d_upper(
@@ -596,10 +603,9 @@ def d_upper(
         if m_max is None:
             m_max = n_exp + len(ic.complex.generators)
         id_iota = _id_plus_iota(ic)
-        floor = _search_floor(ctx, summary, window_slack)
-        gradings = ctx.candidate_gradings(floor - ctx.D)
-        values = sorted({v for g in gradings for v in (g, g + ctx.D) if v >= floor}, reverse=True)
-        for v in values:
+        d, step = ctx.scaled(summary.free_grading), 2 * ctx.D
+        top = max(gg + (d - gg) % step for gg in ctx.gr.values() if (d - gg) % ctx.D == 0)
+        for v in range(top, _search_floor(ctx, summary, window_slack) - 1, -step):
             if _upper_witness_at(ctx, id_iota, v, m_max, n_exp):
                 return ctx.unscaled(v)
     raise InternalCheckError("no d_upper witness found within the search window")

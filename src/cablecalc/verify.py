@@ -2,29 +2,29 @@
 quantities, and randomized property tests of the chain-complex engine.
 
 Each sweep returns a VerifyReport listing what was checked and every
-failure verbatim, so a counterexample can be rerun by hand.  Sweeps fan
-out over a thread pool capped by the CABLECALC_THREADS environment
-variable; inputs are enumerated in a fixed order and results collected in
-that same order, so reports are deterministic.
+failure verbatim, so a counterexample can be rerun by hand.  Sweeps run
+serially over inputs enumerated in a fixed order, so reports are
+deterministic, and compute each value once: every random complex is
+generated and solved once and its result reused by the products.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .concordance import (
+    KnotInvariants,
+    _niwu_v,
     cable_inv_v0,
-    niwu_d,
     spinc_projection_zero,
     torus_knot_invariants,
 )
-from .errors import InternalCheckError, UsageError, ValidationError
+from .errors import InternalCheckError, ValidationError
 from .iota import (
+    DResults,
     GradedComplex,
     IotaComplex,
     brute_oracle,
@@ -88,27 +88,9 @@ class VerifyReport:
 
 
 def thread_cap() -> int:
-    """Worker count for sweeps: CABLECALC_THREADS if set, else a small default."""
-    raw = os.environ.get("CABLECALC_THREADS")
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise UsageError(f"CABLECALC_THREADS must be a positive integer, got {raw!r}")
-    return cap
-
-
-def _map_sweep(fn, items):
-    """Apply fn over items, possibly on a thread pool, preserving order."""
-    items = list(items)
-    cap = min(thread_cap(), len(items))
-    if cap <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
+    """Always 1: sweeps run serially.  Kept only because the benchmark's
+    worker imports it; it goes when the benchmark drops that import."""
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +122,7 @@ def run_verify_identity13(max_q: int) -> VerifyReport:
             return f"(p={p}, q={q}): lhs {lhs} != rhs {rhs}"
         return None
 
-    failures = tuple(f for f in _map_sweep(case, pairs) if f)
+    failures = tuple(f for f in map(case, pairs) if f)
     notes = ()
     if not pairs:
         notes = (f"warning: empty sweep, no odd coprime pairs with 3 <= p < q <= {max_q}",)
@@ -150,22 +132,24 @@ def run_verify_identity13(max_q: int) -> VerifyReport:
 # ---------------------------------------------------------------------------
 # connected-sum consistency for cable surgeries
 
-def moser_case(a: int, b: int, p: int, q: int) -> tuple[str, str]:
+def moser_case(a: int, b: int, p: int, q: int,
+               comp: KnotInvariants | None = None) -> tuple[str, str]:
     """Check one companion/stage pair of the connected-sum consistency:
     pq-surgery on the (p, q)-cable of T(a, b) equals q/p-surgery on T(a, b)
     plus L(p, q), compared at the spin-c label [0] of the cable surgery.
+    Each side is the Ni-Wu formula evaluated at its one label.
 
     Returns ("pass" | "skip" | "fail", detail).  Pairs where the cable
     leaves the L-space regime are skipped because the cable's V-sequence is
-    not licensed there.
+    not licensed there.  comp, if given, must be torus_knot_invariants(a, b).
     """
-    comp = torus_knot_invariants(a, b)
+    comp = comp or torus_knot_invariants(a, b)
     if not lspace_cable_check(comp.genus3, p, q):
         return ("skip", f"companion T({a},{b}), stage ({p},{q}): cable leaves the L-space regime")
     cable = cable_inv_v0((p, q), comp)
-    lhs = niwu_d(p * q, 1, cable.v_seq)[0]
+    lhs = lens_d(p * q, 1, 0) - 2 * _niwu_v(cable.v_seq or (), p * q, 1, 0)
     proj = spinc_projection_zero(p, q)
-    rhs = niwu_d(q, p, comp.v_seq)[proj.pi1] + lens_d(p, q, proj.pi2)
+    rhs = lens_d(q, p, proj.pi1) - 2 * _niwu_v(comp.v_seq, q, p, proj.pi1) + lens_d(p, q, proj.pi2)
     if lhs != rhs:
         return ("fail", f"companion T({a},{b}), stage ({p},{q}): lhs {lhs} != rhs {rhs}")
     return ("pass", f"companion T({a},{b}), stage ({p},{q})")
@@ -180,12 +164,14 @@ def run_verify_moser(max_param: int) -> VerifyReport:
                              for a in range(2, max_param + 1)
                              for b in range(a + 1, max_param + 1)
                              if gcd(a, b) == 1]
-    grid = [(a, b, p, q)
-            for (a, b) in companions
-            for p in range(1, max_param + 1)
-            for q in range(1, max_param + 1)
-            if gcd(p, q) == 1]
-    results = _map_sweep(lambda it: moser_case(*it), grid)
+    stages = [(p, q)
+              for p in range(1, max_param + 1)
+              for q in range(1, max_param + 1)
+              if gcd(p, q) == 1]
+    results = []
+    for a, b in companions:
+        comp = torus_knot_invariants(a, b)
+        results += [moser_case(a, b, p, q, comp) for p, q in stages]
     failures = tuple(d for (st, d) in results if st == "fail")
     skipped = tuple(d for (st, d) in results if st == "skip")
     checked = sum(1 for (st, _) in results if st == "pass")
@@ -221,14 +207,18 @@ def _serialize(ic: IotaComplex) -> str:
     return json.dumps(complex_to_dict(ic), sort_keys=True)
 
 
-def _engine_case(case_seed: int) -> list[str]:
-    """All single-complex engine checks for one random complex."""
+_Solved = tuple[int, IotaComplex, DResults | None]
+
+
+def _engine_case(case_seed: int) -> tuple[_Solved, list[str]]:
+    """All single-complex engine checks for one random complex.  Returns
+    (seed, complex, results or None if they failed) for the products too."""
     ic = random_iota_complex(case_seed, max_order=4)
     fails: list[str] = []
     try:
         base = d_results(ic, check=False)
     except InternalCheckError as exc:
-        return [f"seed {case_seed}: {exc}; complex {_serialize(ic)}"]
+        return (case_seed, ic, None), [f"seed {case_seed}: {exc}; complex {_serialize(ic)}"]
     summary = homology_summary(ic, check=False)
     span = summary.torsion_exponent + len(ic.complex.generators)
 
@@ -247,17 +237,19 @@ def _engine_case(case_seed: int) -> list[str]:
     if not trivial.lower == trivial.d == trivial.upper == base.d:
         fails.append(f"seed {case_seed}: identity involution must give equal invariants, "
                      f"got {trivial}; complex {_serialize(ic)}")
-    return fails
+    return (case_seed, ic, base), fails
 
 
-def _tensor_case(seeds: tuple[int, int]) -> list[str]:
-    """Product checks: d additivity and the interleaved inequality chain."""
-    sa, sb = seeds
-    a = random_iota_complex(sa, max_order=4)
-    b = random_iota_complex(sb, max_order=4)
-    ra = d_results(a, check=False)
-    rb = d_results(b, check=False)
-    rt = d_results(tensor(a, b), check=False)
+def _tensor_case(first: _Solved, second: _Solved) -> list[str]:
+    """Product checks on two solved factors: d additivity and the
+    interleaved inequality chain."""
+    (sa, a, ra), (sb, b, rb) = first, second
+    if ra is None or rb is None:
+        return [f"seeds {sa},{sb}: product not checked, a factor failed"]
+    try:
+        rt = d_results(tensor(a, b), check=False)
+    except InternalCheckError as exc:
+        return [f"seeds {sa},{sb}: {exc}; complexes {_serialize(a)} | {_serialize(b)}"]
     fails: list[str] = []
     if rt.d != ra.d + rb.d:
         fails.append(f"seeds {sa},{sb}: d not additive: {rt.d} != {ra.d} + {rb.d}; "
@@ -295,12 +287,16 @@ def run_verify_engine(n_random: int, seed: int = 0) -> VerifyReport:
         if got != tuple(Fraction(v) for v in expect):
             failures.append(f"fixture {name}: expected {expect}, got {got}")
 
-    for fs in _map_sweep(_engine_case, range(seed, seed + n_random)):
+    # products pair consecutive seeds; their failures follow all single ones
+    product_failures: list[str] = []
+    for k in range(n_random):
+        solved, fs = _engine_case(seed + k)
         failures.extend(fs)
-    pairs = [(seed + 2 * j, seed + 2 * j + 1) for j in range(n_random // 2)]
-    for fs in _map_sweep(_tensor_case, pairs):
-        failures.extend(fs)
+        if k % 2:
+            product_failures.extend(_tensor_case(previous, solved))
+        previous = solved
+    failures.extend(product_failures)
 
-    checked = 2 + n_random + len(pairs)
-    return VerifyReport("engine", checked, tuple(failures), (),
-                        (f"seed {seed}, {n_random} random complexes, {len(pairs)} products",))
+    n_pairs = n_random // 2
+    return VerifyReport("engine", 2 + n_random + n_pairs, tuple(failures), (),
+                        (f"seed {seed}, {n_random} random complexes, {n_pairs} products",))

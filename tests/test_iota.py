@@ -371,6 +371,54 @@ def test_d_upper_single_m_matches_per_m_search_on_products():
         _check_single_m_search(tensor(a, b))
 
 
+def test_witness_search_visits_only_the_class_of_d(monkeypatch):
+    # a witness is a non-torsion cycle, so it lives in a grading d - 2kD;
+    # d_lower builds its candidate pieces (and d_upper its values v) only
+    # there, starting from the top of that class rather than at d itself
+    visits = []
+    for name in ("_lower_witness_at", "_upper_witness_at"):
+        def spy(ctx, *args, _name=name, _fn=getattr(iota, name)):
+            visits.append((_name, ctx, args[1]))
+            return _fn(ctx, *args)
+        monkeypatch.setattr(iota, name, spy)
+    cases = all_fixtures() + [tensor(dual_model(), dual_model())]
+    for seed in range(30):
+        ic = random_iota_complex(seed, max_order=4)
+        cases += [ic, shift(ic, Fraction(1, 3)), shift(ic, Fraction(-5, 2))]
+    above_d = 0
+    for ic in cases:
+        visits.clear()
+        res = d_results(ic, check=False)
+        ctx = visits[0][1]
+        d, step = ctx.scaled(res.d), 2 * ctx.D
+        assert {n for n, _, _ in visits} == {"_lower_witness_at", "_upper_witness_at"}
+        assert all((v - d) % step == 0 for _, _, v in visits), (ic, visits)
+        lower = [v for n, _, v in visits if n == "_lower_witness_at"]
+        assert lower[0] == max(g for g in ctx.gr.values() if (g - d) % step == 0)
+        assert lower[-1] == ctx.scaled(res.lower)
+        above_d += lower[0] > d
+    assert above_d >= 10, above_d
+
+
+def test_class_search_matches_brute_oracle_on_fractional_gradings():
+    # D = 3 and D = 2 from shifted randgen complexes, D = 6 from products of
+    # a complex shifted by 1/2 with one shifted by 1/3
+    cases = []
+    for seed in range(60):
+        ic = random_iota_complex(seed, max_order=4)
+        cases += [shift(ic, Fraction(1, 3)), shift(ic, Fraction(1, 2))]
+    small = [s for s in range(80) if len(random_iota_complex(s, max_order=4).complex.generators) <= 3]
+    for a, b in zip(small[0:24:2], small[1:24:2]):
+        prod = tensor(shift(random_iota_complex(a, max_order=4), Fraction(1, 2)),
+                      shift(random_iota_complex(b, max_order=4), Fraction(1, 3)))
+        assert iota._PieceCtx(prod.complex).D == 6
+        cases.append(prod)
+    for ic in cases:
+        n = homology_summary(ic, check=False).torsion_exponent
+        slow = brute_oracle(ic, truncation=n + len(ic.complex.generators), check=False)
+        assert d_results(ic, check=False) == slow, complex_to_dict(ic)
+
+
 def test_homology_computed_once_per_complex(monkeypatch):
     calls = []
     reduce_homology = iota._reduce_homology

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from alexander_oracle import alexander_torus, torsion_coeff
 
-from cablecalc.errors import UsageError, ValidationError
+import cablecalc
+from cablecalc import verify
+from cablecalc.concordance import niwu_d
+from cablecalc.errors import InternalCheckError, ValidationError
 from cablecalc.iota import d_results
 from cablecalc.lens import lens_d
 from cablecalc.verify import (
@@ -96,28 +104,95 @@ def test_engine_rejects_bad_arguments():
         run_verify_engine(10, seed="3")
 
 
-def test_thread_cap_env(monkeypatch):
+def test_thread_cap_is_one_whatever_the_env(monkeypatch):
+    # the benchmark's worker still imports thread_cap; sweeps are serial
     monkeypatch.delenv("CABLECALC_THREADS", raising=False)
-    assert thread_cap() >= 1
-    monkeypatch.setenv("CABLECALC_THREADS", "3")
-    assert thread_cap() == 3
-    monkeypatch.setenv("CABLECALC_THREADS", "0")
-    with pytest.raises(UsageError):
-        thread_cap()
-    monkeypatch.setenv("CABLECALC_THREADS", "many")
-    with pytest.raises(UsageError):
-        thread_cap()
+    assert thread_cap() == 1
+    for raw in ("1", "4", "0", "many"):
+        monkeypatch.setenv("CABLECALC_THREADS", raw)
+        assert thread_cap() == 1
 
 
-def test_reports_identical_across_thread_counts(monkeypatch):
-    monkeypatch.setenv("CABLECALC_THREADS", "1")
-    serial = run_verify_engine(12, seed=5)
-    serial_id = run_verify_identity13(15)
+def test_sweeps_start_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     monkeypatch.setenv("CABLECALC_THREADS", "4")
-    threaded = run_verify_engine(12, seed=5)
-    threaded_id = run_verify_identity13(15)
-    assert serial == threaded
-    assert serial_id == threaded_id
+    assert run_verify_engine(12, seed=5).ok
+    assert run_verify_identity13(15).ok
+    assert run_verify_moser(5).ok
+
+
+def test_engine_generates_each_complex_once(monkeypatch):
+    seeds = []
+    generate = verify.random_iota_complex
+
+    def counted(seed, **kwargs):
+        seeds.append(seed)
+        return generate(seed, **kwargs)
+
+    monkeypatch.setattr(verify, "random_iota_complex", counted)
+    for n in (1, 2, 7):
+        seeds.clear()
+        report = run_verify_engine(n, seed=40)
+        assert report.ok
+        assert seeds == list(range(40, 40 + n))
+
+
+def test_engine_reports_a_product_whose_factor_failed(monkeypatch):
+    bad = {}
+    generate, solve = verify.random_iota_complex, verify.d_results
+
+    def generate_marked(seed, **kwargs):
+        ic = generate(seed, **kwargs)
+        if seed in (3, 4, 5):
+            bad[id(ic)] = seed
+        return ic
+
+    def failing(ic, *args, **kwargs):
+        if id(ic) in bad:
+            raise InternalCheckError(f"injected failure for seed {bad[id(ic)]}")
+        return solve(ic, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "random_iota_complex", generate_marked)
+    monkeypatch.setattr(verify, "d_results", failing)
+    report = run_verify_engine(8, seed=0)
+    assert not report.ok
+    assert report.checked == 2 + 8 + 4
+    singles = [f for f in report.failures if f.startswith("seed ")]
+    products = [f for f in report.failures if f.startswith("seeds ")]
+    assert [f.split(":")[0] for f in singles] == ["seed 3", "seed 4", "seed 5"]
+    assert all("injected failure" in f and "complex {" in f for f in singles)
+    assert products == ["seeds 2,3: product not checked, a factor failed",
+                        "seeds 4,5: product not checked, a factor failed"]
+    assert report.failures == tuple(singles + products)
+
+
+def test_moser_single_labels_match_niwu_vectors(monkeypatch):
+    # each side of moser_case is one Ni-Wu label; the vector route must agree
+    labels = []
+    niwu_v = verify._niwu_v
+
+    def recorded(vs, p, q, s):
+        labels.append((vs, p, q, s))
+        return niwu_v(vs, p, q, s)
+
+    monkeypatch.setattr(verify, "_niwu_v", recorded)
+    report = run_verify_moser(7)
+    assert report.ok
+    assert len(labels) == 2 * report.checked
+    for vs, p, q, s in labels:
+        assert lens_d(p, q, s) - 2 * niwu_v(vs, p, q, s) == niwu_d(p, q, vs)[s], (vs, p, q, s)
+
+
+def test_import_does_not_load_concurrent_futures():
+    src = str(Path(cablecalc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, cablecalc; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_report_lines_truncate_long_skip_lists():
