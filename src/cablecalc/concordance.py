@@ -17,9 +17,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice, repeat
 
 from .errors import InsufficientDataError, InternalCheckError, ValidationError, check_coprime
-from .lens import _check_vector_size, _fractions, _lens_num, conj_spinc, lens_d, selfconj_spinc
+from .lens import _check_vector_size, _label_vector, _lens_halves, conj_spinc, lens_d, selfconj_spinc
 from .torus import cable_vs, torus_genus, torus_vs
 
 __all__ = [
@@ -241,8 +242,14 @@ def niwu_d(p: int, q: int, vs=None) -> list[Fraction]:
     check_coprime(p, q, "surgery parameters")
     seq = _check_vseq(() if vs is None else vs, "V-sequence")
     _check_vector_size(p)
-    nums, den = _lens_num(p, q)
-    return _fractions((n - 2 * den * _niwu_v(seq, p, q, s) for s, n in enumerate(nums)), den)
+    lo, hi, den = _lens_halves(p, q)
+    # The max is V at the smaller index, which on the first half of each
+    # conjugation block is s // q (q unreduced): V_0 on labels below q mod p,
+    # then runs of q labels per index, zero past the stored part.
+    v0 = 2 * den * seq[0] if seq else 0
+    terms = chain(chain.from_iterable(repeat(2 * den * v, q) for v in seq), repeat(0))
+    return _label_vector(p, q, [n - v0 for n in lo],
+                         [n - t for n, t in zip(hi, islice(terms, q % p, None))], den)
 
 
 def involutive_surgery_d(p: int, q: int, inv: KnotInvariants) -> dict[int, tuple[Fraction, Fraction]]:

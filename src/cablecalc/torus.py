@@ -80,6 +80,8 @@ def cable_vs(v_seq: tuple[int, ...], p: int, q: int) -> tuple[int, ...] | None:
     p*x + q*j for every companion gap x and 0 <= j < p.
     """
     check_coprime(p, q, "cable parameters")
+    if 0 not in v_seq:
+        raise ValidationError(f"companion V-sequence {tuple(v_seq)!r} never reaches 0")
     g = v_seq.index(0)
     if not lspace_cable_check(g, p, q):
         return None

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 from alexander_oracle import alexander_cable_vs
+from test_lens import block_edge_cases
 
 from cablecalc.concordance import (
     CableStage,
@@ -23,7 +24,7 @@ from cablecalc.concordance import (
     unknotting_bounds,
 )
 from cablecalc.errors import InsufficientDataError, ValidationError
-from cablecalc.lens import lens_d, lens_d_vector
+from cablecalc.lens import conj_spinc, lens_d, lens_d_vector
 from cablecalc.torus import torus_vs
 
 UNKNOT = KnotInvariants(0, 0, v_seq=(0,), lspace=True)
@@ -121,6 +122,23 @@ def test_niwu_matches_per_label_formula():
             pair = involutive_surgery_d(p, q, KnotInvariants(vs[0], vs[0], v_seq=vs))
             assert pair[j] == (want[j], lens_d(p, q, j)), (p, q, vs)
         checked += 1
+
+
+def test_niwu_mirrors_each_block_exactly():
+    # block edges of lens_d_vector, plus q > p, where the V index s // q
+    # uses the unreduced q; long and short V-sequences against the formula
+    rng = random.Random(13)
+    cases = block_edge_cases(7)
+    cases += [(p, q + k * p) for p, q in cases if p < 24 for k in (1, 3)]
+    cases += [(2003, 7), (2003, 2), (1000, 1)]
+    vseqs = [torus_vs(7, 11), torus_vs(2, 9), (3, 2, 1, 0), (0,)]
+    for p, q in cases:
+        vs = rng.choice(vseqs) if p > 24 else random_vseq(rng)
+        v = vs + (0,) * (p // q + 2)
+        want = [lens_d(p, q, s) - 2 * max(v[s // q], v[(p + q - 1 - s) // q]) for s in range(p)]
+        got = niwu_d(p, q, vs)
+        assert got == want, (p, q, vs)
+        assert all(got[s] is got[conj_spinc(p, q, s)] for s in range(p)), (p, q, vs)
 
 
 def test_niwu_rejects_bad_parameters():

@@ -87,12 +87,39 @@ def test_vector_shape():
     assert v[1] == lens_d(5, 2, 1)
 
 
-def test_vector_shares_one_fraction_per_value():
-    # d(i) = d(conj i): a repeated value is the same object, and 0 is reused too
+def test_vector_shares_one_fraction_per_conjugate_pair():
+    # d(i) = d(conj i): both labels of a conjugate pair hold the same object
     vec = lens_d_vector(2003, 45)
     assert len({id(v) for v in vec}) == len(set(vec)) == 1002
     vec = lens_d_vector(4, 1)
     assert vec[1] == 0 and vec[1] is vec[3]
+
+
+def block_edge_cases(seed):
+    """Coprime (p, q) at the edges of the two conjugation blocks 0..q-1 and
+    q..p-1: p = 1 and 2, q = 1 and p - 1, every parity of (q, p - q) (odd
+    blocks have a self-conjugate middle label, even ones none) and random p
+    from 10^3 to 10^4."""
+    cases = [(1, 1), (2, 1)]
+    for p in range(3, 24):
+        cases += [(p, 1), (p, p - 1)]
+        cases += [(p, q) for q in range(2, p - 1) if gcd(p, q) == 1 and q in (2, 3, p // 2, p - 2)]
+    rng = random.Random(seed)
+    for _ in range(4):
+        p = rng.randint(10**3, 10**4)
+        q = rng.randrange(1, p)
+        while gcd(p, q) != 1:
+            q -= 1
+        cases.append((p, q))
+    assert {(q % 2, (p - q) % 2) for p, q in cases if q < p} == {(0, 1), (1, 0), (1, 1)}
+    return cases
+
+
+def test_vector_mirrors_each_block_exactly():
+    for p, q in block_edge_cases(5):
+        vec = lens_d_vector(p, q)
+        assert vec == [lens_d(p, q, i) for i in range(p)], (p, q)
+        assert all(vec[i] is vec[conj_spinc(p, q, i)] for i in range(p)), (p, q)
 
 
 def old_lens_vector(p, q):

@@ -130,6 +130,12 @@ def test_torus_vs_matches_torsion_coefficients():
     assert tuple(torsion_coeff(alex, s) for s in range(25)) == torus_vs(7, 9)
 
 
+def test_cable_vs_refuses_a_sequence_without_zero():
+    for vs in ((1,), (), (2, 1)):
+        with pytest.raises(ValidationError, match="never reaches 0"):
+            cable_vs(vs, 2, 3)
+
+
 def test_cable_vs_spots():
     trefoil = torus_vs(2, 3)
     # (2,7)-cable of the trefoil: semigroup <4, 6, 7>, gaps 1 2 3 5 9

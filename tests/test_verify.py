@@ -141,18 +141,20 @@ def test_engine_generates_each_complex_once(monkeypatch):
 
 
 def test_engine_reports_a_product_whose_factor_failed(monkeypatch):
+    # the marked complexes stay referenced here, so no other complex can
+    # reuse the id of one after it is freed
     bad = {}
     generate, solve = verify.random_iota_complex, verify.d_results
 
     def generate_marked(seed, **kwargs):
         ic = generate(seed, **kwargs)
         if seed in (3, 4, 5):
-            bad[id(ic)] = seed
+            bad[id(ic)] = (ic, seed)
         return ic
 
     def failing(ic, *args, **kwargs):
         if id(ic) in bad:
-            raise InternalCheckError(f"injected failure for seed {bad[id(ic)]}")
+            raise InternalCheckError(f"injected failure for seed {bad[id(ic)][1]}")
         return solve(ic, *args, **kwargs)
 
     monkeypatch.setattr(verify, "random_iota_complex", generate_marked)
