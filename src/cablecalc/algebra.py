@@ -17,7 +17,6 @@ __all__ = [
     "format_rational",
     "BitMatrix",
     "Echelon",
-    "subspace_not_contained",
 ]
 
 
@@ -163,11 +162,3 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-
-def subspace_not_contained(zs: Iterable[int], ws: Iterable[int]) -> Optional[int]:
-    """An element of span(zs) outside span(ws), or None if span(zs) <= span(ws)."""
-    ech = Echelon(ws)
-    for z in zs:
-        if not ech.contains(z):
-            return z
-    return None

@@ -16,7 +16,7 @@ piece.  Fractions are made only for the values returned.  The scaled view
 and the pieces built on it live in a piece context that belongs to one
 public call and is dropped when it returns; the public calls it makes on
 the same complex (d_results -> validate, d_lower, d_upper) share it, so no
-piece or torsion-class nullspace is built twice in one call.
+piece is built twice in one call.
 
 Homology comes from one valuation-greedy reduction of d: each pivot has the
 least U-exponent left, which keeps every entry a monomial and each column
@@ -26,13 +26,22 @@ generators left unpaired carry the free part.  It runs once per complex and
 is kept on it, so a GradedComplex must not be mutated after construction.
 
 d_lower and d_upper search candidate gradings from the top downward,
-deciding existence of a witness at each grading with nullspace computations
-(d_upper at the one U-power m_max: U times a non-torsion class is
-non-torsion, so witnesses persist as m grows).  Every witness is a
-non-torsion homogeneous cycle, which lives only in a grading d - 2kD, so
-they scan only d's class mod 2D, from its top; brute_oracle re-derives all
-three invariants by exhaustive enumeration over a U-truncated model and is
-used to cross-check.
+deciding existence of a witness at each grading with one nullspace (d_upper
+at the one U-power m_max: U times a non-torsion class is non-torsion, so
+witnesses persist as m grows).  Every witness is a non-torsion homogeneous
+cycle, which lives only in a grading d - 2kD, so they scan only d's class
+mod 2D.  Non-torsion is read off one free cocycle: H(C)/torsion = F2[U], so
+with U = 1 a cocycle phi, a set S of generators in d's class, is nonzero on
+a cycle exactly when the cycle is non-torsion, and on a piece the test is
+the parity of the cycle's bits on S.  S is found once per complex and kept
+on it next to the homology.  No non-torsion cycle lies above d, so d_lower
+scans from d down to the window's floor.  d_upper's witnesses with x = 0
+are exactly the non-torsion cycles at v (phi o (id+iota) vanishes on
+cycles, as iota is the identity on localized homology), which exist just
+when v <= d, so d_upper scans only v > d and is d when none has a witness.
+brute_oracle re-derives all three invariants by exhaustive enumeration over
+a U-truncated model, with its own non-torsion test, and is used to
+cross-check.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .algebra import BitMatrix, Echelon, format_rational, parse_rational, subspace_not_contained
+from .algebra import BitMatrix, Echelon, format_rational, parse_rational
 from .errors import InternalCheckError, ValidationError
 
 __all__ = [
@@ -128,7 +137,7 @@ class GradedComplex:
     """Free F2[U]-complex: ordered generators, exact rational gradings,
     differential stored as generator -> element (missing means zero)."""
 
-    __slots__ = ("generators", "grading", "diff", "_hom")
+    __slots__ = ("generators", "grading", "diff", "_hom", "_phi")
 
     def __init__(self, generators: Sequence[tuple[str, Fraction]], diff: Mapping[str, Iterable[Term]]):
         names = [str(n) for n, _ in generators]
@@ -139,7 +148,8 @@ class GradedComplex:
         self.generators: tuple[str, ...] = tuple(names)
         self.grading: dict[str, Fraction] = {str(n): Fraction(g) for n, g in generators}
         self.diff: dict[str, Element] = _clean_map(self.generators, diff, "differential")
-        self._hom = None  # set once by _homology; racing threads at worst both compute it
+        self._hom = None  # set once by _homology
+        self._phi = None  # set once by _free_cocycle
 
     def __repr__(self) -> str:
         return f"GradedComplex({len(self.generators)} generators)"
@@ -234,7 +244,8 @@ class _PieceCtx:
         return [c for c in cols if c]
 
     def torsionish_masks(self, grading: int, n_exp: int) -> list[int]:
-        """Spanning masks of {w : U^N w in im d} inside V_grading."""
+        """Spanning masks of {w : U^N w in im d} inside V_grading (the brute
+        oracle's non-torsion test, independent of the free cocycle)."""
         cached = self._w.get(grading)
         if cached is not None:
             return cached
@@ -246,9 +257,15 @@ class _PieceCtx:
         self._w[grading] = out
         return out
 
-    def cycle_masks(self, piece: _Piece) -> list[int]:
-        cols, dst = self.diff_cols(piece)
-        return BitMatrix.from_columns(cols, dst.dim).nullspace()
+    def phi_mask(self, piece: _Piece) -> int:
+        """Bits of the piece's basis on the free cocycle's support S: a cycle
+        w in a piece of d's class is non-torsion iff |w & phi_mask| is odd."""
+        support = _free_cocycle(self)
+        mask = 0
+        for i, (g, _) in enumerate(piece.basis):
+            if g in support:
+                mask |= 1 << i
+        return mask
 
     def candidate_gradings(self, floor: int) -> list[int]:
         """Every grading G - 2kD >= floor of a generator, from the top down."""
@@ -521,6 +538,43 @@ def _reduce_homology(cx: GradedComplex) -> tuple[tuple[Fraction, ...], tuple[tup
         return free, tuple((ctx.unscaled(s), e) for s, e in torsion)
 
 
+def _free_cocycle(ctx: _PieceCtx) -> frozenset[str]:
+    """Support S of a cocycle phi: C -> F2 that is nonzero on the free class,
+    computed on first use and kept on the complex.
+
+    With U = 1 a complex of rank-one localized homology has homology F2, in
+    the class A of d mod 2D, so phi is a functional on the generators of A
+    that kills d of the class B = A + D (a cocycle) and is not psi o d for
+    a functional psi on B (a coboundary).  A homogeneous cycle is torsion
+    iff its U = 1 image is a boundary, so phi tells the two kinds apart.
+    """
+    cx = ctx.cx
+    if cx._phi is None:
+        free, _ = _homology(cx)
+        step = 2 * ctx.D
+        d = ctx.scaled(free[0])
+        cls_a = [g for g, _ in ctx.classes[d % step]]
+        col = {g: i for i, g in enumerate(cls_a)}
+        cocycle_eqs = []  # d(b) with U = 1 as a mask over A, one row per b in B
+        for b, _ in ctx.classes.get((d + ctx.D) % step, ()):
+            img = 0
+            for a, _ in cx.diff.get(b, ZERO):
+                img ^= 1 << col[a]
+            cocycle_eqs.append(img)
+        coboundaries: dict[str, int] = {}  # b -> the a whose d(a) has b, with U = 1
+        for a in cls_a:
+            for b, _ in cx.diff.get(a, ZERO):
+                coboundaries[b] = coboundaries.get(b, 0) ^ 1 << col[a]
+        exact = Echelon(coboundaries.values())
+        for phi in BitMatrix(cocycle_eqs, len(cls_a)).nullspace():
+            if not exact.contains(phi):
+                cx._phi = frozenset(g for g in cls_a if phi >> col[g] & 1)
+                break
+        else:
+            raise InternalCheckError("localized homology has no free cocycle")
+    return cx._phi
+
+
 @dataclass(frozen=True)
 class HomologySummary:
     free_grading: Fraction
@@ -549,6 +603,13 @@ def _search_floor(ctx: _PieceCtx, summary: HomologySummary, window_slack: int) -
     return ctx.scaled(summary.free_grading) - ctx.D * (2 * summary.torsion_exponent + 2 + window_slack)
 
 
+def _check_search(m_max: Optional[int], window_slack: int) -> None:
+    """Both must be ints >= 0 (m_max None asks for the default)."""
+    for name, value in (("m_max", 0 if m_max is None else m_max), ("window_slack", window_slack)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
+
+
 def d_invariant(ic: IotaComplex | GradedComplex, check: bool = True) -> Fraction:
     """Maximal grading carrying a homology class that survives all U-powers."""
     return homology_summary(ic, check=check).free_grading
@@ -556,32 +617,31 @@ def d_invariant(ic: IotaComplex | GradedComplex, check: bool = True) -> Fraction
 
 def d_lower(ic: IotaComplex, check: bool = True, window_slack: int = 0) -> Fraction:
     """Maximal grading of a non-U-torsion cycle a with (id+iota)a a boundary."""
+    _check_search(None, window_slack)
     with _call_ctx(ic.complex) as ctx:
         if check:
             require_valid(ic)
         summary = homology_summary(ic, check=False)
         id_iota = _id_plus_iota(ic)
         d, step = ctx.scaled(summary.free_grading), 2 * ctx.D
-        top = max(gg for gg in ctx.gr.values() if (gg - d) % step == 0)
-        for g in range(top, _search_floor(ctx, summary, window_slack) - 1, -step):
-            if _lower_witness_at(ctx, id_iota, g, summary.torsion_exponent):
+        for g in range(d, _search_floor(ctx, summary, window_slack) - 1, -step):
+            if _lower_witness_at(ctx, id_iota, g):
                 return ctx.unscaled(g)
     raise InternalCheckError("no d_lower witness found within the search window")
 
 
-def _lower_witness_at(ctx: _PieceCtx, id_iota: Mapping[str, Element], g: int, n_exp: int) -> bool:
+def _lower_witness_at(ctx: _PieceCtx, id_iota: Mapping[str, Element], g: int) -> bool:
     piece = ctx.piece(g)
     if not piece.dim:
         return False
     dcols, ddst = ctx.diff_cols(piece)
     icols = ctx.map_cols(id_iota, piece, piece)
-    # unknowns (a, b): d a = 0 and (id+iota) a = d b
+    # unknowns (a, b): d a = 0 and (id+iota) a = d b; a witness has phi(a) = 1
     stacked = [dcols[j] | (icols[j] << ddst.dim) for j in range(piece.dim)]
     stacked += [b << ddst.dim for b in ctx.boundary_masks(g)]
     null = BitMatrix.from_columns(stacked, ddst.dim + piece.dim).nullspace()
-    mask_a = (1 << piece.dim) - 1
-    zs = [v & mask_a for v in null if v & mask_a]
-    return bool(zs) and subspace_not_contained(zs, ctx.torsionish_masks(g, n_exp)) is not None
+    phi = ctx.phi_mask(piece)
+    return any((s & phi).bit_count() & 1 for s in null)
 
 
 def d_upper(
@@ -592,76 +652,62 @@ def d_upper(
 ) -> Fraction:
     """Maximal value over triples (x, y, z) with d y = (id+iota) x,
     d z = U^m x and U^m y + (id+iota) z of non-torsion class, m <= m_max;
-    the value is gr(x)+1 when x is nonzero and gr(y) when x = 0.  Only
-    m = m_max is tried: a witness (x, y, z) at m gives (x, y, U z) at m + 1,
-    since U times a non-torsion class is non-torsion."""
+    the value is gr(x)+1 when x is nonzero and gr(y) when x = 0.
+
+    The triples with x = 0 reach exactly the gradings v <= d of d's class
+    (y a non-torsion cycle; (id+iota) z is torsion for a cycle z), so only
+    values v > d are searched, each with x nonzero, and the answer is d
+    when none of them has a witness.  Only m = m_max is tried: a witness
+    (x, y, z) at m gives (x, y, U z) at m + 1, since U times a non-torsion
+    class is non-torsion.  The default m_max is N plus the number of
+    generators.  window_slack, which widens d_lower's window, is checked
+    but cannot move this search, which ends at d.
+    """
+    _check_search(m_max, window_slack)
     with _call_ctx(ic.complex) as ctx:
         if check:
             require_valid(ic)
         summary = homology_summary(ic, check=False)
-        n_exp = summary.torsion_exponent
         if m_max is None:
-            m_max = n_exp + len(ic.complex.generators)
+            m_max = summary.torsion_exponent + len(ic.complex.generators)
         id_iota = _id_plus_iota(ic)
         d, step = ctx.scaled(summary.free_grading), 2 * ctx.D
         top = max(gg + (d - gg) % step for gg in ctx.gr.values() if (d - gg) % ctx.D == 0)
-        for v in range(top, _search_floor(ctx, summary, window_slack) - 1, -step):
-            if _upper_witness_at(ctx, id_iota, v, m_max, n_exp):
+        for v in range(top, d, -step):
+            if _upper_witness_at(ctx, id_iota, v, m_max):
                 return ctx.unscaled(v)
-    raise InternalCheckError("no d_upper witness found within the search window")
+        return summary.free_grading
 
 
-def _upper_witness_at(ctx: _PieceCtx, id_iota: Mapping[str, Element], v: int, m: int, n_exp: int) -> bool:
+def _upper_witness_at(ctx: _PieceCtx, id_iota: Mapping[str, Element], v: int, m: int) -> bool:
+    """A triple (x, y, z) at U-power m with value v > d: x must be nonzero,
+    since the triples with x = 0 never reach above d."""
     px = ctx.piece(v - ctx.D)
+    if not px.dim:
+        return False
     py = ctx.piece(v)
     pz = ctx.piece(v - 2 * m * ctx.D)
-    wspan = Echelon(ctx.torsionish_masks(pz.grading, n_exp))
-    # branch with x nonzero: value gr(x) + 1
-    if px.dim:
-        ix_cols = ctx.map_cols(id_iota, px, px)  # (id+iota) x in V_{v-1}
-        dy_cols, dydst = ctx.diff_cols(py)  # d y in V_{v-1}
-        ux_cols, uxdst = ctx.upow_cols(px, m)  # U^m x in V_{v-1-2m}
-        dz_cols, dzdst = ctx.diff_cols(pz)  # d z in V_{v-1-2m}
-        if dydst.grading != px.grading or dzdst.grading != uxdst.grading:
-            raise InternalCheckError("d_upper equation pieces have mismatched gradings")
-        r1, r2 = px.dim, uxdst.dim
-        stacked = [ix_cols[j] | (ux_cols[j] << r1) for j in range(px.dim)]
-        stacked += dy_cols
-        stacked += [c << r1 for c in dz_cols]
-        null = BitMatrix.from_columns(stacked, r1 + r2).nullspace()
-        mask_x = (1 << px.dim) - 1
-        if any(s & mask_x for s in null):
-            uy_cols, uydst = ctx.upow_cols(py, m)
-            iz_cols = ctx.map_cols(id_iota, pz, pz)
-            if uydst.grading != pz.grading:
-                raise InternalCheckError("U^m y and (id+iota) z land in different pieces")
-            for s in null:
-                w = 0
-                for j in range(py.dim):
-                    if s >> (px.dim + j) & 1:
-                        w ^= uy_cols[j]
-                for j in range(pz.dim):
-                    if s >> (px.dim + py.dim + j) & 1:
-                        w ^= iz_cols[j]
-                if not wspan.contains(w):
-                    return True
-    # branch with x = 0, y a nonzero cycle: value gr(y)
-    if py.dim:
-        ky = ctx.cycle_masks(py)
-        if ky:
-            uy_cols, uydst = ctx.upow_cols(py, m)
-            iz_cols = ctx.map_cols(id_iota, pz, pz)
-            if uydst.grading != pz.grading:
-                raise InternalCheckError("U^m y and (id+iota) z land in different pieces")
-            for vecs, cols in ((ky, uy_cols), (ctx.cycle_masks(pz), iz_cols)):
-                for s in vecs:
-                    w = 0
-                    for j, c in enumerate(cols):
-                        if s >> j & 1:
-                            w ^= c
-                    if not wspan.contains(w):
-                        return True
-    return False
+    ix_cols = ctx.map_cols(id_iota, px, px)  # (id+iota) x in V_{v-1}
+    dy_cols, dydst = ctx.diff_cols(py)  # d y in V_{v-1}
+    ux_cols, uxdst = ctx.upow_cols(px, m)  # U^m x in V_{v-1-2m}
+    dz_cols, dzdst = ctx.diff_cols(pz)  # d z in V_{v-1-2m}
+    if dydst.grading != px.grading or dzdst.grading != uxdst.grading:
+        raise InternalCheckError("d_upper equation pieces have mismatched gradings")
+    r1, r2 = px.dim, uxdst.dim
+    stacked = [ix_cols[j] | (ux_cols[j] << r1) for j in range(px.dim)]
+    stacked += dy_cols
+    stacked += [c << r1 for c in dz_cols]
+    null = BitMatrix.from_columns(stacked, r1 + r2).nullspace()
+    mask_x = (1 << px.dim) - 1
+    if not any(s & mask_x for s in null):
+        return False
+    # phi(U^m y + (id+iota) z) as a functional on the unknowns (x, y, z):
+    # phi reads generators only, so phi(U^m y) = phi(y)
+    phi_z = ctx.phi_mask(pz)
+    row = ctx.phi_mask(py) << px.dim
+    for j, c in enumerate(ctx.map_cols(id_iota, pz, pz)):
+        row |= ((c & phi_z).bit_count() & 1) << (px.dim + py.dim + j)
+    return any((s & row).bit_count() & 1 for s in null)
 
 
 @dataclass(frozen=True)
@@ -683,6 +729,7 @@ def d_results(
 ) -> DResults:
     """All three correction terms, asserting d_lower <= d <= d_upper.  The
     calls share one piece context, so no graded piece is built twice."""
+    _check_search(m_max, window_slack)
     with _call_ctx(ic.complex):
         if check:
             require_valid(ic)

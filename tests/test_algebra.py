@@ -8,7 +8,6 @@ from cablecalc.algebra import (
     Echelon,
     format_rational,
     parse_rational,
-    subspace_not_contained,
 )
 
 
@@ -112,27 +111,3 @@ def test_echelon_membership():
     assert not ech.contains(0b100)
     assert ech.rank == 2
 
-
-def test_subspace_not_contained():
-    # span{e0, e1} vs span{e0+e1}: witness exists
-    w = subspace_not_contained([0b01, 0b10], [0b11])
-    assert w in (0b01, 0b10)
-    assert subspace_not_contained([0b11, 0b00], [0b01, 0b10]) is None
-    assert subspace_not_contained([], [0b1]) is None
-
-
-def test_subspace_not_contained_random():
-    rng = random.Random(13)
-    for _ in range(200):
-        n = rng.randint(1, 7)
-        zs = [rng.getrandbits(n) for _ in range(rng.randint(0, 4))]
-        ws = [rng.getrandbits(n) for _ in range(rng.randint(0, 4))]
-        witness = subspace_not_contained(zs, ws)
-        wspan = Echelon(ws)
-        zspan = Echelon(zs)
-        if witness is None:
-            # every generator of Z must reduce to zero against W
-            assert all(wspan.contains(z) for z in zs)
-        else:
-            assert not wspan.contains(witness)
-            assert zspan.contains(witness)

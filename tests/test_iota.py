@@ -1,10 +1,11 @@
 """Engine tests: validation, homology, d / d_lower / d_upper, tensor, JSON."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from cablecalc.algebra import BitMatrix
+from cablecalc.algebra import BitMatrix, Echelon
 from cablecalc.errors import InternalCheckError, ValidationError
 from cablecalc import iota
 from cablecalc.iota import (
@@ -289,32 +290,53 @@ def test_invariants_reject_invalid_complex():
         d_upper(bad)
 
 
+def test_search_parameters_must_be_counts():
+    # unchecked, m_max=-2 put d_upper at -4 below d = 0, m_max=-1 broke the
+    # invariant chain and window_slack=-5 hid every d_lower witness, both as
+    # internal errors, and m_max=1.5 went through
+    ic, f8 = random_iota_complex(0, max_order=4), figure_eight_complex()
+    with pytest.raises(ValidationError, match="m_max must be an integer >= 0, got -2"):
+        d_upper(ic, check=False, m_max=-2)
+    with pytest.raises(ValidationError, match="m_max"):
+        d_results(f8, m_max=-1)
+    with pytest.raises(ValidationError, match="window_slack"):
+        d_lower(f8, window_slack=-5)
+    with pytest.raises(ValidationError, match="m_max"):
+        d_upper(f8, m_max=1.5)
+    for bad in (-1, 1.5, True, False, "2", None):
+        calls = [lambda: d_lower(f8, window_slack=bad), lambda: d_upper(f8, window_slack=bad),
+                 lambda: d_results(f8, window_slack=bad)]
+        if bad is not None:  # m_max=None asks for the default
+            calls += [lambda: d_upper(f8, m_max=bad), lambda: d_results(f8, m_max=bad)]
+        for call in calls:
+            with pytest.raises(ValidationError):
+                call()
+    assert iota._CALL_CTX.get() is None
+    assert d_results(f8, m_max=0, window_slack=0) == d_results(f8)
+    assert (d_upper(ic, check=False, m_max=0), d_lower(ic, window_slack=10**6)) == (0, 0)
+
+
 def _per_m_d_upper(ic, m_max):
-    """Reference search: at each candidate value, every U-power m <= m_max.
-    Works on the engine's scaled gradings (D = lcm of denominators)."""
+    """Reference search: the first value v > d, from the top of every
+    grading class, with a witness at some U-power m <= m_max; d when there
+    is none.  Works on the engine's scaled gradings (D = lcm of denominators)."""
     summary = homology_summary(ic, check=False)
-    n = summary.torsion_exponent
     ctx = iota._PieceCtx(ic.complex)
     D = ctx.D
-    floor = ctx.scaled(summary.free_grading) - (2 * n + 2) * D
-    gradings = ctx.candidate_gradings(floor - D)
-    values = sorted({v for g in gradings for v in (g, g + D) if v >= floor}, reverse=True)
+    d = ctx.scaled(summary.free_grading)
+    gradings = ctx.candidate_gradings(d - D)
+    values = sorted({v for g in gradings for v in (g, g + D) if v > d}, reverse=True)
     id_iota = iota._id_plus_iota(ic)
     for v in values:
-        if any(iota._upper_witness_at(ctx, id_iota, v, m, n) for m in range(m_max + 1)):
+        if any(iota._upper_witness_at(ctx, id_iota, v, m) for m in range(m_max + 1)):
             return Fraction(v, D)
-    return None
+    return summary.free_grading
 
 
 def _check_single_m_search(ic):
     n = homology_summary(ic, check=False).torsion_exponent
     for m_max in range(2 * (n + len(ic.complex.generators)) + 1):
-        ref = _per_m_d_upper(ic, m_max)
-        if ref is None:
-            with pytest.raises(InternalCheckError, match="no d_upper witness"):
-                d_upper(ic, check=False, m_max=m_max)
-        else:
-            assert d_upper(ic, check=False, m_max=m_max) == ref, (ic, m_max)
+        assert d_upper(ic, check=False, m_max=m_max) == _per_m_d_upper(ic, m_max), (ic, m_max)
 
 
 def test_d_upper_needs_a_positive_u_power_on_dual_model():
@@ -323,14 +345,13 @@ def test_d_upper_needs_a_positive_u_power_on_dual_model():
     # works in thirds (D = 3) and U^m moves the grading by 2mD
     for r, scale in ((Fraction(0), 1), (Fraction(1, 3), 3)):
         ic = shift(dual_model(), r)
-        n = homology_summary(ic).torsion_exponent
         ctx = iota._PieceCtx(ic.complex)
         assert ctx.D == scale
         id_iota = iota._id_plus_iota(ic)
         top = d_upper(ic)
         assert top == 2 + r
-        assert not iota._upper_witness_at(ctx, id_iota, ctx.scaled(top), 0, n)
-        assert iota._upper_witness_at(ctx, id_iota, ctx.scaled(top), 1, n)
+        assert not iota._upper_witness_at(ctx, id_iota, ctx.scaled(top), 0)
+        assert iota._upper_witness_at(ctx, id_iota, ctx.scaled(top), 1)
         assert d_upper(ic, m_max=0) < top
 
 
@@ -372,9 +393,11 @@ def test_d_upper_single_m_matches_per_m_search_on_products():
 
 
 def test_witness_search_visits_only_the_class_of_d(monkeypatch):
-    # a witness is a non-torsion cycle, so it lives in a grading d - 2kD;
-    # d_lower builds its candidate pieces (and d_upper its values v) only
-    # there, starting from the top of that class rather than at d itself
+    # a witness is a non-torsion cycle, so it lives in a grading d - 2kD at
+    # most d: d_lower builds its candidate pieces only there, from d down;
+    # d_upper's values v <= d all have a witness with x = 0, so it visits
+    # only v > d, from the top of d's class down to its answer (or to just
+    # above d when the answer is d)
     visits = []
     for name in ("_lower_witness_at", "_upper_witness_at"):
         def spy(ctx, *args, _name=name, _fn=getattr(iota, name)):
@@ -385,19 +408,25 @@ def test_witness_search_visits_only_the_class_of_d(monkeypatch):
     for seed in range(30):
         ic = random_iota_complex(seed, max_order=4)
         cases += [ic, shift(ic, Fraction(1, 3)), shift(ic, Fraction(-5, 2))]
-    above_d = 0
+    upper_scans = 0
     for ic in cases:
         visits.clear()
         res = d_results(ic, check=False)
         ctx = visits[0][1]
         d, step = ctx.scaled(res.d), 2 * ctx.D
-        assert {n for n, _, _ in visits} == {"_lower_witness_at", "_upper_witness_at"}
         assert all((v - d) % step == 0 for _, _, v in visits), (ic, visits)
         lower = [v for n, _, v in visits if n == "_lower_witness_at"]
-        assert lower[0] == max(g for g in ctx.gr.values() if (g - d) % step == 0)
+        upper = [v for n, _, v in visits if n == "_upper_witness_at"]
+        assert lower[0] == d
         assert lower[-1] == ctx.scaled(res.lower)
-        above_d += lower[0] > d
-    assert above_d >= 10, above_d
+        assert all(v > d for v in upper), (ic, upper)
+        if upper:
+            assert upper == list(range(upper[0], upper[-1] - 1, -step))
+            assert upper[-1] == (ctx.scaled(res.upper) if res.upper > res.d else d + step)
+            upper_scans += 1
+        else:
+            assert res.upper == res.d
+    assert upper_scans >= 10, upper_scans
 
 
 def test_class_search_matches_brute_oracle_on_fractional_gradings():
@@ -417,6 +446,87 @@ def test_class_search_matches_brute_oracle_on_fractional_gradings():
         n = homology_summary(ic, check=False).torsion_exponent
         slow = brute_oracle(ic, truncation=n + len(ic.complex.generators), check=False)
         assert d_results(ic, check=False) == slow, complex_to_dict(ic)
+
+
+def _check_phi_on_cycles(ic):
+    """phi(w) = 1 exactly when w is not U^N-torsion (torsionish_masks, the
+    brute oracle's route), on every cycle w of every piece of d's class from
+    the top of the class down to the search window's floor."""
+    summary = homology_summary(ic, check=False)
+    ctx = iota._PieceCtx(ic.complex)
+    n, step = summary.torsion_exponent, 2 * ctx.D
+    d = ctx.scaled(summary.free_grading)
+    top = max(g for g in ctx.gr.values() if (g - d) % step == 0)
+    non_torsion = 0
+    for g in range(top, iota._search_floor(ctx, summary, 0) - 1, -step):
+        piece = ctx.piece(g)
+        cols, dst = ctx.diff_cols(piece)
+        torsion = Echelon(ctx.torsionish_masks(g, n))
+        phi = ctx.phi_mask(piece)
+        for w in iota._mask_images(BitMatrix.from_columns(cols, dst.dim).nullspace()):
+            outside = not torsion.contains(w)
+            assert (w & phi).bit_count() & 1 == outside, (complex_to_dict(ic), g, w)
+            non_torsion += outside
+    assert non_torsion, complex_to_dict(ic)
+
+
+def test_free_cocycle_detects_exactly_the_non_torsion_cycles():
+    cases = []
+    for seed in range(200):
+        ic = random_iota_complex(seed)
+        cases += [ic, shift(ic, Fraction(1, 3)), shift(ic, Fraction(-5, 7))]
+    for j in range(40):
+        a = random_iota_complex(2 * j, max_order=4)
+        b = random_iota_complex(2 * j + 1, max_order=4)
+        cases.append(tensor(a, b))
+    cases += [tensor(dual_model(), random_iota_complex(seed)) for seed in range(40)]
+    for ic in cases:
+        _check_phi_on_cycles(ic)
+
+
+def test_free_cocycle_is_kept_on_the_complex():
+    ic = dual_model()
+    cx = ic.complex
+    assert validate(ic).ok and cx._phi is None  # validate never needs it
+    d_results(ic)
+    support = cx._phi
+    # c is a coboundary (d c = U b), so phi is a or a + c
+    assert "a" in support and support <= {"a", "c"}
+    d_results(IotaComplex(cx, {g: [(g, 0)] for g in cx.generators}))
+    assert cx._phi is support
+
+
+# sha256 of _pinned_results(), recorded with the engine that tested
+# non-torsion against torsionish_masks and scanned every grading of d's
+# class from its top
+PINNED_RESULTS_SHA256 = "82aef9bb85677b6c37e235f70b88e6fb8841acf88321fca516c0dc417aae9367"
+
+
+def _pinned_results() -> bytes:
+    fixtures = all_fixtures() + [tensor(dual_model(), dual_model()), figure_eight_complex()]
+    cases = [(f"fixture{i}", ic) for i, ic in enumerate(fixtures)]
+    for seed in range(200):
+        ic = random_iota_complex(seed)
+        cases += [(f"seed{seed}", ic), (f"seed{seed}+1/3", shift(ic, Fraction(1, 3)))]
+    for j in range(30):
+        pair = random_iota_complex(2 * j, max_order=4), random_iota_complex(2 * j + 1, max_order=4)
+        cases.append((f"product{j}", tensor(*pair)))
+    cases += [(f"dual{seed}", tensor(dual_model(), random_iota_complex(seed))) for seed in range(10)]
+    lines = []
+    for name, ic in cases:
+        s = homology_summary(ic, check=False)
+        span = s.torsion_exponent + len(ic.complex.generators)
+        searches = (("default", {}), ("m0", {"m_max": 0}),
+                    ("doubled", {"m_max": 2 * span, "window_slack": 2 * s.torsion_exponent + 2}))
+        for search, kwargs in searches:
+            r = d_results(ic, check=False, **kwargs)
+            lines.append(f"{name} {search} {r.d} {r.lower} {r.upper}")
+    return "\n".join(lines).encode()
+
+
+def test_engine_results_match_pinned_digest():
+    # any change to the engine must leave these 1341 results byte-identical
+    assert hashlib.sha256(_pinned_results()).hexdigest() == PINNED_RESULTS_SHA256
 
 
 def test_homology_computed_once_per_complex(monkeypatch):
