@@ -17,6 +17,7 @@ __all__ = [
     "format_rational",
     "BitMatrix",
     "Echelon",
+    "kernel",
 ]
 
 
@@ -50,16 +51,6 @@ class BitMatrix:
         for r in self.rows:
             if r < 0 or r & ~mask:
                 raise ValueError("row has bits outside the column range")
-
-    @classmethod
-    def from_columns(cls, cols: Iterable[int], n_rows: int) -> "BitMatrix":
-        cols = list(cols)
-        rows = [0] * n_rows
-        for j, c in enumerate(cols):
-            while c:
-                rows[(c & -c).bit_length() - 1] |= 1 << j
-                c &= c - 1
-        return cls(rows, len(cols))
 
     def rank(self) -> int:
         ech = Echelon()
@@ -162,3 +153,25 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
+
+def kernel(cols: Iterable[int]) -> list[int]:
+    """Basis of the dependencies among the columns: bitmasks x over column
+    positions whose columns sum to 0.  Columns are reduced as they come, by
+    the reduced columns before them (keyed by highest bit), carrying the
+    combination each one stands for; a column that reduces to 0 yields its
+    combination."""
+    pivots: dict[int, tuple[int, int]] = {}
+    basis = []
+    for j, c in enumerate(cols):
+        combo = 1 << j
+        while c:
+            top = c.bit_length() - 1
+            hit = pivots.get(top)
+            if hit is None:
+                pivots[top] = (c, combo)
+                break
+            c ^= hit[0]
+            combo ^= hit[1]
+        else:
+            basis.append(combo)
+    return basis

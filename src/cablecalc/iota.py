@@ -12,11 +12,24 @@ finite-dimensional graded pieces.
 Inside the engine gradings are integers: each public call scales the
 complex's gradings by D, the lcm of their denominators, so d has degree -D
 and U degree -2D, and only generators in one class mod 2D meet in a graded
-piece.  Fractions are made only for the values returned.  The scaled view
-and the pieces built on it live in a piece context that belongs to one
-public call and is dropped when it returns; the public calls it makes on
-the same complex (d_results -> validate, d_lower, d_upper) share it, so no
-piece is built twice in one call.
+piece.  Fractions are made only for the values returned.  The engine works
+in generator coordinates.  A map is one bitmask column per generator (bit
+i: generator i occurs in the image), and its U-exponents are checked once,
+where the columns are built; a column stands for the map only when that
+check passes.  A graded piece V_g is the list of generators x of its class
+with gr(x) >= g, standing for the elements U^k x with k = (gr(x) - g)/2D,
+and an element of it is a mask over the generators.  The image of U^k x
+under a map is then the generator's column, read at the target grading,
+and U^m, which sends U^k x to U^(k+m) x, leaves the mask as it is.  The
+scaled view, d's columns with the result of its checks, and the pieces
+live in a piece context that belongs to one public call and is dropped
+when it returns; the public calls it makes on the same complex (d_results
+-> validate, d_lower, d_upper) share it, so nothing is built twice in one
+call.  The columns of id+iota are built by each call that needs them.
+
+validate checks d, iota and their composites on the columns.  When
+iota^2 = id exactly, H = 0 is the homotopy from iota^2 to id; only
+otherwise does it solve for one.
 
 Homology comes from one valuation-greedy reduction of d: each pivot has the
 least U-exponent left, which keeps every entry a monomial and each column
@@ -40,8 +53,9 @@ are exactly the non-torsion cycles at v (phi o (id+iota) vanishes on
 cycles, as iota is the identity on localized homology), which exist just
 when v <= d, so d_upper scans only v > d and is d when none has a witness.
 brute_oracle re-derives all three invariants by exhaustive enumeration over
-a U-truncated model, with its own non-torsion test, and is used to
-cross-check.
+a U-truncated model, with its own non-torsion test (U^N w is a boundary,
+which in generator coordinates is w in im d at the grading 2ND lower), and
+is used to cross-check.
 """
 
 from __future__ import annotations
@@ -51,10 +65,11 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .algebra import BitMatrix, Echelon, format_rational, parse_rational
+from .algebra import BitMatrix, Echelon, format_rational, kernel, parse_rational
 from .errors import InternalCheckError, ValidationError
 
 __all__ = [
@@ -173,8 +188,9 @@ class IotaComplex:
 
 
 class _PieceCtx:
-    """One complex on its scaled-integer gradings, plus the graded pieces and
-    piece-level masks built so far.  It lives for one public call."""
+    """One complex in generator coordinates, on its scaled-integer gradings:
+    d's columns with the result of its checks, and the graded pieces built
+    so far.  It lives for one public call."""
 
     def __init__(self, cx: GradedComplex):
         self.cx = cx
@@ -182,17 +198,16 @@ class _PieceCtx:
         for q in cx.grading.values():
             scale = lcm(scale, q.denominator)
         self.D = scale
-        self.gr: dict[str, int] = {
-            g: q.numerator * (scale // q.denominator) for g, q in cx.grading.items()
-        }
-        # generators by grading class mod 2D, in generator order: only these
-        # can appear in a piece of a grading in that class
-        self.classes: dict[int, list[tuple[str, int]]] = {}
-        for g in cx.generators:
-            self.classes.setdefault(self.gr[g] % (2 * scale), []).append((g, self.gr[g]))
-        self._pieces: dict[int, _Piece] = {}
-        self._dcols: dict[int, list[int]] = {}
-        self._w: dict[int, list[int]] = {}
+        self.index: dict[str, int] = {g: i for i, g in enumerate(cx.generators)}
+        self.gr: list[int] = [self.scaled(cx.grading[g]) for g in cx.generators]
+        # (generator, grading) by grading class mod 2D, in generator order:
+        # only these can appear in a piece of a grading in that class
+        self.classes: dict[int, list[tuple[int, int]]] = {}
+        for i, gi in enumerate(self.gr):
+            self.classes.setdefault(gi % (2 * scale), []).append((i, gi))
+        self._pieces: dict[int, list[int]] = {}
+        self._d: Optional[tuple[list[int], Optional[str], Optional[str]]] = None
+        self._phi: Optional[int] = None
 
     def scaled(self, q: Fraction) -> int:
         return q.numerator * (self.D // q.denominator)
@@ -200,77 +215,56 @@ class _PieceCtx:
     def unscaled(self, g: int) -> Fraction:
         return Fraction(g, self.D)
 
-    def piece(self, grading: int) -> _Piece:
+    def piece(self, grading: int) -> list[int]:
         p = self._pieces.get(grading)
         if p is None:
-            p = _piece_for(self, grading)
-            self._pieces[grading] = p
+            p = self._pieces[grading] = _piece_for(self, grading)
         return p
 
-    def map_cols(self, mp: Mapping[str, Element], src: _Piece, dst: _Piece) -> list[int]:
-        index = dst.index
-        cols = []
-        for g, k in src.basis:
-            v = 0
-            for h, e in mp.get(g, ZERO):
-                i = index.get((h, e + k))
-                if i is None:
-                    raise InternalCheckError(f"image of {(g, k)} leaves the piece of grading {dst.grading}")
-                v |= 1 << i
-            cols.append(v)
-        return cols
+    def differential(self) -> tuple[list[int], Optional[str], Optional[str]]:
+        """d's columns, with the details of its degree check and its d^2
+        check (None when they pass), made on first use."""
+        if self._d is None:
+            cols, degree = _columns(self, self.cx.diff, -1)
+            if degree is None:
+                square = next((f"d(d({g})) != 0" for g, c in zip(self.cx.generators, cols)
+                               if _image(cols, c)), None)
+            else:
+                # the columns drop U-exponents, which only the degree check
+                # ties to the gradings, so d^2 is taken on the terms
+                diff = self.cx.diff
+                square = next((f"d(d({g})) != 0" for g in self.cx.generators
+                               if apply_map(diff, diff.get(g, ZERO))), None)
+            self._d = cols, degree, square
+        return self._d
 
-    def diff_cols(self, src: _Piece) -> tuple[list[int], _Piece]:
-        dst = self.piece(src.grading - self.D)
-        cols = self._dcols.get(src.grading)
-        if cols is None:
-            cols = self._dcols[src.grading] = self.map_cols(self.cx.diff, src, dst)
-        return cols, dst
-
-    def upow_cols(self, src: _Piece, m: int) -> tuple[list[int], _Piece]:
-        dst = self.piece(src.grading - 2 * m * self.D)
-        index = dst.index
-        cols = []
-        for g, k in src.basis:
-            i = index.get((g, k + m))
-            cols.append(0 if i is None else 1 << i)
-        return cols, dst
+    @property
+    def dcols(self) -> list[int]:
+        return self.differential()[0]
 
     def boundary_masks(self, grading: int) -> list[int]:
         """Spanning masks of d(V_{grading+1}) inside V_grading."""
-        cols, dst = self.diff_cols(self.piece(grading + self.D))
-        if dst.grading != grading:
-            raise InternalCheckError("boundary piece has the wrong grading")
-        return [c for c in cols if c]
+        dcols = self.dcols
+        return [dcols[j] for j in self.piece(grading + self.D) if dcols[j]]
 
-    def torsionish_masks(self, grading: int, n_exp: int) -> list[int]:
-        """Spanning masks of {w : U^N w in im d} inside V_grading (the brute
-        oracle's non-torsion test, independent of the free cocycle)."""
-        cached = self._w.get(grading)
-        if cached is not None:
-            return cached
-        piece = self.piece(grading)
-        ucols, udst = self.upow_cols(piece, n_exp)
-        null = BitMatrix.from_columns(ucols + self.boundary_masks(udst.grading), udst.dim).nullspace()
-        mask_a = (1 << piece.dim) - 1
-        out = [v & mask_a for v in null if v & mask_a]
-        self._w[grading] = out
-        return out
+    @property
+    def phi(self) -> int:
+        """The free cocycle's support S as a generator mask: a cycle w in d's
+        class is non-torsion iff |w & phi| is odd."""
+        if self._phi is None:
+            support = _free_cocycle(self)
+            self._phi = sum(1 << i for i, g in enumerate(self.cx.generators) if g in support)
+        return self._phi
 
-    def phi_mask(self, piece: _Piece) -> int:
-        """Bits of the piece's basis on the free cocycle's support S: a cycle
-        w in a piece of d's class is non-torsion iff |w & phi_mask| is odd."""
-        support = _free_cocycle(self)
-        mask = 0
-        for i, (g, _) in enumerate(piece.basis):
-            if g in support:
-                mask |= 1 << i
-        return mask
+    def phi_mask(self, piece: list[int]) -> int:
+        """The bits of phi in the piece's own coordinates."""
+        phi = self.phi
+        return sum(1 << t for t, j in enumerate(piece) if phi >> j & 1)
 
     def candidate_gradings(self, floor: int) -> list[int]:
         """Every grading G - 2kD >= floor of a generator, from the top down."""
         vals: set[int] = set()
-        for g in self.gr.values():
+        for g in self.gr:
             vals.update(range(g, floor - 1, -2 * self.D))
         return sorted(vals, reverse=True)
 
@@ -294,34 +288,59 @@ def _call_ctx(cx: GradedComplex) -> Iterator[_PieceCtx]:
         _CALL_CTX.reset(token)
 
 
-class _Piece:
-    """GF(2) vector space of homogeneous elements at one scaled grading."""
-
-    __slots__ = ("grading", "basis", "index")
-
-    def __init__(self, grading: int, basis: list[Term]):
-        self.grading = grading
-        self.basis = basis
-        self.index = {t: i for i, t in enumerate(basis)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+def _piece_for(ctx: _PieceCtx, grading: int, truncation: Optional[int] = None) -> list[int]:
+    """Generators of V_grading, with U-exponent below truncation if given."""
+    cls = ctx.classes.get(grading % (2 * ctx.D), ())
+    if truncation is None:
+        return [i for i, gi in cls if gi >= grading]
+    return [i for i, gi in cls if grading <= gi < grading + 2 * ctx.D * truncation]
 
 
-def _piece_for(ctx: _PieceCtx, grading: int, truncation: Optional[int] = None) -> _Piece:
-    step = 2 * ctx.D
-    basis: list[Term] = []
-    for g, gg in ctx.classes.get(grading % step, ()):
-        if gg >= grading:
-            k = (gg - grading) // step
-            if truncation is None or k < truncation:
-                basis.append((g, k))
-    return _Piece(grading, basis)
+def _columns(ctx: _PieceCtx, mp: Mapping[str, Element], degree: int) -> tuple[list[int], Optional[str]]:
+    """mp as one column per generator, and the first term (by source, then
+    term order) whose U-exponent breaks the degree, or None."""
+    index, gr, step = ctx.index, ctx.gr, 2 * ctx.D
+    cols = [0] * len(gr)
+    detail = None
+    for src, val in mp.items():
+        j = index[src]
+        want = gr[j] + degree * ctx.D
+        col = 0
+        for g, e in val:
+            i = index[g]
+            col |= 1 << i
+            if detail is None and gr[i] - step * e != want:
+                bad, e_bad = min(t for t in val if gr[index[t[0]]] - step * t[1] != want)
+                detail = f"term U^{e_bad}*{bad} in image of {src} breaks degree {degree}"
+        cols[j] = col
+    return cols, detail
 
 
-def _id_plus_iota(ic: IotaComplex) -> dict[str, Element]:
-    return {g: ic.iota.get(g, ZERO) ^ {(g, 0)} for g in ic.complex.generators}
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _image(cols: Sequence[int], mask: int) -> int:
+    """The sum of the columns at the bits of mask."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc ^= cols[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
+def _id_plus_iota(ctx: _PieceCtx, ic: IotaComplex) -> list[int]:
+    """Columns of id+iota; an iota term of the wrong degree, which no
+    column can stand for, raises."""
+    cols, detail = _columns(ctx, ic.iota, 0)
+    if detail is not None:
+        raise InternalCheckError(f"iota is not a degree-0 map: {detail}")
+    return [c ^ 1 << j for j, c in enumerate(cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -347,119 +366,60 @@ class ValidationReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _check_degree(ctx: _PieceCtx, mp: Mapping[str, Element], degree: int) -> Optional[str]:
-    gr, step = ctx.gr, 2 * ctx.D
-    for src, val in mp.items():
-        for g, e in sorted(val):
-            if gr[src] + degree * ctx.D != gr[g] - step * e:
-                return f"term U^{e}*{g} in image of {src} breaks degree {degree}"
-    return None
+def _iota_squared_homotopic(ctx: _PieceCtx, icols: list[int]) -> bool:
+    """Whether some degree +1 map H has dH + Hd = iota^2 + id.
 
-
-def _check_d_squared(cx: GradedComplex) -> Optional[str]:
-    for g in cx.generators:
-        img = apply_map(cx.diff, cx.diff.get(g, ZERO))
-        if img:
-            return f"d(d({g})) != 0"
-    return None
-
-
-def _iota_squared_homotopy(ic: IotaComplex, ctx: _PieceCtx) -> Optional[dict[str, Element]]:
-    """A degree +1 map H with dH + Hd = iota^2 + id, or None.
-
-    Unknowns are the admissible bit-matrix entries of H: U^k y in H(x) needs
-    gr(y) = gr(x) + 1 + 2k, so y comes from one grading class mod 2D.  The
-    equation is solved coordinate-wise over the graded pieces.
+    Unknowns are the admissible entries of H: y in H(x) needs y in the
+    piece V_{gr(x)+D}.  Every term of the equation has degree 0, so one
+    equation stands for each entry (w, g), generator g in the image of w.
     """
-    cx = ic.complex
-    gens = cx.generators
-    step = 2 * ctx.D
-    unknowns: list[tuple[str, str, int]] = []  # (src, dst, exponent)
-    targets: dict[str, list[tuple[str, int, int]]] = {}  # src -> [(dst, exponent, unknown)]
-    for x in gens:
-        lo = ctx.gr[x] + ctx.D
-        targets[x] = row = []
-        for y, gy in ctx.classes.get(lo % step, ()):
-            if gy >= lo:
-                k = (gy - lo) // step
-                row.append((y, k, len(unknowns)))
-                unknowns.append((x, y, k))
-    rows: list[int] = []
+    n, dcols = len(ctx.gr), ctx.dcols
+    targets = [ctx.piece(ctx.gr[x] + ctx.D) for x in range(n)]
+    # unknown (x, y) is number first[x] + (place of y in targets[x])
+    first = list(accumulate((len(t) for t in targets), initial=0))
+    rows: dict[int, int] = {}  # entry w * n + g -> the unknowns in it
+    for w in range(n):
+        # dH(w) has d(y) for each unknown (w, y); Hd(w) has y for each
+        # unknown (x, y) with x in d(w)
+        terms = [(first[w] + t, g) for t, y in enumerate(targets[w]) for g in _bits(dcols[y])]
+        terms += [(first[x] + t, y) for x in _bits(dcols[w]) for t, y in enumerate(targets[x])]
+        for j, g in terms:
+            rows[w * n + g] = rows.get(w * n + g, 0) ^ 1 << j
+    order = {key: r for r, key in enumerate(rows)}
     rhs = 0
-    coord_of: dict[tuple[str, str, int], int] = {}  # (eq gen, term gen, exp) -> row
-
-    def row_for(x: str, g: str, e: int) -> int:
-        key = (x, g, e)
-        r = coord_of.get(key)
-        if r is None:
-            r = coord_of[key] = len(rows)
-            rows.append(0)
-        return r
-
-    for x in gens:
-        # dH(x): unknown (x, y) contributes U^k * d(y)
-        for y, k, j in targets[x]:
-            for g, e in cx.diff.get(y, ZERO):
-                rows[row_for(x, g, e + k)] ^= 1 << j
-        # Hd(x): term U^c*w of d(x) contributes U^c * H(w)
-        for w, c in cx.diff.get(x, ZERO):
-            for y, k, j in targets[w]:
-                rows[row_for(x, y, c + k)] ^= 1 << j
-        # right side: iota(iota(x)) + x
-        for g, e in apply_map(ic.iota, ic.iota.get(x, ZERO)) ^ {(x, 0)}:
-            rhs |= 1 << row_for(x, g, e)
-    sol = BitMatrix(rows, len(unknowns)).solve(rhs)
-    if sol is None:
-        return None
-    h: dict[str, Element] = {}
-    for j, (x, y, k) in enumerate(unknowns):
-        if sol >> j & 1:
-            h[x] = h.get(x, ZERO) ^ {(y, k)}
-    return h
+    for w in range(n):
+        for g in _bits(_image(icols, icols[w]) ^ 1 << w):
+            if w * n + g not in order:
+                return False  # an entry of iota^2 + id that no H reaches
+            rhs |= 1 << order[w * n + g]
+    return BitMatrix(rows.values(), first[-1]).solve(rhs) is not None
 
 
 def validate(ic: IotaComplex) -> ValidationReport:
     """Check all defining properties; later checks are skipped once one fails."""
     cx = ic.complex
-    checks: list[ValidationCheck] = []
-
-    def run(name, fn) -> bool:
-        detail = fn()
-        checks.append(ValidationCheck(name, detail is None, detail or ""))
-        return detail is None
-
     with _call_ctx(cx) as ctx:
-        structural = True
-        structural &= run("differential-degree", lambda: _check_degree(ctx, cx.diff, -1))
-        structural &= run("differential-squared", lambda: _check_d_squared(cx))
-        structural &= run("iota-degree", lambda: _check_degree(ctx, ic.iota, 0))
-        if not structural:
+        dcols, d_degree, d_squared = ctx.differential()
+        icols, i_degree = _columns(ctx, ic.iota, 0)
+        details = [("differential-degree", d_degree), ("differential-squared", d_squared),
+                   ("iota-degree", i_degree)]
+        if any(detail is not None for _, detail in details):
             skipped = ("iota-chain-map", "iota-squared-homotopic-identity", "localized-rank-one")
-            for name in skipped:
-                checks.append(ValidationCheck(name, False, "not checked: structural failure"))
-            return ValidationReport(tuple(checks))
-
-        def chain() -> Optional[str]:
-            for g in cx.generators:
-                lhs = apply_map(cx.diff, ic.iota.get(g, ZERO))
-                rhs = apply_map(ic.iota, cx.diff.get(g, ZERO))
-                if lhs != rhs:
-                    return f"iota fails to commute with d on {g}"
-            return None
-
-        run("iota-chain-map", chain)
-        run(
-            "iota-squared-homotopic-identity",
-            lambda: None if _iota_squared_homotopy(ic, ctx) is not None else "no homotopy from iota^2 to id",
-        )
-
-        def rank_one() -> Optional[str]:
-            free, _ = _homology(cx)
-            if len(free) != 1:
-                return f"localized homology has rank {len(free)}, expected 1"
-            return None
-
-        run("localized-rank-one", rank_one)
+            details += [(name, "not checked: structural failure") for name in skipped]
+        else:
+            # every exponent is now forced by the gradings, so the columns
+            # stand for the maps and their composites
+            chain = next((f"iota fails to commute with d on {g}" for j, g in enumerate(cx.generators)
+                          if _image(dcols, icols[j]) != _image(icols, dcols[j])), None)
+            exact = all(_image(icols, c) == 1 << j for j, c in enumerate(icols))
+            homotopic = exact or _iota_squared_homotopic(ctx, icols)
+            rank = len(_homology(cx)[0])
+            details += [
+                ("iota-chain-map", chain),
+                ("iota-squared-homotopic-identity", None if homotopic else "no homotopy from iota^2 to id"),
+                ("localized-rank-one", None if rank == 1 else f"localized homology has rank {rank}, expected 1"),
+            ]
+    checks = (ValidationCheck(name, detail is None, detail or "") for name, detail in details)
     return ValidationReport(tuple(checks))
 
 
@@ -497,17 +457,13 @@ def _reduce_homology(cx: GradedComplex) -> tuple[tuple[Fraction, ...], tuple[tup
     still live at the end carry the free part.
     """
     with _call_ctx(cx) as ctx:
-        for detail in (_check_degree(ctx, cx.diff, -1), _check_d_squared(cx)):
+        cols, *faults = ctx.differential()
+        for detail in faults:
             if detail is not None:
                 raise InternalCheckError(f"homology of a non-complex: {detail}")
-        gens = cx.generators
-        n, step = len(gens), 2 * ctx.D
-        gr = [ctx.gr[g] for g in gens]
-        idx = {g: i for i, g in enumerate(gens)}
-        cols = [0] * n
-        for j, g in enumerate(gens):
-            for h, _ in cx.diff.get(g, ZERO):
-                cols[j] |= 1 << idx[h]
+        cols = list(cols)
+        gr = ctx.gr
+        n, step = len(gr), 2 * ctx.D
         live = (1 << n) - 1
         torsion = []
         while True:
@@ -551,24 +507,18 @@ def _free_cocycle(ctx: _PieceCtx) -> frozenset[str]:
     cx = ctx.cx
     if cx._phi is None:
         free, _ = _homology(cx)
-        step = 2 * ctx.D
+        step, dcols = 2 * ctx.D, ctx.dcols
         d = ctx.scaled(free[0])
-        cls_a = [g for g, _ in ctx.classes[d % step]]
-        col = {g: i for i, g in enumerate(cls_a)}
-        cocycle_eqs = []  # d(b) with U = 1 as a mask over A, one row per b in B
-        for b, _ in ctx.classes.get((d + ctx.D) % step, ()):
-            img = 0
-            for a, _ in cx.diff.get(b, ZERO):
-                img ^= 1 << col[a]
-            cocycle_eqs.append(img)
-        coboundaries: dict[str, int] = {}  # b -> the a whose d(a) has b, with U = 1
-        for a in cls_a:
-            for b, _ in cx.diff.get(a, ZERO):
-                coboundaries[b] = coboundaries.get(b, 0) ^ 1 << col[a]
-        exact = Echelon(coboundaries.values())
-        for phi in BitMatrix(cocycle_eqs, len(cls_a)).nullspace():
-            if not exact.contains(phi):
-                cx._phi = frozenset(g for g in cls_a if phi >> col[g] & 1)
+        cls_a = [a for a, _ in ctx.classes[d % step]]
+        cls_b = [b for b, _ in ctx.classes.get((d + ctx.D) % step, ())]
+        outside_a = (1 << len(dcols)) - 1 - sum(1 << a for a in cls_a)
+        # psi o d for psi the indicator of b: the a whose d(a) has b, with U = 1
+        exact = Echelon(sum(1 << a for a in cls_a if dcols[a] >> b & 1) for b in cls_b)
+        # phi kills d(b) for every b in B; the nullspace also has the
+        # generators outside A, where no d(b) reaches
+        for phi in BitMatrix((dcols[b] for b in cls_b), len(dcols)).nullspace():
+            if not phi & outside_a and not exact.contains(phi):
+                cx._phi = frozenset(cx.generators[a] for a in cls_a if phi >> a & 1)
                 break
         else:
             raise InternalCheckError("localized homology has no free cocycle")
@@ -622,7 +572,7 @@ def d_lower(ic: IotaComplex, check: bool = True, window_slack: int = 0) -> Fract
         if check:
             require_valid(ic)
         summary = homology_summary(ic, check=False)
-        id_iota = _id_plus_iota(ic)
+        id_iota = _id_plus_iota(ctx, ic)
         d, step = ctx.scaled(summary.free_grading), 2 * ctx.D
         for g in range(d, _search_floor(ctx, summary, window_slack) - 1, -step):
             if _lower_witness_at(ctx, id_iota, g):
@@ -630,16 +580,15 @@ def d_lower(ic: IotaComplex, check: bool = True, window_slack: int = 0) -> Fract
     raise InternalCheckError("no d_lower witness found within the search window")
 
 
-def _lower_witness_at(ctx: _PieceCtx, id_iota: Mapping[str, Element], g: int) -> bool:
+def _lower_witness_at(ctx: _PieceCtx, id_iota: list[int], g: int) -> bool:
     piece = ctx.piece(g)
-    if not piece.dim:
+    if not piece:
         return False
-    dcols, ddst = ctx.diff_cols(piece)
-    icols = ctx.map_cols(id_iota, piece, piece)
+    n, dcols = len(ctx.gr), ctx.dcols
     # unknowns (a, b): d a = 0 and (id+iota) a = d b; a witness has phi(a) = 1
-    stacked = [dcols[j] | (icols[j] << ddst.dim) for j in range(piece.dim)]
-    stacked += [b << ddst.dim for b in ctx.boundary_masks(g)]
-    null = BitMatrix.from_columns(stacked, ddst.dim + piece.dim).nullspace()
+    stacked = [dcols[j] | id_iota[j] << n for j in piece]
+    stacked += [b << n for b in ctx.boundary_masks(g)]
+    null = kernel(stacked)
     phi = ctx.phi_mask(piece)
     return any((s & phi).bit_count() & 1 for s in null)
 
@@ -670,43 +619,39 @@ def d_upper(
         summary = homology_summary(ic, check=False)
         if m_max is None:
             m_max = summary.torsion_exponent + len(ic.complex.generators)
-        id_iota = _id_plus_iota(ic)
+        id_iota = _id_plus_iota(ctx, ic)
         d, step = ctx.scaled(summary.free_grading), 2 * ctx.D
-        top = max(gg + (d - gg) % step for gg in ctx.gr.values() if (d - gg) % ctx.D == 0)
+        top = max(gg + (d - gg) % step for gg in ctx.gr if (d - gg) % ctx.D == 0)
         for v in range(top, d, -step):
             if _upper_witness_at(ctx, id_iota, v, m_max):
                 return ctx.unscaled(v)
         return summary.free_grading
 
 
-def _upper_witness_at(ctx: _PieceCtx, id_iota: Mapping[str, Element], v: int, m: int) -> bool:
+def _upper_witness_at(ctx: _PieceCtx, id_iota: list[int], v: int, m: int) -> bool:
     """A triple (x, y, z) at U-power m with value v > d: x must be nonzero,
     since the triples with x = 0 never reach above d."""
     px = ctx.piece(v - ctx.D)
-    if not px.dim:
+    if not px:
         return False
     py = ctx.piece(v)
     pz = ctx.piece(v - 2 * m * ctx.D)
-    ix_cols = ctx.map_cols(id_iota, px, px)  # (id+iota) x in V_{v-1}
-    dy_cols, dydst = ctx.diff_cols(py)  # d y in V_{v-1}
-    ux_cols, uxdst = ctx.upow_cols(px, m)  # U^m x in V_{v-1-2m}
-    dz_cols, dzdst = ctx.diff_cols(pz)  # d z in V_{v-1-2m}
-    if dydst.grading != px.grading or dzdst.grading != uxdst.grading:
-        raise InternalCheckError("d_upper equation pieces have mismatched gradings")
-    r1, r2 = px.dim, uxdst.dim
-    stacked = [ix_cols[j] | (ux_cols[j] << r1) for j in range(px.dim)]
-    stacked += dy_cols
-    stacked += [c << r1 for c in dz_cols]
-    null = BitMatrix.from_columns(stacked, r1 + r2).nullspace()
-    mask_x = (1 << px.dim) - 1
+    n, dcols = len(ctx.gr), ctx.dcols
+    # (id+iota) x = d y in V_{v-1} and U^m x = d z in V_{v-1-2m}, where U^m
+    # keeps x's generator bits
+    stacked = [id_iota[j] | 1 << (n + j) for j in px]
+    stacked += [dcols[j] for j in py]
+    stacked += [dcols[j] << n for j in pz]
+    null = kernel(stacked)
+    mask_x = (1 << len(px)) - 1
     if not any(s & mask_x for s in null):
         return False
     # phi(U^m y + (id+iota) z) as a functional on the unknowns (x, y, z):
     # phi reads generators only, so phi(U^m y) = phi(y)
-    phi_z = ctx.phi_mask(pz)
-    row = ctx.phi_mask(py) << px.dim
-    for j, c in enumerate(ctx.map_cols(id_iota, pz, pz)):
-        row |= ((c & phi_z).bit_count() & 1) << (px.dim + py.dim + j)
+    phi, offset = ctx.phi, len(px) + len(py)
+    row = ctx.phi_mask(py) << len(px)
+    for t, j in enumerate(pz):
+        row |= ((id_iota[j] & phi).bit_count() & 1) << (offset + t)
     return any((s & row).bit_count() & 1 for s in null)
 
 
@@ -805,52 +750,53 @@ def _mask_images(cols: Sequence[int]) -> list[int]:
 
 class _BruteCtx:
     """Mask-enumeration helpers: sources are U-truncated pieces, images are
-    held in full (untruncated) piece coordinates so nothing is lost."""
+    generator masks of the full complex, so nothing is lost."""
 
-    def __init__(self, ic: IotaComplex, full: _PieceCtx, truncation: int):
+    def __init__(self, ic: IotaComplex, full: _PieceCtx, truncation: int, n_exp: int):
         self.full = full
         self.truncation = truncation
-        self.id_iota = _id_plus_iota(ic)
-        self._pieces: dict[int, _Piece] = {}
-        self._cache: dict[tuple, list[int]] = {}
+        self.n_exp = n_exp
+        self.id_iota = _id_plus_iota(full, ic)
+        self._pieces: dict[int, list[int]] = {}
+        self._cache: dict[tuple[str, int], list[int]] = {}
+        self._torsion: dict[int, Echelon] = {}
 
-    def piece(self, grading: int) -> _Piece:
+    def piece(self, grading: int) -> list[int]:
         p = self._pieces.get(grading)
         if p is None:
             p = self._pieces[grading] = _piece_for(self.full, grading, self.truncation)
         return p
 
-    def _images(self, kind: str, grading: int, m: int, col_fn) -> list[int]:
-        key = (kind, grading, m)
+    def images(self, kind: str, grading: int) -> list[int]:
+        """Images of every subset mask of the truncated piece under d ("d"),
+        id+iota ("i") or U^m ("u", the subsets' own generator masks)."""
+        key = (kind, grading)
         got = self._cache.get(key)
         if got is None:
-            got = self._cache[key] = _mask_images(col_fn(self.piece(grading)))
+            cols = {"d": self.full.dcols, "i": self.id_iota}.get(kind)
+            piece = self.piece(grading)
+            got = self._cache[key] = _mask_images([1 << j if cols is None else cols[j] for j in piece])
         return got
 
-    def diff_images(self, grading: int) -> list[int]:
-        full = self.full
-        dst = full.piece(grading - full.D)
-        return self._images("d", grading, 0, lambda src: full.map_cols(full.cx.diff, src, dst))
-
-    def id_iota_images(self, grading: int) -> list[int]:
-        dst = self.full.piece(grading)
-        return self._images("i", grading, 0, lambda src: self.full.map_cols(self.id_iota, src, dst))
-
-    def upow_images(self, grading: int, m: int) -> list[int]:
-        """U^m of truncated-piece masks in full-piece coordinates (m = 0
-        re-expresses them)."""
-        return self._images("u", grading, m, lambda src: self.full.upow_cols(src, m)[0])
+    def torsion(self, grading: int) -> Echelon:
+        """The w in V_grading with U^N w a boundary: U^N keeps w's generator
+        bits, so these are the masks in im d at grading - 2ND."""
+        ech = self._torsion.get(grading)
+        if ech is None:
+            full = self.full
+            ech = self._torsion[grading] = Echelon(full.boundary_masks(grading - 2 * self.n_exp * full.D))
+        return ech
 
 
 def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResults:
     """Recompute (d, d_lower, d_upper) by exhaustive enumeration.
 
     Candidate elements are drawn from the graded pieces with U-exponents
-    below ``truncation``; maps are evaluated exactly (images keep full-piece
-    coordinates) and non-torsionness is tested against the full complex, so
-    every witness found is genuine.  truncation must be at least
-    torsion_exponent + number of generators, which makes the truncated
-    search exhaustive as well.
+    below ``truncation``; maps are evaluated exactly (images are generator
+    masks of the full complex) and non-torsionness is tested against the
+    full complex, so every witness found is genuine.  truncation must be
+    at least torsion_exponent + number of generators, which makes the
+    truncated search exhaustive as well.
     """
     with _call_ctx(ic.complex) as full:
         if check:
@@ -860,15 +806,14 @@ def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResul
         min_trunc = n_exp + len(ic.complex.generators)
         if truncation < min_trunc:
             raise ValidationError(f"truncation {truncation} too small; need at least {min_trunc}")
-        br = _BruteCtx(ic, full, truncation)
+        br = _BruteCtx(ic, full, truncation, n_exp)
         floor = _search_floor(full, summary, 0)
         gradings = full.candidate_gradings(floor)
-        torsionish = {g: Echelon(full.torsionish_masks(g, n_exp)) for g in gradings}
 
         d_val = None
         for g in gradings:
-            dim = br.piece(g).dim
-            dimg, femb, ws = br.diff_images(g), br.upow_images(g, 0), torsionish[g]
+            dim = len(br.piece(g))
+            dimg, femb, ws = br.images("d", g), br.images("u", g), br.torsion(g)
             if any(
                 dimg[mask] == 0 and not ws.contains(femb[mask]) for mask in range(1, 1 << dim)
             ):
@@ -879,9 +824,9 @@ def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResul
 
         lower_val = None
         for g in gradings:
-            dim = br.piece(g).dim
-            dimg, femb, ws = br.diff_images(g), br.upow_images(g, 0), torsionish[g]
-            iimg = br.id_iota_images(g)
+            dim = len(br.piece(g))
+            dimg, femb, ws = br.images("d", g), br.images("u", g), br.torsion(g)
+            iimg = br.images("i", g)
             bnd = Echelon(full.boundary_masks(g))
             found = False
             for mask in range(1, 1 << dim):
@@ -901,7 +846,7 @@ def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResul
         upper_val = None
         values = sorted({w for g in gradings for w in (g, g + full.D)}, reverse=True)
         for v in values:
-            if _brute_upper_at(br, v, truncation, n_exp):
+            if _brute_upper_at(br, v):
                 upper_val = v
                 break
         if upper_val is None:
@@ -909,24 +854,24 @@ def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResul
         return DResults(full.unscaled(d_val), full.unscaled(lower_val), full.unscaled(upper_val))
 
 
-def _brute_upper_at(br: _BruteCtx, v: int, truncation: int, n_exp: int) -> bool:
+def _brute_upper_at(br: _BruteCtx, v: int) -> bool:
     step = 2 * br.full.D
-    dx = br.piece(v - br.full.D).dim
-    dy = br.piece(v).dim
+    dx = len(br.piece(v - br.full.D))
+    dy = len(br.piece(v))
     if not (dx or dy):
         return False
-    ximg_i = br.id_iota_images(v - br.full.D)
-    yimg_d = br.diff_images(v)
+    ximg_i = br.images("i", v - br.full.D)
+    yimg_d = br.images("d", v)
+    # U^m moves no generator bit, so U^m x and U^m y have the masks of x, y
+    ximg_u, yimg_u = br.images("u", v - br.full.D), br.images("u", v)
     y_by_image: dict[int, list[int]] = {}
     for ymask in range(1 << dy):
         y_by_image.setdefault(yimg_d[ymask], []).append(ymask)
-    for m in range(truncation + 1):
-        dz = br.piece(v - m * step).dim
-        ws = Echelon(br.full.torsionish_masks(v - m * step, n_exp))
-        ximg_u = br.upow_images(v - br.full.D, m)
-        yimg_u = br.upow_images(v, m)
-        zimg_d = br.diff_images(v - m * step)
-        zimg_i = br.id_iota_images(v - m * step)
+    for m in range(br.truncation + 1):
+        dz = len(br.piece(v - m * step))
+        ws = br.torsion(v - m * step)
+        zimg_d = br.images("d", v - m * step)
+        zimg_i = br.images("i", v - m * step)
         z_by_image: dict[int, list[int]] = {}
         for zmask in range(1 << dz):
             z_by_image.setdefault(zimg_d[zmask], []).append(zmask)

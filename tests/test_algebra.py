@@ -7,6 +7,7 @@ from cablecalc.algebra import (
     BitMatrix,
     Echelon,
     format_rational,
+    kernel,
     parse_rational,
 )
 
@@ -96,13 +97,25 @@ def test_nullspace():
             for r in rows:
                 assert bin(r & v).count("1") % 2 == 0
         # basis is independent
-        assert BitMatrix.from_columns(basis, n).rank() == len(basis)
+        assert Echelon(basis).rank == len(basis)
 
 
-def test_from_columns_transpose():
-    cols = [0b01, 0b11]
-    mat = BitMatrix.from_columns(cols, 2)
-    assert mat.rows == [0b11, 0b10]
+def test_kernel():
+    # the dependencies among random columns: each picks columns summing to
+    # 0, they are independent, and there are (columns - rank) of them
+    rng = random.Random(13)
+    for _ in range(300):
+        k, n = rng.randint(0, 9), rng.randint(1, 7)
+        cols = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(k)]
+        basis = kernel(cols)
+        for x in basis:
+            acc = 0
+            for j, c in enumerate(cols):
+                if x >> j & 1:
+                    acc ^= c
+            assert x and acc == 0
+        assert Echelon(basis).rank == len(basis) == k - Echelon(cols).rank
+    assert kernel([0b01, 0b11, 0b10, 0]) == [0b0111, 0b1000]
 
 
 def test_echelon_membership():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cablecalc.algebra import BitMatrix, Echelon
+from cablecalc.algebra import Echelon, kernel
 from cablecalc.errors import InternalCheckError, ValidationError
 from cablecalc import iota
 from cablecalc.iota import (
@@ -223,13 +223,12 @@ def _check_homology_by_ranks(ic):
     free, torsion = iota._homology(cx)
     ctx = iota._PieceCtx(cx)
     n_exp = max((e for _, e in torsion), default=0)
-    gradings = ctx.candidate_gradings(min(ctx.gr.values()) - 2 * ctx.D * (n_exp + 2))
+    gradings = ctx.candidate_gradings(min(ctx.gr) - 2 * ctx.D * (n_exp + 2))
     predicted = _predicted_dims(ctx, free, torsion, gradings)
     for g in gradings:
         piece = ctx.piece(g)
-        cols, dst = ctx.diff_cols(piece)
-        cycles = piece.dim - BitMatrix.from_columns(cols, dst.dim).rank()
-        boundaries = BitMatrix.from_columns(ctx.boundary_masks(g), piece.dim).rank()
+        cycles = len(piece) - Echelon(ctx.dcols[j] for j in piece).rank
+        boundaries = Echelon(ctx.boundary_masks(g)).rank
         assert cycles - boundaries == predicted[g], (ic, ctx.unscaled(g))
 
 
@@ -326,7 +325,7 @@ def _per_m_d_upper(ic, m_max):
     d = ctx.scaled(summary.free_grading)
     gradings = ctx.candidate_gradings(d - D)
     values = sorted({v for g in gradings for v in (g, g + D) if v > d}, reverse=True)
-    id_iota = iota._id_plus_iota(ic)
+    id_iota = iota._id_plus_iota(ctx, ic)
     for v in values:
         if any(iota._upper_witness_at(ctx, id_iota, v, m) for m in range(m_max + 1)):
             return Fraction(v, D)
@@ -347,7 +346,7 @@ def test_d_upper_needs_a_positive_u_power_on_dual_model():
         ic = shift(dual_model(), r)
         ctx = iota._PieceCtx(ic.complex)
         assert ctx.D == scale
-        id_iota = iota._id_plus_iota(ic)
+        id_iota = iota._id_plus_iota(ctx, ic)
         top = d_upper(ic)
         assert top == 2 + r
         assert not iota._upper_witness_at(ctx, id_iota, ctx.scaled(top), 0)
@@ -449,23 +448,24 @@ def test_class_search_matches_brute_oracle_on_fractional_gradings():
 
 
 def _check_phi_on_cycles(ic):
-    """phi(w) = 1 exactly when w is not U^N-torsion (torsionish_masks, the
-    brute oracle's route), on every cycle w of every piece of d's class from
-    the top of the class down to the search window's floor."""
+    """phi(w) = 1 exactly when w is not U^N-torsion (the brute oracle's
+    test), on every cycle w of every piece of d's class from the top of the
+    class down to the search window's floor."""
     summary = homology_summary(ic, check=False)
     ctx = iota._PieceCtx(ic.complex)
     n, step = summary.torsion_exponent, 2 * ctx.D
+    brute = iota._BruteCtx(ic, ctx, n + len(ctx.gr), n)
     d = ctx.scaled(summary.free_grading)
-    top = max(g for g in ctx.gr.values() if (g - d) % step == 0)
+    top = max(g for g in ctx.gr if (g - d) % step == 0)
     non_torsion = 0
     for g in range(top, iota._search_floor(ctx, summary, 0) - 1, -step):
         piece = ctx.piece(g)
-        cols, dst = ctx.diff_cols(piece)
-        torsion = Echelon(ctx.torsionish_masks(g, n))
-        phi = ctx.phi_mask(piece)
-        for w in iota._mask_images(BitMatrix.from_columns(cols, dst.dim).nullspace()):
+        torsion = brute.torsion(g)
+        cycles = kernel([ctx.dcols[j] for j in piece])
+        for s in iota._mask_images(cycles):
+            w = sum(1 << j for t, j in enumerate(piece) if s >> t & 1)
             outside = not torsion.contains(w)
-            assert (w & phi).bit_count() & 1 == outside, (complex_to_dict(ic), g, w)
+            assert (w & ctx.phi).bit_count() & 1 == outside, (complex_to_dict(ic), g, w)
             non_torsion += outside
     assert non_torsion, complex_to_dict(ic)
 
@@ -482,6 +482,49 @@ def test_free_cocycle_detects_exactly_the_non_torsion_cycles():
     cases += [tensor(dual_model(), random_iota_complex(seed)) for seed in range(40)]
     for ic in cases:
         _check_phi_on_cycles(ic)
+
+
+def _check_columns_against_terms(ic) -> int:
+    """In every piece of the search window, the column images of each
+    element U^k x under d, id+iota and U^m are the (generator, U-exponent)
+    images that apply_map and elt_shift give."""
+    cx = ic.complex
+    ctx = iota._PieceCtx(cx)
+    id_iota = iota._id_plus_iota(ctx, ic)
+    step = 2 * ctx.D
+
+    def element_at(mask, grading):
+        # the element a generator mask stands for at a grading
+        terms = []
+        for i, g in enumerate(cx.generators):
+            if mask >> i & 1:
+                k, r = divmod(ctx.gr[i] - grading, step)
+                assert r == 0 and k >= 0, (g, grading)
+                terms.append((g, k))
+        return frozenset(terms)
+
+    checked = 0
+    for g in ctx.candidate_gradings(iota._search_floor(ctx, homology_summary(ic, check=False), 0)):
+        for j in ctx.piece(g):
+            x = element_at(1 << j, g)
+            assert iota.apply_map(cx.diff, x) == element_at(ctx.dcols[j], g - ctx.D), (ic, g, x)
+            assert iota.apply_map(ic.iota, x) ^ x == element_at(id_iota[j], g), (ic, g, x)
+            for m in range(4):
+                assert iota.elt_shift(x, m) == element_at(1 << j, g - m * step), (ic, g, x)
+            checked += 1
+    return checked
+
+
+def test_columns_match_term_images():
+    cases = []
+    for seed in range(200):
+        ic = random_iota_complex(seed)
+        cases += [ic, shift(ic, Fraction(1, 3))]
+    for j in range(40):
+        cases.append(tensor(random_iota_complex(2 * j, max_order=4), random_iota_complex(2 * j + 1, max_order=4)))
+    cases += [tensor(dual_model(), random_iota_complex(seed)) for seed in range(20)]
+    cases.append(tensor(dual_model(), dual_model()))
+    assert sum(_check_columns_against_terms(ic) for ic in cases) > 5000
 
 
 def test_free_cocycle_is_kept_on_the_complex():
@@ -591,6 +634,87 @@ def _invalid_models():
 
 def _report(ic):
     return [(c.name, c.ok, c.detail) for c in validate(ic).checks]
+
+
+def _broken_variants(ic, k):
+    """Three one-term edits of ic, keyed by k: a term of the right degree
+    toggled in d, one toggled in iota, and one with its U-exponent off by one
+    toggled in iota or d.  Source and target run over the generators."""
+    cx = ic.complex
+    gens = cx.generators
+    n = len(gens)
+    src, dst = gens[k % n], gens[(3 * k + 1) % n]
+    out = []
+    for degree, into_iota, slip in ((-1, False, 0), (0, True, 0), (-1 + (k % 2), k % 2 == 1, 1)):
+        e = (cx.grading[dst] - cx.grading[src] - degree) / 2
+        e = (int(e) if e.denominator == 1 and e >= 0 else 0) + slip
+        diff, inv = dict(cx.diff), dict(ic.iota)
+        mp = inv if into_iota else diff
+        mp[src] = mp.get(src, frozenset()) ^ {(dst, e)}
+        out.append(IotaComplex(GradedComplex([(g, cx.grading[g]) for g in gens], diff), inv))
+    return out
+
+
+def _validate_sweep():
+    # x -> y + U z, y -> w, z -> w: d fails its degree check, and d^2 = w + U w
+    # is nonzero only when the U-exponents are kept
+    degree_and_square = GradedComplex(
+        [("x", 1), ("y", 0), ("z", 0), ("w", -1)],
+        {"x": [("y", 0), ("z", 1)], "y": [("w", 0)], "z": [("w", 0)]},
+    )
+    not_square_zero = GradedComplex([("a", 0), ("b", 1), ("c", 2)], {"c": [("b", 0)], "b": [("a", 0)]})
+    strict = tensor(torsion_model(1), torsion_model(1), sep=".")
+    strict = IotaComplex(strict.complex, {**strict.iota, "b.b": strict.iota["b.b"] ^ {("a.c", 1)}})
+    cases = all_fixtures() + [tensor(dual_model(), dual_model()), figure_eight_complex(), strict]
+    cases += list(_invalid_models())
+    cases += [IotaComplex(cx, {g: [(g, 0)] for g in cx.generators}) for cx in (degree_and_square, not_square_zero)]
+    for seed in range(120):
+        ic = random_iota_complex(seed, max_order=4)
+        cases += [ic, shift(ic, Fraction(1, 3))] + _broken_variants(ic, seed)
+    for j in range(12):
+        a, b = random_iota_complex(2 * j, max_order=4), random_iota_complex(2 * j + 1, max_order=4)
+        prod = tensor(a, b)
+        cases += [prod] + _broken_variants(prod, j)
+    return cases
+
+
+def _validate_reports() -> bytes:
+    lines = []
+    for i, ic in enumerate(_validate_sweep()):
+        lines += [f"{i} {name} {ok} {detail}" for name, ok, detail in _report(ic)]
+    return "\n".join(lines).encode()
+
+
+# sha256 of _validate_reports(), recorded with the engine that checked
+# degrees and d^2 on (generator, U-exponent) terms and solved for a homotopy
+# H with dH + Hd = iota^2 + id on every complex whose structure checks pass
+PINNED_VALIDATE_SHA256 = "d94873b77a58e35d4703931aa24b8f61bc88bad9f87f2c7ec3e102cfa7263512"
+
+
+def test_validate_reports_match_pinned_digest():
+    cases = _validate_sweep()
+    reports = [validate(ic) for ic in cases]
+    failing = {c.name for r in reports for c in r.checks if not c.ok and "not checked" not in c.detail}
+    names = {c.name for c in reports[0].checks}
+    assert failing == names, names - failing
+    exact = [ic for ic, r in zip(cases, reports) if r.ok and all(
+        iota.apply_map(ic.iota, ic.iota.get(g, frozenset())) == {(g, 0)} for g in ic.complex.generators)]
+    assert 0 < len(exact) < sum(r.ok for r in reports)
+    assert hashlib.sha256(_validate_reports()).hexdigest() == PINNED_VALIDATE_SHA256
+
+
+def test_unchecked_calls_refuse_an_iota_of_the_wrong_degree():
+    # dual_model with iota(a) = U a (an exponent one too high) and with
+    # iota(a) = a + b (b lies in the other grading class mod 2): each call
+    # with check=False must raise, not return an answer for a non-complex
+    base = dual_model()
+    for src, terms in (("a", [("a", 1)]), ("a", [("a", 0), ("b", 0)])):
+        ic = IotaComplex(base.complex, {**base.iota, src: terms})
+        assert any(c.name == "iota-degree" and not c.ok for c in validate(ic).checks)
+        calls = (d_results, d_lower, d_upper, lambda ic, check: brute_oracle(ic, truncation=5, check=check))
+        for call in calls:
+            with pytest.raises(InternalCheckError):
+                call(ic, check=False)
 
 
 def test_shift_covariance():
