@@ -3,19 +3,20 @@
 Rationals are stdlib ``fractions.Fraction`` (already exact, lowest terms,
 positive denominator); this module only adds the string forms used by the
 JSON interfaces.  GF(2) vectors are ints used as bitmasks (bit j = coordinate
-j) and matrices are lists of row masks, so all elimination is word-parallel.
+j), so all elimination is word-parallel.  There are two eliminators: Echelon
+keeps a basis of a span and answers span membership, and kernel gives the
+dependencies among a list of columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 __all__ = [
     "Fraction",
     "parse_rational",
     "format_rational",
-    "BitMatrix",
     "Echelon",
     "kernel",
 ]
@@ -37,86 +38,6 @@ def format_rational(r: Fraction | int) -> str:
     ``str`` is the whole conversion.
     """
     return str(r)
-
-
-class BitMatrix:
-    """GF(2) matrix with bit-packed rows (bit j of rows[i] = entry (i, j))."""
-
-    __slots__ = ("rows", "n_cols")
-
-    def __init__(self, rows: Iterable[int], n_cols: int):
-        self.rows = list(rows)
-        self.n_cols = n_cols
-        mask = (1 << n_cols) - 1
-        for r in self.rows:
-            if r < 0 or r & ~mask:
-                raise ValueError("row has bits outside the column range")
-
-    def rank(self) -> int:
-        ech = Echelon()
-        for r in self.rows:
-            ech.add(r)
-        return ech.rank
-
-    def _reduced_echelon(self, extra: int = 0) -> dict[int, int]:
-        """Reduced row echelon form as pivot column -> row.
-
-        Each row's lowest set bit is its pivot column, and no row has a bit
-        at another row's pivot column.  Bit i of ``extra`` rides along as
-        column n_cols of row i (the right side of a system); a row left
-        with only that bit is stored under pivot n_cols.
-        """
-        n = self.n_cols
-        piv: dict[int, int] = {}
-        for i, r in enumerate(self.rows):
-            r |= (extra >> i & 1) << n
-            while r:
-                c = (r & -r).bit_length() - 1
-                p = piv.get(c)
-                if p is None:
-                    piv[c] = r
-                    break
-                r ^= p
-        pivmask = 0
-        for c in piv:
-            pivmask |= 1 << c
-        # clear each row's other pivot columns, highest pivot first, so the
-        # rows it is reduced by are already reduced
-        for c in sorted(piv, reverse=True):
-            r = piv[c]
-            x = r & pivmask & ~(1 << c)
-            while x:
-                r ^= piv[(x & -x).bit_length() - 1]
-                x &= x - 1
-            piv[c] = r
-        return piv
-
-    def solve(self, b: int) -> Optional[int]:
-        """One solution x (bitmask over columns) of A x = b, or None.
-
-        b is a bitmask over rows; free variables are set to 0.
-        """
-        n = self.n_cols
-        piv = self._reduced_echelon(b)
-        if n in piv:
-            return None
-        x = 0
-        for c, r in piv.items():
-            if r >> n & 1:
-                x |= 1 << c
-        return x
-
-    def nullspace(self) -> list[int]:
-        """Basis (bitmasks over columns) of {x : A x = 0}, one vector per
-        non-pivot column c, with bit c set and no other non-pivot bit."""
-        piv = self._reduced_echelon()
-        basis = {c: 1 << c for c in range(self.n_cols) if c not in piv}
-        for pc, r in piv.items():
-            x = r & ~(1 << pc)
-            while x:
-                basis[(x & -x).bit_length() - 1] |= 1 << pc
-                x &= x - 1
-        return list(basis.values())
 
 
 class Echelon:

@@ -28,8 +28,10 @@ when it returns; the public calls it makes on the same complex (d_results
 call.  The columns of id+iota are built by each call that needs them.
 
 validate checks d, iota and their composites on the columns.  When
-iota^2 = id exactly, H = 0 is the homotopy from iota^2 to id; only
-otherwise does it solve for one.
+iota^2 = id exactly, H = 0 is the homotopy from iota^2 to id.  Otherwise
+it decides by span membership whether some H has dH + Hd = iota^2 + id:
+each entry of H gives one bit column, the entries of dH + Hd it reaches,
+and iota^2 + id must lie in their span.  It never solves for H.
 
 Homology comes from one valuation-greedy reduction of d: each pivot has the
 least U-exponent left, which keeps every entry a monomial and each column
@@ -46,16 +48,18 @@ cycle, which lives only in a grading d - 2kD, so they scan only d's class
 mod 2D.  Non-torsion is read off one free cocycle: H(C)/torsion = F2[U], so
 with U = 1 a cocycle phi, a set S of generators in d's class, is nonzero on
 a cycle exactly when the cycle is non-torsion, and on a piece the test is
-the parity of the cycle's bits on S.  S is found once per complex and kept
-on it next to the homology.  No non-torsion cycle lies above d, so d_lower
-scans from d down to the window's floor.  d_upper's witnesses with x = 0
-are exactly the non-torsion cycles at v (phi o (id+iota) vanishes on
-cycles, as iota is the identity on localized homology), which exist just
-when v <= d, so d_upper scans only v > d and is d when none has a witness.
+the parity of the cycle's bits on S.  S is a kernel vector of d's block
+from B = d's class + D into d's class, transposed, and is kept on the
+complex as a generator mask next to the homology.  No non-torsion cycle
+lies above d, so d_lower scans from d down to the window's floor.
+d_upper's witnesses with x = 0 are exactly the non-torsion cycles at v
+(phi o (id+iota) vanishes on cycles, as iota is the identity on localized
+homology), which exist just when v <= d, so d_upper scans only v > d and is
+d when none has a witness.
 brute_oracle re-derives all three invariants by exhaustive enumeration over
-a U-truncated model, with its own non-torsion test (U^N w is a boundary,
-which in generator coordinates is w in im d at the grading 2ND lower), and
-is used to cross-check.
+every subset of whole graded pieces, with its own non-torsion test (U^N w
+is a boundary, which in generator coordinates is w in im d at the grading
+2ND lower), and is used to cross-check.
 """
 
 from __future__ import annotations
@@ -65,11 +69,10 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .algebra import BitMatrix, Echelon, format_rational, kernel, parse_rational
+from .algebra import Echelon, format_rational, kernel, parse_rational
 from .errors import InternalCheckError, ValidationError
 
 __all__ = [
@@ -164,7 +167,7 @@ class GradedComplex:
         self.grading: dict[str, Fraction] = {str(n): Fraction(g) for n, g in generators}
         self.diff: dict[str, Element] = _clean_map(self.generators, diff, "differential")
         self._hom = None  # set once by _homology
-        self._phi = None  # set once by _free_cocycle
+        self._phi = None  # generator mask, set once by _free_cocycle
 
     def __repr__(self) -> str:
         return f"GradedComplex({len(self.generators)} generators)"
@@ -207,7 +210,6 @@ class _PieceCtx:
             self.classes.setdefault(gi % (2 * scale), []).append((i, gi))
         self._pieces: dict[int, list[int]] = {}
         self._d: Optional[tuple[list[int], Optional[str], Optional[str]]] = None
-        self._phi: Optional[int] = None
 
     def scaled(self, q: Fraction) -> int:
         return q.numerator * (self.D // q.denominator)
@@ -247,18 +249,9 @@ class _PieceCtx:
         dcols = self.dcols
         return [dcols[j] for j in self.piece(grading + self.D) if dcols[j]]
 
-    @property
-    def phi(self) -> int:
-        """The free cocycle's support S as a generator mask: a cycle w in d's
-        class is non-torsion iff |w & phi| is odd."""
-        if self._phi is None:
-            support = _free_cocycle(self)
-            self._phi = sum(1 << i for i, g in enumerate(self.cx.generators) if g in support)
-        return self._phi
-
     def phi_mask(self, piece: list[int]) -> int:
         """The bits of phi in the piece's own coordinates."""
-        phi = self.phi
+        phi = _free_cocycle(self)
         return sum(1 << t for t, j in enumerate(piece) if phi >> j & 1)
 
     def candidate_gradings(self, floor: int) -> list[int]:
@@ -288,12 +281,9 @@ def _call_ctx(cx: GradedComplex) -> Iterator[_PieceCtx]:
         _CALL_CTX.reset(token)
 
 
-def _piece_for(ctx: _PieceCtx, grading: int, truncation: Optional[int] = None) -> list[int]:
-    """Generators of V_grading, with U-exponent below truncation if given."""
-    cls = ctx.classes.get(grading % (2 * ctx.D), ())
-    if truncation is None:
-        return [i for i, gi in cls if gi >= grading]
-    return [i for i, gi in cls if grading <= gi < grading + 2 * ctx.D * truncation]
+def _piece_for(ctx: _PieceCtx, grading: int) -> list[int]:
+    """Generators of V_grading."""
+    return [i for i, gi in ctx.classes.get(grading % (2 * ctx.D), ()) if gi >= grading]
 
 
 def _columns(ctx: _PieceCtx, mp: Mapping[str, Element], degree: int) -> tuple[list[int], Optional[str]]:
@@ -370,29 +360,34 @@ def _iota_squared_homotopic(ctx: _PieceCtx, icols: list[int]) -> bool:
     """Whether some degree +1 map H has dH + Hd = iota^2 + id.
 
     Unknowns are the admissible entries of H: y in H(x) needs y in the
-    piece V_{gr(x)+D}.  Every term of the equation has degree 0, so one
-    equation stands for each entry (w, g), generator g in the image of w.
+    piece V_{gr(x)+D}.  Every term of the equation has degree 0, so each
+    entry (w, g), generator g in the image of w, is one coordinate,
+    numbered in order of first use.  An unknown's column is the entries of
+    dH + Hd it reaches, and H exists just when iota^2 + id lies in the
+    span of the columns.
     """
     n, dcols = len(ctx.gr), ctx.dcols
-    targets = [ctx.piece(ctx.gr[x] + ctx.D) for x in range(n)]
-    # unknown (x, y) is number first[x] + (place of y in targets[x])
-    first = list(accumulate((len(t) for t in targets), initial=0))
-    rows: dict[int, int] = {}  # entry w * n + g -> the unknowns in it
+    preds: list[list[int]] = [[] for _ in range(n)]  # x -> the w with x in d(w)
     for w in range(n):
-        # dH(w) has d(y) for each unknown (w, y); Hd(w) has y for each
-        # unknown (x, y) with x in d(w)
-        terms = [(first[w] + t, g) for t, y in enumerate(targets[w]) for g in _bits(dcols[y])]
-        terms += [(first[x] + t, y) for x in _bits(dcols[w]) for t, y in enumerate(targets[x])]
-        for j, g in terms:
-            rows[w * n + g] = rows.get(w * n + g, 0) ^ 1 << j
-    order = {key: r for r, key in enumerate(rows)}
+        for x in _bits(dcols[w]):
+            preds[x].append(w)
+    order: dict[int, int] = {}  # entry w * n + g -> its coordinate
+    span = Echelon()
+    for x in range(n):
+        for y in ctx.piece(ctx.gr[x] + ctx.D):
+            # (x, y) puts d(y) into dH(x), and y into Hd(w) for each w
+            # with x in d(w)
+            col = 0
+            for key in [x * n + g for g in _bits(dcols[y])] + [w * n + y for w in preds[x]]:
+                col ^= 1 << order.setdefault(key, len(order))
+            span.add(col)
     rhs = 0
     for w in range(n):
         for g in _bits(_image(icols, icols[w]) ^ 1 << w):
             if w * n + g not in order:
                 return False  # an entry of iota^2 + id that no H reaches
             rhs |= 1 << order[w * n + g]
-    return BitMatrix(rows.values(), first[-1]).solve(rhs) is not None
+    return span.contains(rhs)
 
 
 def validate(ic: IotaComplex) -> ValidationReport:
@@ -494,15 +489,18 @@ def _reduce_homology(cx: GradedComplex) -> tuple[tuple[Fraction, ...], tuple[tup
         return free, tuple((ctx.unscaled(s), e) for s, e in torsion)
 
 
-def _free_cocycle(ctx: _PieceCtx) -> frozenset[str]:
+def _free_cocycle(ctx: _PieceCtx) -> int:
     """Support S of a cocycle phi: C -> F2 that is nonzero on the free class,
-    computed on first use and kept on the complex.
+    as a generator mask, computed on first use and kept on the complex.  A
+    cycle w in d's class is non-torsion iff |w & phi| is odd.
 
     With U = 1 a complex of rank-one localized homology has homology F2, in
     the class A of d mod 2D, so phi is a functional on the generators of A
     that kills d of the class B = A + D (a cocycle) and is not psi o d for
     a functional psi on B (a coboundary).  A homogeneous cycle is torsion
     iff its U = 1 image is a boundary, so phi tells the two kinds apart.
+    Any cocycle that is not a coboundary will do: two such functionals
+    differ by a coboundary, and a coboundary vanishes on cycles.
     """
     cx = ctx.cx
     if cx._phi is None:
@@ -511,14 +509,13 @@ def _free_cocycle(ctx: _PieceCtx) -> frozenset[str]:
         d = ctx.scaled(free[0])
         cls_a = [a for a, _ in ctx.classes[d % step]]
         cls_b = [b for b, _ in ctx.classes.get((d + ctx.D) % step, ())]
-        outside_a = (1 << len(dcols)) - 1 - sum(1 << a for a in cls_a)
         # psi o d for psi the indicator of b: the a whose d(a) has b, with U = 1
         exact = Echelon(sum(1 << a for a in cls_a if dcols[a] >> b & 1) for b in cls_b)
-        # phi kills d(b) for every b in B; the nullspace also has the
-        # generators outside A, where no d(b) reaches
-        for phi in BitMatrix((dcols[b] for b in cls_b), len(dcols)).nullspace():
-            if not phi & outside_a and not exact.contains(phi):
-                cx._phi = frozenset(cx.generators[a] for a in cls_a if phi >> a & 1)
+        # the cocycles on A: the sets of a that meet every d(b) evenly
+        for s in kernel(sum(1 << b for b in cls_b if dcols[b] >> a & 1) for a in cls_a):
+            phi = sum(1 << a for t, a in enumerate(cls_a) if s >> t & 1)
+            if not exact.contains(phi):
+                cx._phi = phi
                 break
         else:
             raise InternalCheckError("localized homology has no free cocycle")
@@ -648,7 +645,7 @@ def _upper_witness_at(ctx: _PieceCtx, id_iota: list[int], v: int, m: int) -> boo
         return False
     # phi(U^m y + (id+iota) z) as a functional on the unknowns (x, y, z):
     # phi reads generators only, so phi(U^m y) = phi(y)
-    phi, offset = ctx.phi, len(px) + len(py)
+    phi, offset = _free_cocycle(ctx), len(px) + len(py)
     row = ctx.phi_mask(py) << len(px)
     for t, j in enumerate(pz):
         row |= ((id_iota[j] & phi).bit_count() & 1) << (offset + t)
@@ -736,7 +733,7 @@ def tensor(a: IotaComplex, b: IotaComplex, sep: str = "|") -> IotaComplex:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle over the U-truncated model
+# brute-force oracle
 
 
 def _mask_images(cols: Sequence[int]) -> list[int]:
@@ -749,32 +746,26 @@ def _mask_images(cols: Sequence[int]) -> list[int]:
 
 
 class _BruteCtx:
-    """Mask-enumeration helpers: sources are U-truncated pieces, images are
-    generator masks of the full complex, so nothing is lost."""
+    """Mask-enumeration helpers: sources are the whole pieces of the call's
+    piece context, images are generator masks of the complex, so nothing is
+    lost.  truncation is the highest U-power d_upper's triples try."""
 
     def __init__(self, ic: IotaComplex, full: _PieceCtx, truncation: int, n_exp: int):
         self.full = full
         self.truncation = truncation
         self.n_exp = n_exp
         self.id_iota = _id_plus_iota(full, ic)
-        self._pieces: dict[int, list[int]] = {}
         self._cache: dict[tuple[str, int], list[int]] = {}
         self._torsion: dict[int, Echelon] = {}
 
-    def piece(self, grading: int) -> list[int]:
-        p = self._pieces.get(grading)
-        if p is None:
-            p = self._pieces[grading] = _piece_for(self.full, grading, self.truncation)
-        return p
-
     def images(self, kind: str, grading: int) -> list[int]:
-        """Images of every subset mask of the truncated piece under d ("d"),
-        id+iota ("i") or U^m ("u", the subsets' own generator masks)."""
+        """Images of every subset mask of the piece under d ("d"), id+iota
+        ("i") or U^m ("u", the subsets' own generator masks)."""
         key = (kind, grading)
         got = self._cache.get(key)
         if got is None:
             cols = {"d": self.full.dcols, "i": self.id_iota}.get(kind)
-            piece = self.piece(grading)
+            piece = self.full.piece(grading)
             got = self._cache[key] = _mask_images([1 << j if cols is None else cols[j] for j in piece])
         return got
 
@@ -791,12 +782,13 @@ class _BruteCtx:
 def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResults:
     """Recompute (d, d_lower, d_upper) by exhaustive enumeration.
 
-    Candidate elements are drawn from the graded pieces with U-exponents
-    below ``truncation``; maps are evaluated exactly (images are generator
-    masks of the full complex) and non-torsionness is tested against the
-    full complex, so every witness found is genuine.  truncation must be
-    at least torsion_exponent + number of generators, which makes the
-    truncated search exhaustive as well.
+    Candidate elements are every subset of a whole graded piece, so a
+    cycle that needs a high U-power of a generator far above it is found.
+    Maps are evaluated exactly (images are generator masks of the complex)
+    and non-torsionness is tested against the complex, so every witness
+    found is genuine.  ``truncation`` bounds only d_upper's U-power: its
+    triples are tried at every m <= truncation, which must be at least
+    torsion_exponent + number of generators, d_upper's own default.
     """
     with _call_ctx(ic.complex) as full:
         if check:
@@ -812,7 +804,7 @@ def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResul
 
         d_val = None
         for g in gradings:
-            dim = len(br.piece(g))
+            dim = len(full.piece(g))
             dimg, femb, ws = br.images("d", g), br.images("u", g), br.torsion(g)
             if any(
                 dimg[mask] == 0 and not ws.contains(femb[mask]) for mask in range(1, 1 << dim)
@@ -824,7 +816,7 @@ def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResul
 
         lower_val = None
         for g in gradings:
-            dim = len(br.piece(g))
+            dim = len(full.piece(g))
             dimg, femb, ws = br.images("d", g), br.images("u", g), br.torsion(g)
             iimg = br.images("i", g)
             bnd = Echelon(full.boundary_masks(g))
@@ -855,20 +847,21 @@ def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResul
 
 
 def _brute_upper_at(br: _BruteCtx, v: int) -> bool:
-    step = 2 * br.full.D
-    dx = len(br.piece(v - br.full.D))
-    dy = len(br.piece(v))
+    full = br.full
+    step = 2 * full.D
+    dx = len(full.piece(v - full.D))
+    dy = len(full.piece(v))
     if not (dx or dy):
         return False
-    ximg_i = br.images("i", v - br.full.D)
+    ximg_i = br.images("i", v - full.D)
     yimg_d = br.images("d", v)
     # U^m moves no generator bit, so U^m x and U^m y have the masks of x, y
-    ximg_u, yimg_u = br.images("u", v - br.full.D), br.images("u", v)
+    ximg_u, yimg_u = br.images("u", v - full.D), br.images("u", v)
     y_by_image: dict[int, list[int]] = {}
     for ymask in range(1 << dy):
         y_by_image.setdefault(yimg_d[ymask], []).append(ymask)
     for m in range(br.truncation + 1):
-        dz = len(br.piece(v - m * step))
+        dz = len(full.piece(v - m * step))
         ws = br.torsion(v - m * step)
         zimg_d = br.images("d", v - m * step)
         zimg_i = br.images("i", v - m * step)

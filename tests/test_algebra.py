@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from cablecalc.algebra import (
-    BitMatrix,
     Echelon,
     format_rational,
     kernel,
@@ -39,65 +38,33 @@ def test_format_rational_of_int_and_fraction():
     assert format_rational(Fraction(10, 5)) == "2"
 
 
-def test_solve_identity():
-    rows = [0b001, 0b010, 0b100]
-    assert BitMatrix(rows, 3).solve(0b101) == 0b101
-
-
-def test_solve_inconsistent():
-    # x0 = 0 and x0 = 1
-    assert BitMatrix([0b1, 0b1], 1).solve(0b10) is None
-
-
-def test_solve_random_systems():
+def test_echelon_contains_images_of_random_systems():
+    # b = A x lies in the span of A's columns, whatever x is, and a random
+    # right side lies in it just when some x solves A x = b
+    assert Echelon([0b001, 0b010, 0b100]).contains(0b101)
     rng = random.Random(11)
     for _ in range(300):
         m, n = rng.randint(1, 8), rng.randint(1, 8)
-        rows = [rng.getrandbits(n) for _ in range(m)]
-        x_true = rng.getrandbits(n)
-        b = 0
-        for i, r in enumerate(rows):
-            if bin(r & x_true).count("1") & 1:
-                b |= 1 << i
-        x = BitMatrix(rows, n).solve(b)
-        assert x is not None
-        for i, r in enumerate(rows):
-            assert (bin(r & x).count("1") & 1) == (b >> i & 1)
+        cols = [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(n)]
+        images = set()
+        for x in range(1 << n):
+            b = 0
+            for j, c in enumerate(cols):
+                if x >> j & 1:
+                    b ^= c
+            images.add(b)
+        span = Echelon(cols)
+        assert all(span.contains(b) for b in images)
+        assert span.rank == len(images).bit_length() - 1
+        b = rng.getrandbits(m)
+        assert span.contains(b) == (b in images)
 
 
-def test_solve_sets_free_variables_to_zero():
-    # each nullspace vector carries exactly one free column, its top bit;
-    # solve must leave all of those columns at 0
-    rng = random.Random(14)
-    for _ in range(300):
-        m, n = rng.randint(1, 8), rng.randint(1, 8)
-        mat = BitMatrix([rng.getrandbits(n) & rng.getrandbits(n) for _ in range(m)], n)
-        free = 0
-        for v in mat.nullspace():
-            free |= 1 << (v.bit_length() - 1)
-        assert bin(free).count("1") == n - mat.rank()
-        x = mat.solve(0)
-        assert x == 0
-        x_true, b = rng.getrandbits(n), 0
-        for i, r in enumerate(mat.rows):
-            b |= (bin(r & x_true).count("1") & 1) << i
-        x = mat.solve(b)
-        assert x is not None and x & free == 0
-
-
-def test_nullspace():
-    rng = random.Random(12)
-    for _ in range(200):
-        m, n = rng.randint(1, 7), rng.randint(1, 7)
-        rows = [rng.getrandbits(n) for _ in range(m)]
-        mat = BitMatrix(rows, n)
-        basis = mat.nullspace()
-        assert len(basis) == n - mat.rank()
-        for v in basis:
-            for r in rows:
-                assert bin(r & v).count("1") % 2 == 0
-        # basis is independent
-        assert Echelon(basis).rank == len(basis)
+def test_echelon_rejects_inconsistent_system():
+    # x0 = 0 and x0 = 1: the one column has both equations, the right side
+    # only the second
+    assert not Echelon([0b11]).contains(0b10)
+    assert Echelon([0b11]).contains(0b11)
 
 
 def test_kernel():

@@ -1,10 +1,12 @@
 """Static checks on the package source.
 
 Internal checks must survive ``python -O``, which strips assert statements,
-and no memo may grow for the life of the process.
+no memo may grow for the life of the process, and the package needs nothing
+outside the standard library.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import cablecalc
@@ -57,3 +59,23 @@ def test_unbounded_cache_detector():
     for src in ("@lru_cache\ndef f(): pass", "@functools.lru_cache(maxsize=256)\ndef f(): pass",
                 "@lru_cache(64)\ndef f(): pass", "@property\ndef f(): pass"):
         assert not unbounded_cache(decorators(src)[0]), src
+
+
+def test_package_imports_only_the_standard_library():
+    # zero runtime dependencies: every absolute import names a stdlib
+    # module or the package itself
+    allowed = sys.stdlib_module_names | {"cablecalc"}
+    found = []
+    for path, tree in parsed_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.partition(".")[0] not in allowed]
+    assert not found, f"imports outside the standard library: {found}"
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = pyproject.partition("\n[project]\n")[2].partition("\n[")[0]
+    assert "\ndependencies = []\n" in f"\n{project}\n", "the [project] table must keep dependencies = []"

@@ -9,6 +9,7 @@ from cablecalc.algebra import Echelon, kernel
 from cablecalc.errors import InternalCheckError, ValidationError
 from cablecalc import iota
 from cablecalc.iota import (
+    DResults,
     GradedComplex,
     IotaComplex,
     brute_oracle,
@@ -128,23 +129,59 @@ def test_validate_catches_rank_two():
     assert any(c.name == "localized-rank-one" and not c.ok for c in report.checks)
 
 
-def test_validate_accepts_strict_homotopy_involution():
-    # perturb the tensor-square involution by d G + G d (G: bb -> ab); the
-    # result squares to id only up to homotopy, never on the nose.
+def strict_model() -> IotaComplex:
+    """The tensor square of torsion_model(1) with its involution perturbed
+    by d G + G d (G: b.b -> a.c): it squares to id only up to homotopy,
+    never on the nose."""
     ic = tensor(torsion_model(1), torsion_model(1), sep=".")
-    pert = dict(ic.iota)
-    name = "b.b"
-    pert[name] = pert.get(name, frozenset()) ^ frozenset([("a.c", 1)])
-    ic2 = IotaComplex(ic.complex, pert)
-    sq = {
-        g: iota.apply_map(ic2.iota, ic2.iota.get(g, frozenset()))
-        for g in ic2.complex.generators
-    }
-    assert any(sq[g] != frozenset([(g, 0)]) for g in ic2.complex.generators)
-    report = validate(ic2)
+    return IotaComplex(ic.complex, {**ic.iota, "b.b": ic.iota["b.b"] ^ {("a.c", 1)}})
+
+
+def squares_to_identity(ic) -> bool:
+    return all(iota.apply_map(ic.iota, ic.iota.get(g, frozenset())) == {(g, 0)} for g in ic.complex.generators)
+
+
+def test_validate_accepts_strict_homotopy_involution():
+    ic = strict_model()
+    assert not squares_to_identity(ic)
+    report = validate(ic)
     assert report.ok, report.failures()
-    res = d_results(ic2, check=False)
+    res = d_results(ic, check=False)
     assert (res.d, res.lower, res.upper) == (0, -2, 0)
+
+
+def test_validate_finds_the_homotopy_on_a_large_strict_product():
+    # 9 * 5 * 5 = 225 generators: the homotopy's system has thousands of
+    # unknowns, and the span test must still find it
+    ic = tensor(tensor(strict_model(), random_iota_complex(5, max_order=4)), random_iota_complex(6, max_order=4))
+    assert len(ic.complex.generators) == 225 and not squares_to_identity(ic)
+    report = validate(ic)
+    assert report.ok, report.failures()
+    res = d_results(ic, check=False)
+    assert (res.d, res.lower, res.upper) == (0, -2, 0)
+
+
+def test_validate_rejects_an_inconsistent_homotopy_system(monkeypatch):
+    # d q = g + p and iota: g -> g + p, p -> 0, q -> q is a chain map, but
+    # it kills the free class [g] = [p], so iota^2 is not homotopic to id.
+    # Both entries of iota^2 + id, (g, p) and (p, p), are reached by an
+    # entry of H (H(g) = q and H(p) = q), so the early return for an
+    # unreachable entry does not fire: the span test must reject
+    cx = GradedComplex([("g", 0), ("p", 0), ("q", 1)], {"q": [("g", 0), ("p", 0)]})
+    ic = IotaComplex(cx, {"g": [("g", 0), ("p", 0)], "q": [("q", 0)]})
+    answers = []
+
+    class Spy(Echelon):
+        def contains(self, v):
+            answers.append(super().contains(v))
+            return answers[-1]
+
+    monkeypatch.setattr(iota, "Echelon", Spy)
+    names = {c.name: c.ok for c in validate(ic).checks}
+    assert answers == [False]
+    assert names == {"differential-degree": True, "differential-squared": True, "iota-degree": True,
+                     "iota-chain-map": True, "iota-squared-homotopic-identity": False,
+                     "localized-rank-one": True}
 
 
 def test_constructor_rejects_bad_input():
@@ -465,7 +502,7 @@ def _check_phi_on_cycles(ic):
         for s in iota._mask_images(cycles):
             w = sum(1 << j for t, j in enumerate(piece) if s >> t & 1)
             outside = not torsion.contains(w)
-            assert (w & ctx.phi).bit_count() & 1 == outside, (complex_to_dict(ic), g, w)
+            assert (w & iota._free_cocycle(ctx)).bit_count() & 1 == outside, (complex_to_dict(ic), g, w)
             non_torsion += outside
     assert non_torsion, complex_to_dict(ic)
 
@@ -531,12 +568,18 @@ def test_free_cocycle_is_kept_on_the_complex():
     ic = dual_model()
     cx = ic.complex
     assert validate(ic).ok and cx._phi is None  # validate never needs it
-    d_results(ic)
+    first = d_results(ic)
     support = cx._phi
-    # c is a coboundary (d c = U b), so phi is a or a + c
-    assert "a" in support and support <= {"a", "c"}
-    d_results(IotaComplex(cx, {g: [(g, 0)] for g in cx.generators}))
-    assert cx._phi is support
+    # generators a, b, c are bits 0, 1, 2; c is a coboundary (d c = U b),
+    # so phi is a or a + c
+    assert support in (0b001, 0b101)
+    # plant the other valid cocycle: later calls, on this IotaComplex and on
+    # another one sharing the complex, must read it, not make a new one
+    cx._phi = support ^ 0b100
+    assert d_results(ic) == first
+    identity = IotaComplex(cx, {g: [(g, 0)] for g in cx.generators})
+    assert d_results(identity) == DResults(first.d, first.d, first.d)
+    assert cx._phi == support ^ 0b100
 
 
 # sha256 of _pinned_results(), recorded with the engine that tested
@@ -599,9 +642,9 @@ def test_d_results_builds_each_piece_once(monkeypatch):
     built = []
     piece_for = iota._piece_for
 
-    def counted(ctx, grading, truncation=None):
-        built.append((id(ctx), grading, truncation))
-        return piece_for(ctx, grading, truncation)
+    def counted(ctx, grading):
+        built.append((id(ctx), grading))
+        return piece_for(ctx, grading)
 
     monkeypatch.setattr(iota, "_piece_for", counted)
     prod = tensor(random_iota_complex(5, max_order=4), random_iota_complex(6, max_order=4))
@@ -609,14 +652,16 @@ def test_d_results_builds_each_piece_once(monkeypatch):
     built.clear()
     d_results(prod)  # validate, homology, d_lower and d_upper in one call
     assert built and len(set(built)) == len(built)
-    assert len({ctx for ctx, _, _ in built}) == 1
+    assert len({ctx for ctx, _ in built}) == 1
     assert iota._CALL_CTX.get() is None
+    # the brute oracle draws its whole pieces from the same per-call cache
     ic = random_iota_complex(5, max_order=4)
     n = homology_summary(ic).torsion_exponent
     built.clear()
     brute_oracle(ic, truncation=n + 5)
-    assert any(t is not None for _, _, t in built)
-    assert len(set(built)) == len(built)
+    assert built and len(set(built)) == len(built)
+    assert len({ctx for ctx, _ in built}) == 1
+    assert iota._CALL_CTX.get() is None
 
 
 # ---------------------------------------------------------------------------
@@ -663,9 +708,7 @@ def _validate_sweep():
         {"x": [("y", 0), ("z", 1)], "y": [("w", 0)], "z": [("w", 0)]},
     )
     not_square_zero = GradedComplex([("a", 0), ("b", 1), ("c", 2)], {"c": [("b", 0)], "b": [("a", 0)]})
-    strict = tensor(torsion_model(1), torsion_model(1), sep=".")
-    strict = IotaComplex(strict.complex, {**strict.iota, "b.b": strict.iota["b.b"] ^ {("a.c", 1)}})
-    cases = all_fixtures() + [tensor(dual_model(), dual_model()), figure_eight_complex(), strict]
+    cases = all_fixtures() + [tensor(dual_model(), dual_model()), figure_eight_complex(), strict_model()]
     cases += list(_invalid_models())
     cases += [IotaComplex(cx, {g: [(g, 0)] for g in cx.generators}) for cx in (degree_and_square, not_square_zero)]
     for seed in range(120):
@@ -697,8 +740,7 @@ def test_validate_reports_match_pinned_digest():
     failing = {c.name for r in reports for c in r.checks if not c.ok and "not checked" not in c.detail}
     names = {c.name for c in reports[0].checks}
     assert failing == names, names - failing
-    exact = [ic for ic, r in zip(cases, reports) if r.ok and all(
-        iota.apply_map(ic.iota, ic.iota.get(g, frozenset())) == {(g, 0)} for g in ic.complex.generators)]
+    exact = [ic for ic, r in zip(cases, reports) if r.ok and squares_to_identity(ic)]
     assert 0 < len(exact) < sum(r.ok for r in reports)
     assert hashlib.sha256(_validate_reports()).hexdigest() == PINNED_VALIDATE_SHA256
 
@@ -814,6 +856,58 @@ def test_brute_oracle_rejects_small_truncation():
     with pytest.raises(ValidationError):
         brute_oracle(ic, truncation=4, check=False)
     assert brute_oracle(ic, truncation=5, check=False) == d_results(ic, check=False)
+
+
+def test_brute_oracle_reaches_high_u_powers_at_the_least_truncation():
+    # d g = p and d q = U^3 p: the free class is q + U^3 g at -6, which
+    # needs U^3 of a generator 6 above it, while N + generators is only 3
+    cx = GradedComplex([("g", 0), ("p", -1), ("q", -6)], {"g": [("p", 0)], "q": [("p", 3)]})
+    ic = IotaComplex(cx, {g: [(g, 0)] for g in cx.generators})
+    assert homology_summary(ic).torsion_exponent == 0
+    assert d_results(ic) == DResults(-6, -6, -6)
+    assert brute_oracle(ic, truncation=3) == d_results(ic)
+    with pytest.raises(ValidationError):
+        brute_oracle(ic, truncation=2)
+
+
+def _dual(ic: IotaComplex) -> IotaComplex:
+    """The dual complex Hom(C, F2[U]): gradings negated, d and iota
+    transposed with their U-exponents kept."""
+    cx = ic.complex
+
+    def transpose(mp):
+        out = {}
+        for src, val in mp.items():
+            for g, e in val:
+                out.setdefault(g, []).append((src, e))
+        return out
+
+    dual = GradedComplex([(g, -cx.grading[g]) for g in cx.generators], transpose(cx.diff))
+    return IotaComplex(dual, transpose(ic.iota))
+
+
+def test_dual_complex_swaps_and_negates_the_invariants():
+    # d(C^dual) = -d(C) and d_lower(C^dual) = -d_upper(C): duality reverses
+    # orientation and exchanges the two involutive invariants
+    plain = [random_iota_complex(seed, max_order=4) for seed in range(400)]
+    cases = plain + [shift(ic, Fraction(1, 3)) for ic in plain]
+    cases += [tensor(random_iota_complex(2 * j, max_order=4), random_iota_complex(2 * j + 1, max_order=4))
+              for j in range(60)]
+    for ic in cases:
+        dual = _dual(ic)
+        assert validate(dual).ok, complex_to_dict(ic)
+        res = d_results(ic)
+        assert d_results(dual, check=False) == DResults(-res.d, -res.upper, -res.lower), complex_to_dict(ic)
+    moved = 0
+    for ic in plain:
+        dual = _dual(ic)
+        dres = d_results(dual, check=False)
+        span = homology_summary(dual, check=False).torsion_exponent + len(dual.complex.generators)
+        assert brute_oracle(dual, truncation=span, check=False) == dres, complex_to_dict(ic)
+        moved += d_upper(dual, check=False, m_max=0) != dres.upper
+    # 42 of these duals reach d_upper's U-powers m > 0, which randgen's own
+    # complexes never need
+    assert moved == 42, moved
 
 
 # ---------------------------------------------------------------------------
