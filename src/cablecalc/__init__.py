@@ -49,6 +49,7 @@ from .iota import (
     d_lower,
     d_results,
     d_upper,
+    dual,
     dump_complex,
     homology_summary,
     load_complex,
@@ -88,6 +89,7 @@ __all__ = [
     "d_lower",
     "d_results",
     "d_upper",
+    "dual",
     "dump_complex",
     "gap_vs",
     "genus_bounds",

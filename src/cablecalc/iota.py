@@ -33,12 +33,15 @@ it decides by span membership whether some H has dH + Hd = iota^2 + id:
 each entry of H gives one bit column, the entries of dH + Hd it reaches,
 and iota^2 + id must lie in their span.  It never solves for H.
 
-Homology comes from one valuation-greedy reduction of d: each pivot has the
-least U-exponent left, which keeps every entry a monomial and each column
-operation a plain XOR.  Because d^2 = 0 each pivot pair x_j -> U^e x_i splits
-off as a direct summand, a torsion class F2[U]/U^e when e > 0, and the
-generators left unpaired carry the free part.  It runs once per complex and
-is kept on it, so a GradedComplex must not be mutated after construction.
+Homology comes from one valuation-greedy reduction of d, which sweeps the
+U-exponents 0, 1, 2, ... in turn: each pivot has the least U-exponent left,
+which keeps every entry a monomial and each column operation a plain XOR.
+Because d^2 = 0 each pivot pair x_j -> U^e x_i splits off as a direct
+summand, a torsion class F2[U]/U^e when e > 0, and the generators left
+unpaired carry the free part.  The same reduction tracks its change of
+basis on the dual basis with U = 1, which gives the free cocycle phi below.
+It runs once per complex and is kept on it, so a GradedComplex must not be
+mutated after construction.
 
 d_lower and d_upper search candidate gradings from the top downward,
 deciding existence of a witness at each grading with one nullspace (d_upper
@@ -48,10 +51,10 @@ cycle, which lives only in a grading d - 2kD, so they scan only d's class
 mod 2D.  Non-torsion is read off one free cocycle: H(C)/torsion = F2[U], so
 with U = 1 a cocycle phi, a set S of generators in d's class, is nonzero on
 a cycle exactly when the cycle is non-torsion, and on a piece the test is
-the parity of the cycle's bits on S.  S is a kernel vector of d's block
-from B = d's class + D into d's class, transposed, and is kept on the
-complex as a generator mask next to the homology.  No non-torsion cycle
-lies above d, so d_lower scans from d down to the window's floor.
+the parity of the cycle's bits on S.  S is the dual of the free generator
+in the reduced basis, kept on the complex as a generator mask with the
+homology.  No non-torsion cycle lies above d, so d_lower scans from d down
+to the window's floor.
 d_upper's witnesses with x = 0 are exactly the non-torsion cycles at v
 (phi o (id+iota) vanishes on cycles, as iota is the identity on localized
 homology), which exist just when v <= d, so d_upper scans only v > d and is
@@ -97,6 +100,7 @@ __all__ = [
     "d_results",
     "tensor",
     "shift",
+    "dual",
     "brute_oracle",
     "complex_to_dict",
     "complex_from_dict",
@@ -155,7 +159,7 @@ class GradedComplex:
     """Free F2[U]-complex: ordered generators, exact rational gradings,
     differential stored as generator -> element (missing means zero)."""
 
-    __slots__ = ("generators", "grading", "diff", "_hom", "_phi")
+    __slots__ = ("generators", "grading", "diff", "_hom")
 
     def __init__(self, generators: Sequence[tuple[str, Fraction]], diff: Mapping[str, Iterable[Term]]):
         names = [str(n) for n, _ in generators]
@@ -167,7 +171,6 @@ class GradedComplex:
         self.grading: dict[str, Fraction] = {str(n): Fraction(g) for n, g in generators}
         self.diff: dict[str, Element] = _clean_map(self.generators, diff, "differential")
         self._hom = None  # set once by _homology
-        self._phi = None  # generator mask, set once by _free_cocycle
 
     def __repr__(self) -> str:
         return f"GradedComplex({len(self.generators)} generators)"
@@ -251,7 +254,7 @@ class _PieceCtx:
 
     def phi_mask(self, piece: list[int]) -> int:
         """The bits of phi in the piece's own coordinates."""
-        phi = _free_cocycle(self)
+        phi = _homology(self.cx)[2]
         return sum(1 << t for t, j in enumerate(piece) if phi >> j & 1)
 
     def candidate_gradings(self, floor: int) -> list[int]:
@@ -429,27 +432,40 @@ def require_valid(ic: IotaComplex) -> None:
 # homology over F2[U] (one valuation-greedy reduction of d)
 
 
-def _homology(cx: GradedComplex) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, int], ...]]:
-    """(free part gradings, torsion (grading, U-order) pairs) of H_*(C),
+_Homology = tuple[tuple[Fraction, ...], tuple[tuple[Fraction, int], ...], Optional[int]]
+
+
+def _homology(cx: GradedComplex) -> _Homology:
+    """(free part gradings, torsion (grading, U-order) pairs, phi) of H_*(C),
     computed on first use and kept on the complex."""
     if cx._hom is None:
         cx._hom = _reduce_homology(cx)
     return cx._hom
 
 
-def _reduce_homology(cx: GradedComplex) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, int], ...]]:
+def _reduce_homology(cx: GradedComplex) -> _Homology:
     """Split C into pairs x_j -> U^e x_i plus free generators.
 
     d is held as bit columns over the generators; entry (i, j) stands for
-    U^e with e = (gr_i - gr_j + D) / 2D.  Each step takes the live entry of
-    least e, clears row i from the other live columns (a change of source
-    basis x_k -> x_k + U^c x_j) and retires i and j.  Clearing column j by
-    row operations (x_i -> x_i + U^c x_r) and the same changes on the other
-    side of the map touch only row j and column i, so the bits are not
-    tracked: in the new basis d x_j = U^e x_i, and d^2 = 0 forces d x_i = 0
-    and leaves x_j out of every other image, so the pair splits off as a
-    direct summand.  It adds F2[U]/U^e at gr_i when e > 0; the generators
-    still live at the end carry the free part.
+    U^e with e = (gr_i - gr_j + D) / 2D.  The levels that hold entries are
+    swept upward, one pass over the live columns each: column j pivots on
+    its lowest live row in the grading gr_j - D + 2De.  Every entry left
+    has level e or more, so the pivot has the least U-exponent; a column
+    passed at level e had no level-e entry, so clearing adds to it only
+    entries above e, and the pass clears level e.  A pivot clears row i
+    from the other live columns (a change of source basis x_k -> x_k +
+    U^c x_j) and retires i and j.  Clearing column j by row operations
+    (x_i -> x_i + U^c x_r) and the same changes on the other side of the
+    map touch only row j and column i, so the bits are not tracked: in the
+    new basis d x_j = U^e x_i, and d^2 = 0 forces d x_i = 0 and leaves x_j
+    out of every other image, so the pair splits off as a direct summand.
+    It adds F2[U]/U^e at gr_i when e > 0; the generators still live at the
+    end carry the free part.
+
+    The row operations are tracked on the dual basis with U = 1, as
+    x_r* -> x_r* + x_i*; at the end the dual of the one free generator is
+    the cocycle phi (1 on the free class, 0 on every x_i), or None when
+    the free rank is not 1.
     """
     with _call_ctx(cx) as ctx:
         cols, *faults = ctx.differential()
@@ -457,69 +473,40 @@ def _reduce_homology(cx: GradedComplex) -> tuple[tuple[Fraction, ...], tuple[tup
             if detail is not None:
                 raise InternalCheckError(f"homology of a non-complex: {detail}")
         cols = list(cols)
-        gr = ctx.gr
-        n, step = len(gr), 2 * ctx.D
+        gr, D = ctx.gr, ctx.D
+        n, step = len(gr), 2 * D
+        at: dict[int, int] = {}  # scaled grading -> mask of its generators
+        for i, g in enumerate(gr):
+            at[g] = at.get(g, 0) | 1 << i
+        duals = [1 << i for i in range(n)]  # x_i* with U = 1, as generator masks
         live = (1 << n) - 1
+        busy = [j for j in range(n) if cols[j]]  # the columns that may still pivot
         torsion = []
-        while True:
-            best = None  # least (2D * exponent, i, j) over live entries
-            for j in range(n):
-                if not live >> j & 1:
+        e = -1
+        while busy:
+            # go on at the least level left: every pass clears its own level
+            low = min(gr[i] - gr[j] + D for j in busy for i in _bits(cols[j] & live))
+            if low % step or low <= step * e:
+                raise InternalCheckError("homology reduction left a live entry of d")
+            e = low // step
+            for j in busy:
+                hits = cols[j] & live & at.get(gr[j] - D + step * e, 0)
+                if not (hits and live >> j & 1):
                     continue
-                v = cols[j] & live
-                while v:
-                    i = (v & -v).bit_length() - 1
-                    v &= v - 1
-                    key = (gr[i] - gr[j] + ctx.D, i, j)
-                    if best is None or key < best:
-                        best = key
-            if best is None:
-                break
-            e2, pi, pj = best
-            if e2 % step or e2 < 0:
-                raise InternalCheckError("inadmissible pivot exponent")
-            live &= ~(1 << pi | 1 << pj)
-            for j in range(n):
-                if live >> j & 1 and cols[j] >> pi & 1:
-                    cols[j] ^= cols[pj]
-            if e2:
-                torsion.append((gr[pi], e2 // step))
-        free = tuple(ctx.unscaled(gr[j]) for j in range(n) if live >> j & 1)
-        torsion.sort(key=lambda t: (-t[0], -t[1]))
-        return free, tuple((ctx.unscaled(s), e) for s, e in torsion)
-
-
-def _free_cocycle(ctx: _PieceCtx) -> int:
-    """Support S of a cocycle phi: C -> F2 that is nonzero on the free class,
-    as a generator mask, computed on first use and kept on the complex.  A
-    cycle w in d's class is non-torsion iff |w & phi| is odd.
-
-    With U = 1 a complex of rank-one localized homology has homology F2, in
-    the class A of d mod 2D, so phi is a functional on the generators of A
-    that kills d of the class B = A + D (a cocycle) and is not psi o d for
-    a functional psi on B (a coboundary).  A homogeneous cycle is torsion
-    iff its U = 1 image is a boundary, so phi tells the two kinds apart.
-    Any cocycle that is not a coboundary will do: two such functionals
-    differ by a coboundary, and a coboundary vanishes on cycles.
-    """
-    cx = ctx.cx
-    if cx._phi is None:
-        free, _ = _homology(cx)
-        step, dcols = 2 * ctx.D, ctx.dcols
-        d = ctx.scaled(free[0])
-        cls_a = [a for a, _ in ctx.classes[d % step]]
-        cls_b = [b for b, _ in ctx.classes.get((d + ctx.D) % step, ())]
-        # psi o d for psi the indicator of b: the a whose d(a) has b, with U = 1
-        exact = Echelon(sum(1 << a for a in cls_a if dcols[a] >> b & 1) for b in cls_b)
-        # the cocycles on A: the sets of a that meet every d(b) evenly
-        for s in kernel(sum(1 << b for b in cls_b if dcols[b] >> a & 1) for a in cls_a):
-            phi = sum(1 << a for t, a in enumerate(cls_a) if s >> t & 1)
-            if not exact.contains(phi):
-                cx._phi = phi
-                break
-        else:
-            raise InternalCheckError("localized homology has no free cocycle")
-    return cx._phi
+                i = (hits & -hits).bit_length() - 1
+                live ^= 1 << i | 1 << j
+                for r in _bits(cols[j] & live):
+                    duals[r] ^= duals[i]
+                for k in busy:
+                    if cols[k] >> i & 1 and live >> k & 1:
+                        cols[k] ^= cols[j]
+                if e:
+                    torsion.append((gr[i], e))
+            busy = [j for j in busy if live >> j & 1 and cols[j] & live]
+        free = list(_bits(live))
+        return (tuple(ctx.unscaled(gr[j]) for j in free),
+                tuple((ctx.unscaled(s), e) for s, e in sorted(torsion, reverse=True)),
+                duals[free[0]] if len(free) == 1 else None)
 
 
 @dataclass(frozen=True)
@@ -534,7 +521,7 @@ def homology_summary(ic: IotaComplex | GradedComplex, check: bool = True) -> Hom
     cx = ic.complex if isinstance(ic, IotaComplex) else ic
     if check and isinstance(ic, IotaComplex):
         require_valid(ic)
-    free, torsion = _homology(cx)
+    free, torsion, _ = _homology(cx)
     if len(free) != 1:
         raise ValidationError(f"localized homology has rank {len(free)}, expected 1")
     n = max((e for _, e in torsion), default=0)
@@ -645,7 +632,7 @@ def _upper_witness_at(ctx: _PieceCtx, id_iota: list[int], v: int, m: int) -> boo
         return False
     # phi(U^m y + (id+iota) z) as a functional on the unknowns (x, y, z):
     # phi reads generators only, so phi(U^m y) = phi(y)
-    phi, offset = _free_cocycle(ctx), len(px) + len(py)
+    phi, offset = _homology(ctx.cx)[2], len(px) + len(py)
     row = ctx.phi_mask(py) << len(px)
     for t, j in enumerate(pz):
         row |= ((id_iota[j] & phi).bit_count() & 1) << (offset + t)
@@ -691,6 +678,23 @@ def shift(ic: IotaComplex, r: Fraction) -> IotaComplex:
     cx = ic.complex
     out = GradedComplex([(g, cx.grading[g] + Fraction(r)) for g in cx.generators], cx.diff)
     return IotaComplex(out, ic.iota)
+
+
+def dual(ic: IotaComplex) -> IotaComplex:
+    """The dual complex Hom(C, F2[U]), the mirror: gradings negated, d and
+    iota transposed with their U-exponents kept.  Its invariants are
+    (-d, -d_upper, -d_lower) of ic."""
+    cx = ic.complex
+
+    def transpose(mp: Mapping[str, Element]) -> dict[str, list[Term]]:
+        out: dict[str, list[Term]] = {}
+        for src, val in mp.items():
+            for g, e in val:
+                out.setdefault(g, []).append((src, e))
+        return out
+
+    out = GradedComplex([(g, -cx.grading[g]) for g in cx.generators], transpose(cx.diff))
+    return IotaComplex(out, transpose(ic.iota))
 
 
 def tensor(a: IotaComplex, b: IotaComplex, sep: str = "|") -> IotaComplex:

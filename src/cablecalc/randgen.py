@@ -114,10 +114,8 @@ def _compose_delta(diff, g_map, gens) -> dict[str, Element]:
 def _transvect(rng: random.Random, gens, grading, maps: list[dict[str, Element]]) -> None:
     """Change basis by src -> src + U^k dst and rewrite every map in place.
 
-    For column operations on the defining data this means substituting into
-    images (dst gains src's image shifted by U^k) and rewriting occurrences
-    of src in values... conjugation is applied as: new_map = T^-1 o map o T
-    with T(src) = src + U^k dst, T(other) = other; T is an involution.
+    Every map becomes T o map o T, where T(src) = src + U^k dst (and T fixes
+    the other generators) is its own inverse.
     """
     names = [n for n, _ in gens]
     if len(names) < 2:

@@ -30,6 +30,7 @@ from .iota import (
     brute_oracle,
     complex_to_dict,
     d_results,
+    dual,
     homology_summary,
     tensor,
 )
@@ -219,18 +220,15 @@ def _engine_case(case_seed: int) -> tuple[_Solved, list[str]]:
         base = d_results(ic, check=False)
     except InternalCheckError as exc:
         return (case_seed, ic, None), [f"seed {case_seed}: {exc}; complex {_serialize(ic)}"]
-    summary = homology_summary(ic, check=False)
-    span = summary.torsion_exponent + len(ic.complex.generators)
-
+    span = homology_summary(ic, check=False).torsion_exponent + len(ic.complex.generators)
     got = brute_oracle(ic, truncation=span, check=False)
     if (got.d, got.lower, got.upper) != (base.d, base.lower, base.upper):
         fails.append(f"seed {case_seed}: engine {base} != brute {got}; complex {_serialize(ic)}")
 
-    stable = d_results(ic, check=False, m_max=2 * span,
-                       window_slack=2 * summary.torsion_exponent + 2)
-    if (stable.d, stable.lower, stable.upper) != (base.d, base.lower, base.upper):
-        fails.append(f"seed {case_seed}: unstable under doubled search windows: "
-                     f"{base} vs {stable}; complex {_serialize(ic)}")
+    mirror = d_results(dual(ic), check=False)
+    if (mirror.d, mirror.lower, mirror.upper) != (-base.d, -base.upper, -base.lower):
+        fails.append(f"seed {case_seed}: dual complex gives {mirror}, not (-d, -upper, -lower) "
+                     f"of {base}; complex {_serialize(ic)}")
 
     identity = {g: [(g, 0)] for g in ic.complex.generators}
     trivial = d_results(IotaComplex(ic.complex, identity), check=False)
@@ -267,10 +265,10 @@ def run_verify_engine(n_random: int, seed: int = 0) -> VerifyReport:
     """Randomized property suite for the engine.
 
     Always starts from the two fixed fixtures, then draws n_random seeded
-    complexes: each must agree with the exhaustive oracle, be stable under
-    enlarged search windows, collapse to equal invariants under the
-    identity involution, and satisfy additivity plus the inequality chain
-    under tensor products in consecutive pairs.
+    complexes: each must agree with the exhaustive oracle, give
+    (-d, -d_upper, -d_lower) on its dual complex, collapse to equal
+    invariants under the identity involution, and satisfy additivity plus
+    the inequality chain under tensor products in consecutive pairs.
     """
     if not isinstance(n_random, int) or n_random < 1:
         raise ValidationError(f"n_random must be a positive integer, got {n_random!r}")

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import cablecalc
 from cablecalc import cli
 from cablecalc.cli import main
 from cablecalc.concordance import niwu_d
@@ -247,6 +252,20 @@ def test_verify_engine_cli_json(capsys):
     assert data["ok"] is True
     assert data["name"] == "engine"
     assert any("seed 2" in note for note in data["notes"])
+
+
+def test_optimized_interpreter_gives_the_same_payloads(capsys, tmp_path):
+    # internal checks must survive python -O, which strips assert statements
+    path = tmp_path / "f8.json"
+    dump_complex(figure_eight_complex(), str(path))
+    src = str(Path(cablecalc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in (["verify", "engine", "--n", "4", "--json"], ["complex", "d", str(path), "--json"]):
+        code, out, _ = run(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-O", "-m", "cablecalc.cli", *argv],
+                              capture_output=True, text=True, env=env, check=False)
+        assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+        assert code == 0 and parse_json(out)
 
 
 def test_verify_rejects_bad_max(capsys):

@@ -19,6 +19,7 @@ from cablecalc.iota import (
     d_lower,
     d_results,
     d_upper,
+    dual,
     homology_summary,
     shift,
     tensor,
@@ -213,7 +214,9 @@ def test_homology_swap_has_no_torsion():
 
 
 def test_homology_torsion_model():
-    for t in (1, 2, 3):
+    # the reduction visits only the levels that hold an entry, so U^(10^8)
+    # costs no more than U
+    for t in (1, 2, 3, 10**8):
         s = homology_summary(torsion_model(t))
         assert s.free_grading == 0
         assert s.torsion == ((Fraction(0), t),)
@@ -255,9 +258,17 @@ def _predicted_dims(ctx, free, torsion, gradings):
     return dims
 
 
+def _power(ic, k):
+    """The k-fold tensor power of ic."""
+    out = ic
+    for _ in range(k - 1):
+        out = tensor(out, ic)
+    return out
+
+
 def _check_homology_by_ranks(ic):
     cx = ic.complex
-    free, torsion = iota._homology(cx)
+    free, torsion, _ = iota._homology(cx)
     ctx = iota._PieceCtx(cx)
     n_exp = max((e for _, e in torsion), default=0)
     gradings = ctx.candidate_gradings(min(ctx.gr) - 2 * ctx.D * (n_exp + 2))
@@ -280,8 +291,7 @@ def test_homology_matches_piece_ranks():
         b = random_iota_complex(2 * j + 1, max_order=4)
         cases.append(tensor(a, b))
     cases += [tensor(dual_model(), random_iota_complex(seed)) for seed in range(10)]
-    f8 = figure_eight_complex()
-    cases.append(tensor(f8, f8))
+    cases += [_power(figure_eight_complex(), 2), _power(figure_eight_complex(), 5)]
     for ic in cases:
         _check_homology_by_ranks(ic)
 
@@ -502,7 +512,7 @@ def _check_phi_on_cycles(ic):
         for s in iota._mask_images(cycles):
             w = sum(1 << j for t, j in enumerate(piece) if s >> t & 1)
             outside = not torsion.contains(w)
-            assert (w & iota._free_cocycle(ctx)).bit_count() & 1 == outside, (complex_to_dict(ic), g, w)
+            assert (w & iota._homology(ic.complex)[2]).bit_count() & 1 == outside, (complex_to_dict(ic), g, w)
             non_torsion += outside
     assert non_torsion, complex_to_dict(ic)
 
@@ -519,6 +529,38 @@ def test_free_cocycle_detects_exactly_the_non_torsion_cycles():
     cases += [tensor(dual_model(), random_iota_complex(seed)) for seed in range(40)]
     for ic in cases:
         _check_phi_on_cycles(ic)
+
+
+def _check_free_cocycle(ic):
+    """With U = 1, the reduction's phi is a functional on the generators of
+    d's class A that kills d of the class B = A + D (a kernel vector of d's
+    block from B into A, transposed) and is not psi o d for a functional psi
+    on B (outside the span of the coboundaries)."""
+    cx = ic.complex
+    summary = homology_summary(ic, check=False)
+    phi = iota._homology(cx)[2]
+    ctx = iota._PieceCtx(cx)
+    step, dcols = 2 * ctx.D, ctx.dcols
+    d = ctx.scaled(summary.free_grading)
+    cls_a = [a for a, _ in ctx.classes[d % step]]
+    cls_b = [b for b, _ in ctx.classes.get((d + ctx.D) % step, ())]
+    null = kernel(sum(1 << b for b in cls_b if dcols[b] >> a & 1) for a in cls_a)
+    cocycles = Echelon(sum(1 << a for t, a in enumerate(cls_a) if s >> t & 1) for s in null)
+    # psi o d for psi the indicator of b: the a whose d(a) has b
+    coboundaries = Echelon(sum(1 << a for a in cls_a if dcols[a] >> b & 1) for b in cls_b)
+    assert cocycles.contains(phi), complex_to_dict(ic)
+    assert not coboundaries.contains(phi), complex_to_dict(ic)
+
+
+def test_free_cocycle_is_a_cocycle_and_not_a_coboundary():
+    cases = all_fixtures() + [tensor(dual_model(), dual_model()), figure_eight_complex(), strict_model()]
+    for seed in range(400):
+        ic = random_iota_complex(seed, max_order=4)
+        cases += [ic, shift(ic, Fraction(1, 3)), dual(ic)]
+    cases += [_power(figure_eight_complex(), 6), _power(random_iota_complex(5, max_order=4), 4)]
+    assert [len(ic.complex.generators) for ic in cases[-2:]] == [729, 625]
+    for ic in cases:
+        _check_free_cocycle(ic)
 
 
 def _check_columns_against_terms(ic) -> int:
@@ -567,19 +609,19 @@ def test_columns_match_term_images():
 def test_free_cocycle_is_kept_on_the_complex():
     ic = dual_model()
     cx = ic.complex
-    assert validate(ic).ok and cx._phi is None  # validate never needs it
-    first = d_results(ic)
-    support = cx._phi
+    assert validate(ic).ok  # its homology brings phi with it
+    free, torsion, support = cx._hom
     # generators a, b, c are bits 0, 1, 2; c is a coboundary (d c = U b),
     # so phi is a or a + c
     assert support in (0b001, 0b101)
+    first = d_results(ic)
     # plant the other valid cocycle: later calls, on this IotaComplex and on
     # another one sharing the complex, must read it, not make a new one
-    cx._phi = support ^ 0b100
+    cx._hom = free, torsion, support ^ 0b100
     assert d_results(ic) == first
     identity = IotaComplex(cx, {g: [(g, 0)] for g in cx.generators})
     assert d_results(identity) == DResults(first.d, first.d, first.d)
-    assert cx._phi == support ^ 0b100
+    assert cx._hom == (free, torsion, support ^ 0b100)
 
 
 # sha256 of _pinned_results(), recorded with the engine that tested
@@ -633,7 +675,7 @@ def test_homology_computed_once_per_complex(monkeypatch):
     identity = IotaComplex(cx, {g: [(g, 0)] for g in cx.generators})
     d_results(identity)
     assert calls == [cx]
-    free, torsion = iota._homology(cx)
+    free, torsion, _ = iota._homology(cx)
     assert isinstance(free, tuple) and isinstance(torsion, tuple)
     assert torsion and all(isinstance(t, tuple) for t in torsion)
 
@@ -870,22 +912,6 @@ def test_brute_oracle_reaches_high_u_powers_at_the_least_truncation():
         brute_oracle(ic, truncation=2)
 
 
-def _dual(ic: IotaComplex) -> IotaComplex:
-    """The dual complex Hom(C, F2[U]): gradings negated, d and iota
-    transposed with their U-exponents kept."""
-    cx = ic.complex
-
-    def transpose(mp):
-        out = {}
-        for src, val in mp.items():
-            for g, e in val:
-                out.setdefault(g, []).append((src, e))
-        return out
-
-    dual = GradedComplex([(g, -cx.grading[g]) for g in cx.generators], transpose(cx.diff))
-    return IotaComplex(dual, transpose(ic.iota))
-
-
 def test_dual_complex_swaps_and_negates_the_invariants():
     # d(C^dual) = -d(C) and d_lower(C^dual) = -d_upper(C): duality reverses
     # orientation and exchanges the two involutive invariants
@@ -894,17 +920,17 @@ def test_dual_complex_swaps_and_negates_the_invariants():
     cases += [tensor(random_iota_complex(2 * j, max_order=4), random_iota_complex(2 * j + 1, max_order=4))
               for j in range(60)]
     for ic in cases:
-        dual = _dual(ic)
-        assert validate(dual).ok, complex_to_dict(ic)
+        mirror = dual(ic)
+        assert validate(mirror).ok, complex_to_dict(ic)
         res = d_results(ic)
-        assert d_results(dual, check=False) == DResults(-res.d, -res.upper, -res.lower), complex_to_dict(ic)
+        assert d_results(mirror, check=False) == DResults(-res.d, -res.upper, -res.lower), complex_to_dict(ic)
     moved = 0
     for ic in plain:
-        dual = _dual(ic)
-        dres = d_results(dual, check=False)
-        span = homology_summary(dual, check=False).torsion_exponent + len(dual.complex.generators)
-        assert brute_oracle(dual, truncation=span, check=False) == dres, complex_to_dict(ic)
-        moved += d_upper(dual, check=False, m_max=0) != dres.upper
+        mirror = dual(ic)
+        dres = d_results(mirror, check=False)
+        span = homology_summary(mirror, check=False).torsion_exponent + len(mirror.complex.generators)
+        assert brute_oracle(mirror, truncation=span, check=False) == dres, complex_to_dict(ic)
+        moved += d_upper(mirror, check=False, m_max=0) != dres.upper
     # 42 of these duals reach d_upper's U-powers m > 0, which randgen's own
     # complexes never need
     assert moved == 42, moved
