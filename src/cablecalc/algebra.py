@@ -3,9 +3,8 @@
 Rationals are stdlib ``fractions.Fraction`` (already exact, lowest terms,
 positive denominator); this module only adds the string forms used by the
 JSON interfaces.  GF(2) vectors are ints used as bitmasks (bit j = coordinate
-j), so all elimination is word-parallel.  There are two eliminators: Echelon
-keeps a basis of a span and answers span membership, and kernel gives the
-dependencies among a list of columns.
+j), so all elimination is word-parallel.  There is one eliminator: Echelon
+keeps a basis of a span and answers span membership.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "Echelon",
-    "kernel",
 ]
 
 
@@ -74,25 +72,3 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-
-def kernel(cols: Iterable[int]) -> list[int]:
-    """Basis of the dependencies among the columns: bitmasks x over column
-    positions whose columns sum to 0.  Columns are reduced as they come, by
-    the reduced columns before them (keyed by highest bit), carrying the
-    combination each one stands for; a column that reduces to 0 yields its
-    combination."""
-    pivots: dict[int, tuple[int, int]] = {}
-    basis = []
-    for j, c in enumerate(cols):
-        combo = 1 << j
-        while c:
-            top = c.bit_length() - 1
-            hit = pivots.get(top)
-            if hit is None:
-                pivots[top] = (c, combo)
-                break
-            c ^= hit[0]
-            combo ^= hit[1]
-        else:
-            basis.append(combo)
-    return basis

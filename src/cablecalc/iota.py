@@ -33,32 +33,22 @@ it decides by span membership whether some H has dH + Hd = iota^2 + id:
 each entry of H gives one bit column, the entries of dH + Hd it reaches,
 and iota^2 + id must lie in their span.  It never solves for H.
 
-Homology comes from one valuation-greedy reduction of d, which sweeps the
-U-exponents 0, 1, 2, ... in turn: each pivot has the least U-exponent left,
-which keeps every entry a monomial and each column operation a plain XOR.
-Because d^2 = 0 each pivot pair x_j -> U^e x_i splits off as a direct
-summand, a torsion class F2[U]/U^e when e > 0, and the generators left
-unpaired carry the free part.  The same reduction tracks its change of
-basis on the dual basis with U = 1, which gives the free cocycle phi below.
-It runs once per complex and is kept on it, so a GradedComplex must not be
-mutated after construction.
+Homology comes from one valuation-greedy reduction of a differential,
+which sweeps the U-exponents 0, 1, 2, ... in turn: each pivot has the least
+U-exponent left, which keeps every entry a monomial and each column
+operation a plain XOR.  Because d^2 = 0 each pivot pair x_j -> U^e x_i
+splits off as a direct summand, a torsion class F2[U]/U^e when e > 0, and
+the generators left unpaired carry the free part.  The reduction of C runs
+once per complex and its homology is kept on it, so a GradedComplex must
+not be mutated after construction.
 
-d_lower and d_upper search candidate gradings from the top downward,
-deciding existence of a witness at each grading with one nullspace (d_upper
-at the one U-power m_max: U times a non-torsion class is non-torsion, so
-witnesses persist as m grows).  Every witness is a non-torsion homogeneous
-cycle, which lives only in a grading d - 2kD, so they scan only d's class
-mod 2D.  Non-torsion is read off one free cocycle: H(C)/torsion = F2[U], so
-with U = 1 a cocycle phi, a set S of generators in d's class, is nonzero on
-a cycle exactly when the cycle is non-torsion, and on a piece the test is
-the parity of the cycle's bits on S.  S is the dual of the free generator
-in the reduced basis, kept on the complex as a generator mask with the
-homology.  No non-torsion cycle lies above d, so d_lower scans from d down
-to the window's floor.
-d_upper's witnesses with x = 0 are exactly the non-torsion cycles at v
-(phi o (id+iota) vanishes on cycles, as iota is the identity on localized
-homology), which exist just when v <= d, so d_upper scans only v > d and is
-d when none has a witness.
+d_lower and d_upper come from the same reduction, run on the mapping cone
+of Q(1+iota), whose homology is HFI (Hendricks-Manolescu, Involutive
+Heegaard Floer homology, 2017): generators x at gr(x) and Qx at gr(x) - 1,
+with x -> dx + Q(1+iota)x and Qx -> Q dx.  Localized at U it has rank 2,
+so H(cone) has exactly two free generators, in the two classes of d mod 2:
+the one in d's class is at d_lower, the other at d_upper - 1.  The cone is
+built and reduced once per public call.
 brute_oracle re-derives all three invariants by exhaustive enumeration over
 every subset of whole graded pieces, with its own non-torsion test (U^N w
 is a boundary, which in generator coordinates is w in im d at the grading
@@ -75,7 +65,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .algebra import Echelon, format_rational, kernel, parse_rational
+from .algebra import Echelon, format_rational, parse_rational
 from .errors import InternalCheckError, ValidationError
 
 __all__ = [
@@ -195,8 +185,9 @@ class IotaComplex:
 
 class _PieceCtx:
     """One complex in generator coordinates, on its scaled-integer gradings:
-    d's columns with the result of its checks, and the graded pieces built
-    so far.  It lives for one public call."""
+    d's columns with the result of its checks, the graded pieces built so
+    far and the towers of the cone of Q(1+iota).  It lives for one public
+    call."""
 
     def __init__(self, cx: GradedComplex):
         self.cx = cx
@@ -213,6 +204,7 @@ class _PieceCtx:
             self.classes.setdefault(gi % (2 * scale), []).append((i, gi))
         self._pieces: dict[int, list[int]] = {}
         self._d: Optional[tuple[list[int], Optional[str], Optional[str]]] = None
+        self._towers: Optional[tuple[IotaComplex, tuple[int, int]]] = None
 
     def scaled(self, q: Fraction) -> int:
         return q.numerator * (self.D // q.denominator)
@@ -252,10 +244,11 @@ class _PieceCtx:
         dcols = self.dcols
         return [dcols[j] for j in self.piece(grading + self.D) if dcols[j]]
 
-    def phi_mask(self, piece: list[int]) -> int:
-        """The bits of phi in the piece's own coordinates."""
-        phi = _homology(self.cx)[2]
-        return sum(1 << t for t, j in enumerate(piece) if phi >> j & 1)
+    def towers(self, ic: IotaComplex) -> tuple[int, int]:
+        """Scaled (d_lower, d_upper) of ic, from one cone per call."""
+        if self._towers is None or self._towers[0] is not ic:
+            self._towers = ic, _cone_towers(self, ic)
+        return self._towers[1]
 
     def candidate_gradings(self, floor: int) -> list[int]:
         """Every grading G - 2kD >= floor of a generator, from the top down."""
@@ -432,81 +425,84 @@ def require_valid(ic: IotaComplex) -> None:
 # homology over F2[U] (one valuation-greedy reduction of d)
 
 
-_Homology = tuple[tuple[Fraction, ...], tuple[tuple[Fraction, int], ...], Optional[int]]
+_Homology = tuple[tuple[Fraction, ...], tuple[tuple[Fraction, int], ...]]
 
 
 def _homology(cx: GradedComplex) -> _Homology:
-    """(free part gradings, torsion (grading, U-order) pairs, phi) of H_*(C),
+    """(free part gradings, torsion (grading, U-order) pairs) of H_*(C),
     computed on first use and kept on the complex."""
     if cx._hom is None:
-        cx._hom = _reduce_homology(cx)
+        with _call_ctx(cx) as ctx:
+            cols, *faults = ctx.differential()
+            for detail in faults:
+                if detail is not None:
+                    raise InternalCheckError(f"homology of a non-complex: {detail}")
+            free, torsion = _reduce_homology(cols, ctx.gr, ctx.D)
+            cx._hom = (tuple(ctx.unscaled(g) for g in free),
+                       tuple((ctx.unscaled(g), e) for g, e in sorted(torsion, reverse=True)))
     return cx._hom
 
 
-def _reduce_homology(cx: GradedComplex) -> _Homology:
-    """Split C into pairs x_j -> U^e x_i plus free generators.
+def _reduce_homology(cols: Sequence[int], gr: Sequence[int], D: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Split a complex into pairs x_j -> U^e x_i plus free generators, and
+    return the free generators' gradings and the torsion (grading, e) pairs.
 
-    d is held as bit columns over the generators; entry (i, j) stands for
-    U^e with e = (gr_i - gr_j + D) / 2D.  The levels that hold entries are
-    swept upward, one pass over the live columns each: column j pivots on
-    its lowest live row in the grading gr_j - D + 2De.  Every entry left
-    has level e or more, so the pivot has the least U-exponent; a column
-    passed at level e had no level-e entry, so clearing adds to it only
-    entries above e, and the pass clears level e.  A pivot clears row i
-    from the other live columns (a change of source basis x_k -> x_k +
-    U^c x_j) and retires i and j.  Clearing column j by row operations
-    (x_i -> x_i + U^c x_r) and the same changes on the other side of the
-    map touch only row j and column i, so the bits are not tracked: in the
-    new basis d x_j = U^e x_i, and d^2 = 0 forces d x_i = 0 and leaves x_j
-    out of every other image, so the pair splits off as a direct summand.
-    It adds F2[U]/U^e at gr_i when e > 0; the generators still live at the
-    end carry the free part.
+    The complex is given by the bit columns of its differential over
+    generators at the scaled gradings gr, with d of degree -D and U of
+    degree -2D; entry (i, j) stands for U^e with e = (gr_i - gr_j + D) / 2D.
+    The levels that hold entries are swept upward, one pass over the live
+    columns each: column j pivots on its lowest live row in the grading
+    gr_j - D + 2De.  Every entry left has level e or more, so the pivot has
+    the least U-exponent; a column passed at level e had no level-e entry,
+    so clearing adds to it only entries above e, and the pass clears level
+    e.  A pivot clears row i from the other live columns (a change of
+    source basis x_k -> x_k + U^c x_j) and retires i and j.  Clearing
+    column j by row operations (x_i -> x_i + U^c x_r) and the same changes
+    on the other side of the map touch only row j and column i, so the bits
+    are not tracked: in the new basis d x_j = U^e x_i, and d^2 = 0 forces
+    d x_i = 0 and leaves x_j out of every other image, so the pair splits
+    off as a direct summand.  It adds F2[U]/U^e at gr_i when e > 0; the
+    generators still live at the end carry the free part.
 
-    The row operations are tracked on the dual basis with U = 1, as
-    x_r* -> x_r* + x_i*; at the end the dual of the one free generator is
-    the cocycle phi (1 on the free class, 0 on every x_i), or None when
-    the free rank is not 1.
+    A row index keeps, for each live row, the mask of the live columns
+    with a bit there, so a pivot on row i XORs only the columns that hold
+    i, and then flips those columns in the index of each live row of the
+    column it added.
     """
-    with _call_ctx(cx) as ctx:
-        cols, *faults = ctx.differential()
-        for detail in faults:
-            if detail is not None:
-                raise InternalCheckError(f"homology of a non-complex: {detail}")
-        cols = list(cols)
-        gr, D = ctx.gr, ctx.D
-        n, step = len(gr), 2 * D
-        at: dict[int, int] = {}  # scaled grading -> mask of its generators
-        for i, g in enumerate(gr):
-            at[g] = at.get(g, 0) | 1 << i
-        duals = [1 << i for i in range(n)]  # x_i* with U = 1, as generator masks
-        live = (1 << n) - 1
-        busy = [j for j in range(n) if cols[j]]  # the columns that may still pivot
-        torsion = []
-        e = -1
-        while busy:
-            # go on at the least level left: every pass clears its own level
-            low = min(gr[i] - gr[j] + D for j in busy for i in _bits(cols[j] & live))
-            if low % step or low <= step * e:
-                raise InternalCheckError("homology reduction left a live entry of d")
-            e = low // step
-            for j in busy:
-                hits = cols[j] & live & at.get(gr[j] - D + step * e, 0)
-                if not (hits and live >> j & 1):
-                    continue
-                i = (hits & -hits).bit_length() - 1
-                live ^= 1 << i | 1 << j
-                for r in _bits(cols[j] & live):
-                    duals[r] ^= duals[i]
-                for k in busy:
-                    if cols[k] >> i & 1 and live >> k & 1:
-                        cols[k] ^= cols[j]
-                if e:
-                    torsion.append((gr[i], e))
-            busy = [j for j in busy if live >> j & 1 and cols[j] & live]
-        free = list(_bits(live))
-        return (tuple(ctx.unscaled(gr[j]) for j in free),
-                tuple((ctx.unscaled(s), e) for s, e in sorted(torsion, reverse=True)),
-                duals[free[0]] if len(free) == 1 else None)
+    cols = list(cols)
+    n, step = len(gr), 2 * D
+    at: dict[int, int] = {}  # scaled grading -> mask of its generators
+    for i, g in enumerate(gr):
+        at[g] = at.get(g, 0) | 1 << i
+    rows = [0] * n  # row -> mask of the columns with a bit there
+    for j, c in enumerate(cols):
+        for i in _bits(c):
+            rows[i] |= 1 << j
+    live = (1 << n) - 1
+    busy = [j for j in range(n) if cols[j]]  # the columns that may still pivot
+    torsion = []
+    e = -1
+    while busy:
+        # go on at the least level left: every pass clears its own level
+        low = min(gr[i] - gr[j] + D for j in busy for i in _bits(cols[j] & live))
+        if low % step or low <= step * e:
+            raise InternalCheckError("homology reduction left a live entry of d")
+        e = low // step
+        for j in busy:
+            hits = cols[j] & live & at.get(gr[j] - D + step * e, 0)
+            if not (hits and live >> j & 1):
+                continue
+            i = (hits & -hits).bit_length() - 1
+            live ^= 1 << i | 1 << j
+            col, holders = cols[j], rows[i] & live
+            for k in _bits(holders):
+                cols[k] ^= col
+            for r in _bits(col & live):
+                rows[r] ^= holders
+            if e:
+                torsion.append((gr[i], e))
+        busy = [j for j in busy if live >> j & 1 and cols[j] & live]
+    return [gr[j] for j in _bits(live)], torsion
 
 
 @dataclass(frozen=True)
@@ -521,7 +517,7 @@ def homology_summary(ic: IotaComplex | GradedComplex, check: bool = True) -> Hom
     cx = ic.complex if isinstance(ic, IotaComplex) else ic
     if check and isinstance(ic, IotaComplex):
         require_valid(ic)
-    free, torsion, _ = _homology(cx)
+    free, torsion = _homology(cx)
     if len(free) != 1:
         raise ValidationError(f"localized homology has rank {len(free)}, expected 1")
     n = max((e for _, e in torsion), default=0)
@@ -549,32 +545,33 @@ def d_invariant(ic: IotaComplex | GradedComplex, check: bool = True) -> Fraction
     return homology_summary(ic, check=check).free_grading
 
 
+def _cone_towers(ctx: _PieceCtx, ic: IotaComplex) -> tuple[int, int]:
+    """Scaled (d_lower, d_upper), read off the two free generators of the
+    homology of the cone of Q(1+iota): x at gr(x) with column dx +
+    Q(1+iota)x, and Qx at gr(x) - 1 with column Q dx, Q's bits above C's."""
+    d = ctx.scaled(homology_summary(ic, check=False).free_grading)
+    n, D = len(ctx.gr), ctx.D
+    dcols = ctx.dcols
+    cols = [c | t << n for c, t in zip(dcols, _id_plus_iota(ctx, ic))] + [c << n for c in dcols]
+    free, _ = _reduce_homology(cols, ctx.gr + [g - D for g in ctx.gr], D)
+    lower = [g for g in free if (g - d) % (2 * D) == 0]
+    upper = [g + D for g in free if (g + D - d) % (2 * D) == 0]
+    if len(free) != 2 or len(lower) != 1 or len(upper) != 1:
+        found = ", ".join(str(ctx.unscaled(g)) for g in free)
+        raise InternalCheckError(f"cone of Q(1+iota) has free gradings [{found}], "
+                                 "expected one in each class of d mod 2")
+    return lower[0], upper[0]
+
+
 def d_lower(ic: IotaComplex, check: bool = True, window_slack: int = 0) -> Fraction:
-    """Maximal grading of a non-U-torsion cycle a with (id+iota)a a boundary."""
+    """Maximal grading of a non-U-torsion cycle a with (id+iota)a a boundary:
+    the free generator of H(cone of Q(1+iota)) in d's class mod 2.
+    window_slack is checked but changes no result."""
     _check_search(None, window_slack)
     with _call_ctx(ic.complex) as ctx:
         if check:
             require_valid(ic)
-        summary = homology_summary(ic, check=False)
-        id_iota = _id_plus_iota(ctx, ic)
-        d, step = ctx.scaled(summary.free_grading), 2 * ctx.D
-        for g in range(d, _search_floor(ctx, summary, window_slack) - 1, -step):
-            if _lower_witness_at(ctx, id_iota, g):
-                return ctx.unscaled(g)
-    raise InternalCheckError("no d_lower witness found within the search window")
-
-
-def _lower_witness_at(ctx: _PieceCtx, id_iota: list[int], g: int) -> bool:
-    piece = ctx.piece(g)
-    if not piece:
-        return False
-    n, dcols = len(ctx.gr), ctx.dcols
-    # unknowns (a, b): d a = 0 and (id+iota) a = d b; a witness has phi(a) = 1
-    stacked = [dcols[j] | id_iota[j] << n for j in piece]
-    stacked += [b << n for b in ctx.boundary_masks(g)]
-    null = kernel(stacked)
-    phi = ctx.phi_mask(piece)
-    return any((s & phi).bit_count() & 1 for s in null)
+        return ctx.unscaled(ctx.towers(ic)[0])
 
 
 def d_upper(
@@ -584,59 +581,16 @@ def d_upper(
     window_slack: int = 0,
 ) -> Fraction:
     """Maximal value over triples (x, y, z) with d y = (id+iota) x,
-    d z = U^m x and U^m y + (id+iota) z of non-torsion class, m <= m_max;
-    the value is gr(x)+1 when x is nonzero and gr(y) when x = 0.
-
-    The triples with x = 0 reach exactly the gradings v <= d of d's class
-    (y a non-torsion cycle; (id+iota) z is torsion for a cycle z), so only
-    values v > d are searched, each with x nonzero, and the answer is d
-    when none of them has a witness.  Only m = m_max is tried: a witness
-    (x, y, z) at m gives (x, y, U z) at m + 1, since U times a non-torsion
-    class is non-torsion.  The default m_max is N plus the number of
-    generators.  window_slack, which widens d_lower's window, is checked
-    but cannot move this search, which ends at d.
+    d z = U^m x and U^m y + (id+iota) z of non-torsion class, m >= 0;
+    the value is gr(x)+1 when x is nonzero and gr(y) when x = 0.  It is 1
+    above the free generator of H(cone of Q(1+iota)) outside d's class
+    mod 2.  m_max and window_slack are checked but change no result.
     """
     _check_search(m_max, window_slack)
     with _call_ctx(ic.complex) as ctx:
         if check:
             require_valid(ic)
-        summary = homology_summary(ic, check=False)
-        if m_max is None:
-            m_max = summary.torsion_exponent + len(ic.complex.generators)
-        id_iota = _id_plus_iota(ctx, ic)
-        d, step = ctx.scaled(summary.free_grading), 2 * ctx.D
-        top = max(gg + (d - gg) % step for gg in ctx.gr if (d - gg) % ctx.D == 0)
-        for v in range(top, d, -step):
-            if _upper_witness_at(ctx, id_iota, v, m_max):
-                return ctx.unscaled(v)
-        return summary.free_grading
-
-
-def _upper_witness_at(ctx: _PieceCtx, id_iota: list[int], v: int, m: int) -> bool:
-    """A triple (x, y, z) at U-power m with value v > d: x must be nonzero,
-    since the triples with x = 0 never reach above d."""
-    px = ctx.piece(v - ctx.D)
-    if not px:
-        return False
-    py = ctx.piece(v)
-    pz = ctx.piece(v - 2 * m * ctx.D)
-    n, dcols = len(ctx.gr), ctx.dcols
-    # (id+iota) x = d y in V_{v-1} and U^m x = d z in V_{v-1-2m}, where U^m
-    # keeps x's generator bits
-    stacked = [id_iota[j] | 1 << (n + j) for j in px]
-    stacked += [dcols[j] for j in py]
-    stacked += [dcols[j] << n for j in pz]
-    null = kernel(stacked)
-    mask_x = (1 << len(px)) - 1
-    if not any(s & mask_x for s in null):
-        return False
-    # phi(U^m y + (id+iota) z) as a functional on the unknowns (x, y, z):
-    # phi reads generators only, so phi(U^m y) = phi(y)
-    phi, offset = _homology(ctx.cx)[2], len(px) + len(py)
-    row = ctx.phi_mask(py) << len(px)
-    for t, j in enumerate(pz):
-        row |= ((id_iota[j] & phi).bit_count() & 1) << (offset + t)
-    return any((s & row).bit_count() & 1 for s in null)
+        return ctx.unscaled(ctx.towers(ic)[1])
 
 
 @dataclass(frozen=True)
@@ -657,7 +611,8 @@ def d_results(
     window_slack: int = 0,
 ) -> DResults:
     """All three correction terms, asserting d_lower <= d <= d_upper.  The
-    calls share one piece context, so no graded piece is built twice."""
+    calls share one piece context, so d_lower and d_upper read one cone.
+    m_max and window_slack are checked but change no result."""
     _check_search(m_max, window_slack)
     with _call_ctx(ic.complex):
         if check:
@@ -792,7 +747,7 @@ def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResul
     and non-torsionness is tested against the complex, so every witness
     found is genuine.  ``truncation`` bounds only d_upper's U-power: its
     triples are tried at every m <= truncation, which must be at least
-    torsion_exponent + number of generators, d_upper's own default.
+    torsion_exponent + number of generators.
     """
     with _call_ctx(ic.complex) as full:
         if check:

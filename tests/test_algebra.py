@@ -6,7 +6,6 @@ import pytest
 from cablecalc.algebra import (
     Echelon,
     format_rational,
-    kernel,
     parse_rational,
 )
 
@@ -69,24 +68,6 @@ def test_echelon_rejects_inconsistent_system():
     # only the second
     assert not Echelon([0b11]).contains(0b10)
     assert Echelon([0b11]).contains(0b11)
-
-
-def test_kernel():
-    # the dependencies among random columns: each picks columns summing to
-    # 0, they are independent, and there are (columns - rank) of them
-    rng = random.Random(13)
-    for _ in range(300):
-        k, n = rng.randint(0, 9), rng.randint(1, 7)
-        cols = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(k)]
-        basis = kernel(cols)
-        for x in basis:
-            acc = 0
-            for j, c in enumerate(cols):
-                if x >> j & 1:
-                    acc ^= c
-            assert x and acc == 0
-        assert Echelon(basis).rank == len(basis) == k - Echelon(cols).rank
-    assert kernel([0b01, 0b11, 0b10, 0]) == [0b0111, 0b1000]
 
 
 def test_echelon_membership():

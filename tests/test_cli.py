@@ -258,14 +258,27 @@ def test_optimized_interpreter_gives_the_same_payloads(capsys, tmp_path):
     # internal checks must survive python -O, which strips assert statements
     path = tmp_path / "f8.json"
     dump_complex(figure_eight_complex(), str(path))
+    # d c = U b with iota(c) = c + a: d_upper = 2 lies above d = 0
+    upper = tmp_path / "dual_model.json"
+    upper.write_text(json.dumps({
+        "generators": [{"name": "a", "grading": "0"}, {"name": "b", "grading": "1"},
+                       {"name": "c", "grading": "0"}],
+        "differential": {"c": [{"gen": "b", "upow": 1}]},
+        "iota": {"a": [{"gen": "a", "upow": 0}], "b": [{"gen": "b", "upow": 0}],
+                 "c": [{"gen": "c", "upow": 0}, {"gen": "a", "upow": 0}]},
+    }))
     src = str(Path(cablecalc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    for argv in (["verify", "engine", "--n", "4", "--json"], ["complex", "d", str(path), "--json"]):
+    payloads = []
+    for argv in (["verify", "engine", "--n", "4", "--json"], ["complex", "d", str(path), "--json"],
+                 ["complex", "d", str(upper), "--json"]):
         code, out, _ = run(capsys, *argv)
         proc = subprocess.run([sys.executable, "-O", "-m", "cablecalc.cli", *argv],
                               capture_output=True, text=True, env=env, check=False)
         assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
-        assert code == 0 and parse_json(out)
+        assert code == 0
+        payloads.append(parse_json(out))
+    assert (payloads[2]["d"], payloads[2]["d_lower"], payloads[2]["d_upper"]) == ("0", "0", "2")
 
 
 def test_verify_rejects_bad_max(capsys):

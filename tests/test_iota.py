@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cablecalc.algebra import Echelon, kernel
+from cablecalc.algebra import Echelon
 from cablecalc.errors import InternalCheckError, ValidationError
 from cablecalc import iota
 from cablecalc.iota import (
@@ -268,7 +268,7 @@ def _power(ic, k):
 
 def _check_homology_by_ranks(ic):
     cx = ic.complex
-    free, torsion, _ = iota._homology(cx)
+    free, torsion = iota._homology(cx)
     ctx = iota._PieceCtx(cx)
     n_exp = max((e for _, e in torsion), default=0)
     gradings = ctx.candidate_gradings(min(ctx.gr) - 2 * ctx.D * (n_exp + 2))
@@ -362,48 +362,20 @@ def test_search_parameters_must_be_counts():
     assert (d_upper(ic, check=False, m_max=0), d_lower(ic, window_slack=10**6)) == (0, 0)
 
 
-def _per_m_d_upper(ic, m_max):
-    """Reference search: the first value v > d, from the top of every
-    grading class, with a witness at some U-power m <= m_max; d when there
-    is none.  Works on the engine's scaled gradings (D = lcm of denominators)."""
-    summary = homology_summary(ic, check=False)
-    ctx = iota._PieceCtx(ic.complex)
-    D = ctx.D
-    d = ctx.scaled(summary.free_grading)
-    gradings = ctx.candidate_gradings(d - D)
-    values = sorted({v for g in gradings for v in (g, g + D) if v > d}, reverse=True)
-    id_iota = iota._id_plus_iota(ctx, ic)
-    for v in values:
-        if any(iota._upper_witness_at(ctx, id_iota, v, m) for m in range(m_max + 1)):
-            return Fraction(v, D)
-    return summary.free_grading
-
-
-def _check_single_m_search(ic):
-    n = homology_summary(ic, check=False).torsion_exponent
-    for m_max in range(2 * (n + len(ic.complex.generators)) + 1):
-        assert d_upper(ic, check=False, m_max=m_max) == _per_m_d_upper(ic, m_max), (ic, m_max)
-
-
 def test_d_upper_needs_a_positive_u_power_on_dual_model():
-    # the top witness (b, 0, c) has d c = U b, so a search at m = 0 alone
-    # must come out lower than the full search; shifted by 1/3 the engine
-    # works in thirds (D = 3) and U^m moves the grading by 2mD
+    # the top witness (b, 0, c) has d c = U b, a U-power m = 1; shifted by
+    # 1/3 the engine works in thirds (D = 3)
     for r, scale in ((Fraction(0), 1), (Fraction(1, 3), 3)):
         ic = shift(dual_model(), r)
-        ctx = iota._PieceCtx(ic.complex)
-        assert ctx.D == scale
-        id_iota = iota._id_plus_iota(ctx, ic)
-        top = d_upper(ic)
-        assert top == 2 + r
-        assert not iota._upper_witness_at(ctx, id_iota, ctx.scaled(top), 0)
-        assert iota._upper_witness_at(ctx, id_iota, ctx.scaled(top), 1)
-        assert d_upper(ic, m_max=0) < top
+        assert iota._PieceCtx(ic.complex).D == scale
+        assert d_upper(ic) == 2 + r
+        assert brute_oracle(ic, truncation=4) == d_results(ic) == DResults(r, r, 2 + r)
 
 
 def test_d_upper_needs_positive_u_powers_on_dual_products():
-    # randgen complexes never need m > 0; dual_model times them mostly do
-    moved = 0
+    # randgen complexes never need m > 0; dual_model times them mostly do,
+    # and then d_upper is above d
+    above = 0
     for seed in range(40):
         base = tensor(dual_model(), random_iota_complex(seed))
         ref = d_results(base)
@@ -416,63 +388,19 @@ def test_d_upper_needs_positive_u_powers_on_dual_products():
             assert brute_oracle(ic, truncation=span, check=False) == res, (seed, r)
             wide = d_results(ic, check=False, m_max=2 * span, window_slack=2 * s.torsion_exponent + 2)
             assert wide == res, (seed, r)
-        moved += d_upper(base, check=False, m_max=0) != ref.upper
-    assert moved >= 30, moved
+        # the search knobs are inert: the cone has no U-power bound
+        assert d_results(base, m_max=0) == d_results(base, window_slack=7) == ref
+        above += ref.upper > ref.d
+    assert above >= 30, above
 
 
-def test_d_upper_single_m_matches_per_m_search_on_fixtures():
-    # dual x dual, like dual_model itself, needs m = 1 for its top witness
-    for ic in all_fixtures() + [tensor(dual_model(), dual_model())]:
-        _check_single_m_search(ic)
-
-
-def test_d_upper_single_m_matches_per_m_search_on_random_complexes():
-    for seed in range(50):
-        _check_single_m_search(random_iota_complex(seed, max_order=4))
-
-
-def test_d_upper_single_m_matches_per_m_search_on_products():
-    for j in range(10):
-        a = random_iota_complex(2 * j, max_order=4)
-        b = random_iota_complex(2 * j + 1, max_order=4)
-        _check_single_m_search(tensor(a, b))
-
-
-def test_witness_search_visits_only_the_class_of_d(monkeypatch):
-    # a witness is a non-torsion cycle, so it lives in a grading d - 2kD at
-    # most d: d_lower builds its candidate pieces only there, from d down;
-    # d_upper's values v <= d all have a witness with x = 0, so it visits
-    # only v > d, from the top of d's class down to its answer (or to just
-    # above d when the answer is d)
-    visits = []
-    for name in ("_lower_witness_at", "_upper_witness_at"):
-        def spy(ctx, *args, _name=name, _fn=getattr(iota, name)):
-            visits.append((_name, ctx, args[1]))
-            return _fn(ctx, *args)
-        monkeypatch.setattr(iota, name, spy)
-    cases = all_fixtures() + [tensor(dual_model(), dual_model())]
-    for seed in range(30):
-        ic = random_iota_complex(seed, max_order=4)
-        cases += [ic, shift(ic, Fraction(1, 3)), shift(ic, Fraction(-5, 2))]
-    upper_scans = 0
-    for ic in cases:
-        visits.clear()
-        res = d_results(ic, check=False)
-        ctx = visits[0][1]
-        d, step = ctx.scaled(res.d), 2 * ctx.D
-        assert all((v - d) % step == 0 for _, _, v in visits), (ic, visits)
-        lower = [v for n, _, v in visits if n == "_lower_witness_at"]
-        upper = [v for n, _, v in visits if n == "_upper_witness_at"]
-        assert lower[0] == d
-        assert lower[-1] == ctx.scaled(res.lower)
-        assert all(v > d for v in upper), (ic, upper)
-        if upper:
-            assert upper == list(range(upper[0], upper[-1] - 1, -step))
-            assert upper[-1] == (ctx.scaled(res.upper) if res.upper > res.d else d + step)
-            upper_scans += 1
-        else:
-            assert res.upper == res.d
-    assert upper_scans >= 10, upper_scans
+def test_invariants_of_a_large_tensor_power():
+    # 3^7 generators, far past brute_oracle's reach: the row index of the
+    # reduction carries both C and its cone of Q(1+iota)
+    ic = _power(figure_eight_complex(), 7)
+    assert len(ic.complex.generators) == 2187
+    assert d_results(ic) == DResults(0, -2, 0)
+    assert d_results(dual(ic)) == DResults(0, 0, 2)
 
 
 def test_class_search_matches_brute_oracle_on_fractional_gradings():
@@ -492,75 +420,6 @@ def test_class_search_matches_brute_oracle_on_fractional_gradings():
         n = homology_summary(ic, check=False).torsion_exponent
         slow = brute_oracle(ic, truncation=n + len(ic.complex.generators), check=False)
         assert d_results(ic, check=False) == slow, complex_to_dict(ic)
-
-
-def _check_phi_on_cycles(ic):
-    """phi(w) = 1 exactly when w is not U^N-torsion (the brute oracle's
-    test), on every cycle w of every piece of d's class from the top of the
-    class down to the search window's floor."""
-    summary = homology_summary(ic, check=False)
-    ctx = iota._PieceCtx(ic.complex)
-    n, step = summary.torsion_exponent, 2 * ctx.D
-    brute = iota._BruteCtx(ic, ctx, n + len(ctx.gr), n)
-    d = ctx.scaled(summary.free_grading)
-    top = max(g for g in ctx.gr if (g - d) % step == 0)
-    non_torsion = 0
-    for g in range(top, iota._search_floor(ctx, summary, 0) - 1, -step):
-        piece = ctx.piece(g)
-        torsion = brute.torsion(g)
-        cycles = kernel([ctx.dcols[j] for j in piece])
-        for s in iota._mask_images(cycles):
-            w = sum(1 << j for t, j in enumerate(piece) if s >> t & 1)
-            outside = not torsion.contains(w)
-            assert (w & iota._homology(ic.complex)[2]).bit_count() & 1 == outside, (complex_to_dict(ic), g, w)
-            non_torsion += outside
-    assert non_torsion, complex_to_dict(ic)
-
-
-def test_free_cocycle_detects_exactly_the_non_torsion_cycles():
-    cases = []
-    for seed in range(200):
-        ic = random_iota_complex(seed)
-        cases += [ic, shift(ic, Fraction(1, 3)), shift(ic, Fraction(-5, 7))]
-    for j in range(40):
-        a = random_iota_complex(2 * j, max_order=4)
-        b = random_iota_complex(2 * j + 1, max_order=4)
-        cases.append(tensor(a, b))
-    cases += [tensor(dual_model(), random_iota_complex(seed)) for seed in range(40)]
-    for ic in cases:
-        _check_phi_on_cycles(ic)
-
-
-def _check_free_cocycle(ic):
-    """With U = 1, the reduction's phi is a functional on the generators of
-    d's class A that kills d of the class B = A + D (a kernel vector of d's
-    block from B into A, transposed) and is not psi o d for a functional psi
-    on B (outside the span of the coboundaries)."""
-    cx = ic.complex
-    summary = homology_summary(ic, check=False)
-    phi = iota._homology(cx)[2]
-    ctx = iota._PieceCtx(cx)
-    step, dcols = 2 * ctx.D, ctx.dcols
-    d = ctx.scaled(summary.free_grading)
-    cls_a = [a for a, _ in ctx.classes[d % step]]
-    cls_b = [b for b, _ in ctx.classes.get((d + ctx.D) % step, ())]
-    null = kernel(sum(1 << b for b in cls_b if dcols[b] >> a & 1) for a in cls_a)
-    cocycles = Echelon(sum(1 << a for t, a in enumerate(cls_a) if s >> t & 1) for s in null)
-    # psi o d for psi the indicator of b: the a whose d(a) has b
-    coboundaries = Echelon(sum(1 << a for a in cls_a if dcols[a] >> b & 1) for b in cls_b)
-    assert cocycles.contains(phi), complex_to_dict(ic)
-    assert not coboundaries.contains(phi), complex_to_dict(ic)
-
-
-def test_free_cocycle_is_a_cocycle_and_not_a_coboundary():
-    cases = all_fixtures() + [tensor(dual_model(), dual_model()), figure_eight_complex(), strict_model()]
-    for seed in range(400):
-        ic = random_iota_complex(seed, max_order=4)
-        cases += [ic, shift(ic, Fraction(1, 3)), dual(ic)]
-    cases += [_power(figure_eight_complex(), 6), _power(random_iota_complex(5, max_order=4), 4)]
-    assert [len(ic.complex.generators) for ic in cases[-2:]] == [729, 625]
-    for ic in cases:
-        _check_free_cocycle(ic)
 
 
 def _check_columns_against_terms(ic) -> int:
@@ -606,28 +465,10 @@ def test_columns_match_term_images():
     assert sum(_check_columns_against_terms(ic) for ic in cases) > 5000
 
 
-def test_free_cocycle_is_kept_on_the_complex():
-    ic = dual_model()
-    cx = ic.complex
-    assert validate(ic).ok  # its homology brings phi with it
-    free, torsion, support = cx._hom
-    # generators a, b, c are bits 0, 1, 2; c is a coboundary (d c = U b),
-    # so phi is a or a + c
-    assert support in (0b001, 0b101)
-    first = d_results(ic)
-    # plant the other valid cocycle: later calls, on this IotaComplex and on
-    # another one sharing the complex, must read it, not make a new one
-    cx._hom = free, torsion, support ^ 0b100
-    assert d_results(ic) == first
-    identity = IotaComplex(cx, {g: [(g, 0)] for g in cx.generators})
-    assert d_results(identity) == DResults(first.d, first.d, first.d)
-    assert cx._hom == (free, torsion, support ^ 0b100)
-
-
-# sha256 of _pinned_results(), recorded with the engine that tested
-# non-torsion against torsionish_masks and scanned every grading of d's
-# class from its top
-PINNED_RESULTS_SHA256 = "82aef9bb85677b6c37e235f70b88e6fb8841acf88321fca516c0dc417aae9367"
+# sha256 of _pinned_results(), recorded with the engine that searched for
+# d_lower and d_upper witnesses grading by grading, tested against a free
+# cocycle
+PINNED_RESULTS_SHA256 = "791b14441cd310bb23ce42c03db90e5fda5cbd3f4fca117ee92f4457557817ef"
 
 
 def _pinned_results() -> bytes:
@@ -644,7 +485,7 @@ def _pinned_results() -> bytes:
     for name, ic in cases:
         s = homology_summary(ic, check=False)
         span = s.torsion_exponent + len(ic.complex.generators)
-        searches = (("default", {}), ("m0", {"m_max": 0}),
+        searches = (("default", {}),
                     ("doubled", {"m_max": 2 * span, "window_slack": 2 * s.torsion_exponent + 2}))
         for search, kwargs in searches:
             r = d_results(ic, check=False, **kwargs)
@@ -653,7 +494,7 @@ def _pinned_results() -> bytes:
 
 
 def test_engine_results_match_pinned_digest():
-    # any change to the engine must leave these 1341 results byte-identical
+    # any change to the engine must leave these 894 results byte-identical
     assert hashlib.sha256(_pinned_results()).hexdigest() == PINNED_RESULTS_SHA256
 
 
@@ -661,9 +502,9 @@ def test_homology_computed_once_per_complex(monkeypatch):
     calls = []
     reduce_homology = iota._reduce_homology
 
-    def counted(cx):
-        calls.append(cx)
-        return reduce_homology(cx)
+    def counted(cols, gr, D):
+        calls.append((cols, gr, D))
+        return reduce_homology(cols, gr, D)
 
     monkeypatch.setattr(iota, "_reduce_homology", counted)
     ic = torsion_model(2)
@@ -674,8 +515,10 @@ def test_homology_computed_once_per_complex(monkeypatch):
     brute_oracle(ic, truncation=5)
     identity = IotaComplex(cx, {g: [(g, 0)] for g in cx.generators})
     d_results(identity)
-    assert calls == [cx]
-    free, torsion, _ = iota._homology(cx)
+    # C once, then one cone of 2 x 3 generators per d_results call
+    assert [len(gr) for _, gr, _ in calls] == [3, 6, 6]
+    assert calls[0][1] == iota._PieceCtx(cx).gr
+    free, torsion = iota._homology(cx)
     assert isinstance(free, tuple) and isinstance(torsion, tuple)
     assert torsion and all(isinstance(t, tuple) for t in torsion)
 
@@ -690,11 +533,10 @@ def test_d_results_builds_each_piece_once(monkeypatch):
 
     monkeypatch.setattr(iota, "_piece_for", counted)
     prod = tensor(random_iota_complex(5, max_order=4), random_iota_complex(6, max_order=4))
-    assert len(prod.complex.generators) == 25
+    assert len(prod.complex.generators) == 25 and squares_to_identity(prod)
     built.clear()
-    d_results(prod)  # validate, homology, d_lower and d_upper in one call
-    assert built and len(set(built)) == len(built)
-    assert len({ctx for ctx, _ in built}) == 1
+    d_results(prod)  # validate, homology and the cone need no graded piece
+    assert built == []
     assert iota._CALL_CTX.get() is None
     # the brute oracle draws its whole pieces from the same per-call cache
     ic = random_iota_complex(5, max_order=4)
@@ -924,16 +766,15 @@ def test_dual_complex_swaps_and_negates_the_invariants():
         assert validate(mirror).ok, complex_to_dict(ic)
         res = d_results(ic)
         assert d_results(mirror, check=False) == DResults(-res.d, -res.upper, -res.lower), complex_to_dict(ic)
-    moved = 0
     for ic in plain:
         mirror = dual(ic)
         dres = d_results(mirror, check=False)
         span = homology_summary(mirror, check=False).torsion_exponent + len(mirror.complex.generators)
         assert brute_oracle(mirror, truncation=span, check=False) == dres, complex_to_dict(ic)
-        moved += d_upper(mirror, check=False, m_max=0) != dres.upper
-    # 42 of these duals reach d_upper's U-powers m > 0, which randgen's own
-    # complexes never need
-    assert moved == 42, moved
+    # the search knobs are inert on the duals of products too
+    for prod in cases[-60:]:
+        mirror = dual(prod)
+        assert d_results(mirror, m_max=0) == d_results(mirror, window_slack=7) == d_results(mirror)
 
 
 # ---------------------------------------------------------------------------
