@@ -9,23 +9,24 @@ determined by a GF(2) bit matrix whose U-exponents are forced by the
 gradings; all heavy lifting reduces to bit-packed linear algebra over the
 finite-dimensional graded pieces.
 
-Inside the engine gradings are integers: each public call scales the
-complex's gradings by D, the lcm of their denominators, so d has degree -D
-and U degree -2D, and only generators in one class mod 2D meet in a graded
-piece.  Fractions are made only for the values returned.  The engine works
-in generator coordinates.  A map is one bitmask column per generator (bit
-i: generator i occurs in the image), and its U-exponents are checked once,
-where the columns are built; a column stands for the map only when that
+Inside the engine gradings are integers: the complex's gradings are scaled
+by D, the lcm of their denominators, so d has degree -D and U degree -2D,
+and only generators in one class mod 2D meet in a graded piece.  Fractions
+are made only for the values returned.  The engine works in generator
+coordinates.  A map is one bitmask column per generator (bit i: generator
+i occurs in the image), and its U-exponents are checked once, where the
+columns are built; a column stands for the map only when that
 check passes.  A graded piece V_g is the list of generators x of its class
 with gr(x) >= g, standing for the elements U^k x with k = (gr(x) - g)/2D,
 and an element of it is a mask over the generators.  The image of U^k x
 under a map is then the generator's column, read at the target grading,
 and U^m, which sends U^k x to U^(k+m) x, leaves the mask as it is.  The
-scaled view, d's columns with the result of its checks, and the pieces
-live in a piece context that belongs to one public call and is dropped
-when it returns; the public calls it makes on the same complex (d_results
--> validate, d_lower, d_upper) share it, so nothing is built twice in one
-call.  The columns of id+iota are built by each call that needs them.
+integer view (D, the generator index, the scaled gradings, d's columns
+with the result of its checks) is built on first use and kept on the
+complex; it holds no reference back to it.  Each public call builds
+iota's columns once and shares them between validation and the cone.
+Only brute_oracle builds graded pieces, in a state of its own that it
+drops when it returns.
 
 validate checks d, iota and their composites on the columns.  When
 iota^2 = id exactly, H = 0 is the homotopy from iota^2 to id.  Otherwise
@@ -39,8 +40,8 @@ U-exponent left, which keeps every entry a monomial and each column
 operation a plain XOR.  Because d^2 = 0 each pivot pair x_j -> U^e x_i
 splits off as a direct summand, a torsion class F2[U]/U^e when e > 0, and
 the generators left unpaired carry the free part.  The reduction of C runs
-once per complex and its homology is kept on it, so a GradedComplex must
-not be mutated after construction.
+once per complex and its homology is kept on it, next to the integer view,
+so a GradedComplex must not be mutated after construction.
 
 d_lower and d_upper come from the same reduction, run on the mapping cone
 of Q(1+iota), whose homology is HFI (Hendricks-Manolescu, Involutive
@@ -48,7 +49,8 @@ Heegaard Floer homology, 2017): generators x at gr(x) and Qx at gr(x) - 1,
 with x -> dx + Q(1+iota)x and Qx -> Q dx.  Localized at U it has rank 2,
 so H(cone) has exactly two free generators, in the two classes of d mod 2:
 the one in d's class is at d_lower, the other at d_upper - 1.  The cone is
-built and reduced once per public call.
+built and reduced once per public call; d_results reads all three values
+from that one reduction.
 brute_oracle re-derives all three invariants by exhaustive enumeration over
 every subset of whole graded pieces, with its own non-torsion test (U^N w
 is a boundary, which in generator coordinates is w in im d at the grading
@@ -58,8 +60,6 @@ is a boundary, which in generator coordinates is w in im d at the grading
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -149,7 +149,7 @@ class GradedComplex:
     """Free F2[U]-complex: ordered generators, exact rational gradings,
     differential stored as generator -> element (missing means zero)."""
 
-    __slots__ = ("generators", "grading", "diff", "_hom")
+    __slots__ = ("generators", "grading", "diff", "_hom", "_view")
 
     def __init__(self, generators: Sequence[tuple[str, Fraction]], diff: Mapping[str, Iterable[Term]]):
         names = [str(n) for n, _ in generators]
@@ -161,6 +161,7 @@ class GradedComplex:
         self.grading: dict[str, Fraction] = {str(n): Fraction(g) for n, g in generators}
         self.diff: dict[str, Element] = _clean_map(self.generators, diff, "differential")
         self._hom = None  # set once by _homology
+        self._view = None  # set once by _view
 
     def __repr__(self) -> str:
         return f"GradedComplex({len(self.generators)} generators)"
@@ -180,31 +181,34 @@ class IotaComplex:
 
 
 # ---------------------------------------------------------------------------
-# scaled-integer gradings and per-call piece contexts
+# the integer view of a complex
 
 
-class _PieceCtx:
+class _View:
     """One complex in generator coordinates, on its scaled-integer gradings:
-    d's columns with the result of its checks, the graded pieces built so
-    far and the towers of the cone of Q(1+iota).  It lives for one public
-    call."""
+    the generator index, d's columns and the details of its degree and d^2
+    checks (None when they pass).  It is built once per complex and holds
+    no reference back to it."""
+
+    __slots__ = ("D", "index", "gr", "dcols", "d_degree", "d_square")
 
     def __init__(self, cx: GradedComplex):
-        self.cx = cx
         scale = 1
         for q in cx.grading.values():
             scale = lcm(scale, q.denominator)
         self.D = scale
         self.index: dict[str, int] = {g: i for i, g in enumerate(cx.generators)}
         self.gr: list[int] = [self.scaled(cx.grading[g]) for g in cx.generators]
-        # (generator, grading) by grading class mod 2D, in generator order:
-        # only these can appear in a piece of a grading in that class
-        self.classes: dict[int, list[tuple[int, int]]] = {}
-        for i, gi in enumerate(self.gr):
-            self.classes.setdefault(gi % (2 * scale), []).append((i, gi))
-        self._pieces: dict[int, list[int]] = {}
-        self._d: Optional[tuple[list[int], Optional[str], Optional[str]]] = None
-        self._towers: Optional[tuple[IotaComplex, tuple[int, int]]] = None
+        self.dcols, self.d_degree = _columns(self, cx.diff, -1)
+        if self.d_degree is None:
+            self.d_square = next((f"d(d({g})) != 0" for g, c in zip(cx.generators, self.dcols)
+                                  if _image(self.dcols, c)), None)
+        else:
+            # the columns drop U-exponents, which only the degree check
+            # ties to the gradings, so d^2 is taken on the terms
+            diff = cx.diff
+            self.d_square = next((f"d(d({g})) != 0" for g in cx.generators
+                                  if apply_map(diff, diff.get(g, ZERO))), None)
 
     def scaled(self, q: Fraction) -> int:
         return q.numerator * (self.D // q.denominator)
@@ -212,85 +216,26 @@ class _PieceCtx:
     def unscaled(self, g: int) -> Fraction:
         return Fraction(g, self.D)
 
-    def piece(self, grading: int) -> list[int]:
-        p = self._pieces.get(grading)
-        if p is None:
-            p = self._pieces[grading] = _piece_for(self, grading)
-        return p
 
-    def differential(self) -> tuple[list[int], Optional[str], Optional[str]]:
-        """d's columns, with the details of its degree check and its d^2
-        check (None when they pass), made on first use."""
-        if self._d is None:
-            cols, degree = _columns(self, self.cx.diff, -1)
-            if degree is None:
-                square = next((f"d(d({g})) != 0" for g, c in zip(self.cx.generators, cols)
-                               if _image(cols, c)), None)
-            else:
-                # the columns drop U-exponents, which only the degree check
-                # ties to the gradings, so d^2 is taken on the terms
-                diff = self.cx.diff
-                square = next((f"d(d({g})) != 0" for g in self.cx.generators
-                               if apply_map(diff, diff.get(g, ZERO))), None)
-            self._d = cols, degree, square
-        return self._d
-
-    @property
-    def dcols(self) -> list[int]:
-        return self.differential()[0]
-
-    def boundary_masks(self, grading: int) -> list[int]:
-        """Spanning masks of d(V_{grading+1}) inside V_grading."""
-        dcols = self.dcols
-        return [dcols[j] for j in self.piece(grading + self.D) if dcols[j]]
-
-    def towers(self, ic: IotaComplex) -> tuple[int, int]:
-        """Scaled (d_lower, d_upper) of ic, from one cone per call."""
-        if self._towers is None or self._towers[0] is not ic:
-            self._towers = ic, _cone_towers(self, ic)
-        return self._towers[1]
-
-    def candidate_gradings(self, floor: int) -> list[int]:
-        """Every grading G - 2kD >= floor of a generator, from the top down."""
-        vals: set[int] = set()
-        for g in self.gr:
-            vals.update(range(g, floor - 1, -2 * self.D))
-        return sorted(vals, reverse=True)
+def _view(cx: GradedComplex) -> _View:
+    """cx's integer view, built on first use and kept on the complex."""
+    if cx._view is None:
+        cx._view = _View(cx)
+    return cx._view
 
 
-# The piece context of the public call in progress; a nested public call on
-# the same complex (d_results -> validate, d_lower, d_upper) reuses it.
-_CALL_CTX: ContextVar[Optional[_PieceCtx]] = ContextVar("cablecalc_iota_call", default=None)
+_Columns = tuple[list[int], Optional[str]]
 
 
-@contextmanager
-def _call_ctx(cx: GradedComplex) -> Iterator[_PieceCtx]:
-    ctx = _CALL_CTX.get()
-    if ctx is not None and ctx.cx is cx:
-        yield ctx
-        return
-    ctx = _PieceCtx(cx)
-    token = _CALL_CTX.set(ctx)
-    try:
-        yield ctx
-    finally:
-        _CALL_CTX.reset(token)
-
-
-def _piece_for(ctx: _PieceCtx, grading: int) -> list[int]:
-    """Generators of V_grading."""
-    return [i for i, gi in ctx.classes.get(grading % (2 * ctx.D), ()) if gi >= grading]
-
-
-def _columns(ctx: _PieceCtx, mp: Mapping[str, Element], degree: int) -> tuple[list[int], Optional[str]]:
+def _columns(view: _View, mp: Mapping[str, Element], degree: int) -> _Columns:
     """mp as one column per generator, and the first term (by source, then
     term order) whose U-exponent breaks the degree, or None."""
-    index, gr, step = ctx.index, ctx.gr, 2 * ctx.D
+    index, gr, step = view.index, view.gr, 2 * view.D
     cols = [0] * len(gr)
     detail = None
     for src, val in mp.items():
         j = index[src]
-        want = gr[j] + degree * ctx.D
+        want = gr[j] + degree * view.D
         col = 0
         for g, e in val:
             i = index[g]
@@ -320,10 +265,10 @@ def _image(cols: Sequence[int], mask: int) -> int:
     return acc
 
 
-def _id_plus_iota(ctx: _PieceCtx, ic: IotaComplex) -> list[int]:
-    """Columns of id+iota; an iota term of the wrong degree, which no
-    column can stand for, raises."""
-    cols, detail = _columns(ctx, ic.iota, 0)
+def _id_plus_iota(iota_cols: _Columns) -> list[int]:
+    """Columns of id+iota from iota's; an iota term of the wrong degree,
+    which no column can stand for, raises."""
+    cols, detail = iota_cols
     if detail is not None:
         raise InternalCheckError(f"iota is not a degree-0 map: {detail}")
     return [c ^ 1 << j for j, c in enumerate(cols)]
@@ -352,7 +297,7 @@ class ValidationReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _iota_squared_homotopic(ctx: _PieceCtx, icols: list[int]) -> bool:
+def _iota_squared_homotopic(view: _View, icols: list[int]) -> bool:
     """Whether some degree +1 map H has dH + Hd = iota^2 + id.
 
     Unknowns are the admissible entries of H: y in H(x) needs y in the
@@ -362,7 +307,11 @@ def _iota_squared_homotopic(ctx: _PieceCtx, icols: list[int]) -> bool:
     dH + Hd it reaches, and H exists just when iota^2 + id lies in the
     span of the columns.
     """
-    n, dcols = len(ctx.gr), ctx.dcols
+    gr, D, dcols = view.gr, view.D, view.dcols
+    n = len(gr)
+    classes: dict[int, list[int]] = {}  # grading class mod 2D -> its generators
+    for y, g in enumerate(gr):
+        classes.setdefault(g % (2 * D), []).append(y)
     preds: list[list[int]] = [[] for _ in range(n)]  # x -> the w with x in d(w)
     for w in range(n):
         for x in _bits(dcols[w]):
@@ -370,7 +319,9 @@ def _iota_squared_homotopic(ctx: _PieceCtx, icols: list[int]) -> bool:
     order: dict[int, int] = {}  # entry w * n + g -> its coordinate
     span = Echelon()
     for x in range(n):
-        for y in ctx.piece(ctx.gr[x] + ctx.D):
+        for y in classes.get((gr[x] + D) % (2 * D), ()):
+            if gr[y] < gr[x] + D:
+                continue
             # (x, y) puts d(y) into dH(x), and y into Hd(w) for each w
             # with x in d(w)
             col = 0
@@ -386,39 +337,50 @@ def _iota_squared_homotopic(ctx: _PieceCtx, icols: list[int]) -> bool:
     return span.contains(rhs)
 
 
-def validate(ic: IotaComplex) -> ValidationReport:
-    """Check all defining properties; later checks are skipped once one fails."""
-    cx = ic.complex
-    with _call_ctx(cx) as ctx:
-        dcols, d_degree, d_squared = ctx.differential()
-        icols, i_degree = _columns(ctx, ic.iota, 0)
-        details = [("differential-degree", d_degree), ("differential-squared", d_squared),
-                   ("iota-degree", i_degree)]
-        if any(detail is not None for _, detail in details):
-            skipped = ("iota-chain-map", "iota-squared-homotopic-identity", "localized-rank-one")
-            details += [(name, "not checked: structural failure") for name in skipped]
-        else:
-            # every exponent is now forced by the gradings, so the columns
-            # stand for the maps and their composites
-            chain = next((f"iota fails to commute with d on {g}" for j, g in enumerate(cx.generators)
-                          if _image(dcols, icols[j]) != _image(icols, dcols[j])), None)
-            exact = all(_image(icols, c) == 1 << j for j, c in enumerate(icols))
-            homotopic = exact or _iota_squared_homotopic(ctx, icols)
-            rank = len(_homology(cx)[0])
-            details += [
-                ("iota-chain-map", chain),
-                ("iota-squared-homotopic-identity", None if homotopic else "no homotopy from iota^2 to id"),
-                ("localized-rank-one", None if rank == 1 else f"localized homology has rank {rank}, expected 1"),
-            ]
+def _validate(ic: IotaComplex, view: _View, iota_cols: _Columns) -> ValidationReport:
+    icols, i_degree = iota_cols
+    details = [("differential-degree", view.d_degree), ("differential-squared", view.d_square),
+               ("iota-degree", i_degree)]
+    if any(detail is not None for _, detail in details):
+        skipped = ("iota-chain-map", "iota-squared-homotopic-identity", "localized-rank-one")
+        details += [(name, "not checked: structural failure") for name in skipped]
+    else:
+        # every exponent is now forced by the gradings, so the columns
+        # stand for the maps and their composites
+        dcols = view.dcols
+        chain = next((f"iota fails to commute with d on {g}" for j, g in enumerate(ic.complex.generators)
+                      if _image(dcols, icols[j]) != _image(icols, dcols[j])), None)
+        exact = all(_image(icols, c) == 1 << j for j, c in enumerate(icols))
+        homotopic = exact or _iota_squared_homotopic(view, icols)
+        rank = len(_homology(ic.complex)[0])
+        details += [
+            ("iota-chain-map", chain),
+            ("iota-squared-homotopic-identity", None if homotopic else "no homotopy from iota^2 to id"),
+            ("localized-rank-one", None if rank == 1 else f"localized homology has rank {rank}, expected 1"),
+        ]
     checks = (ValidationCheck(name, detail is None, detail or "") for name, detail in details)
     return ValidationReport(tuple(checks))
 
 
+def validate(ic: IotaComplex) -> ValidationReport:
+    """Check all defining properties; later checks are skipped once one fails."""
+    view = _view(ic.complex)
+    return _validate(ic, view, _columns(view, ic.iota, 0))
+
+
 def require_valid(ic: IotaComplex) -> None:
-    report = validate(ic)
-    if not report.ok:
-        bad = report.failures()[0]
-        raise ValidationError(f"invalid iota-complex: {bad.name}: {bad.detail}")
+    _checked(ic, True)
+
+
+def _checked(ic: IotaComplex, check: bool) -> tuple[_View, _Columns]:
+    """ic's view and iota's columns, built once for the whole call; with
+    check set, an ic that fails validate raises ValidationError."""
+    view = _view(ic.complex)
+    iota_cols = _columns(view, ic.iota, 0)
+    bad = _validate(ic, view, iota_cols).failures() if check else []
+    if bad:
+        raise ValidationError(f"invalid iota-complex: {bad[0].name}: {bad[0].detail}")
+    return view, iota_cols
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +394,13 @@ def _homology(cx: GradedComplex) -> _Homology:
     """(free part gradings, torsion (grading, U-order) pairs) of H_*(C),
     computed on first use and kept on the complex."""
     if cx._hom is None:
-        with _call_ctx(cx) as ctx:
-            cols, *faults = ctx.differential()
-            for detail in faults:
-                if detail is not None:
-                    raise InternalCheckError(f"homology of a non-complex: {detail}")
-            free, torsion = _reduce_homology(cols, ctx.gr, ctx.D)
-            cx._hom = (tuple(ctx.unscaled(g) for g in free),
-                       tuple((ctx.unscaled(g), e) for g, e in sorted(torsion, reverse=True)))
+        view = _view(cx)
+        for detail in (view.d_degree, view.d_square):
+            if detail is not None:
+                raise InternalCheckError(f"homology of a non-complex: {detail}")
+        free, torsion = _reduce_homology(view.dcols, view.gr, view.D)
+        cx._hom = (tuple(view.unscaled(g) for g in free),
+                   tuple((view.unscaled(g), e) for g, e in sorted(torsion, reverse=True)))
     return cx._hom
 
 
@@ -528,11 +489,6 @@ def homology_summary(ic: IotaComplex | GradedComplex, check: bool = True) -> Hom
 # the three correction terms
 
 
-def _search_floor(ctx: _PieceCtx, summary: HomologySummary, window_slack: int) -> int:
-    """Scaled bottom of the search window, d - 2N - 2 - window_slack."""
-    return ctx.scaled(summary.free_grading) - ctx.D * (2 * summary.torsion_exponent + 2 + window_slack)
-
-
 def _check_search(m_max: Optional[int], window_slack: int) -> None:
     """Both must be ints >= 0 (m_max None asks for the default)."""
     for name, value in (("m_max", 0 if m_max is None else m_max), ("window_slack", window_slack)):
@@ -545,22 +501,23 @@ def d_invariant(ic: IotaComplex | GradedComplex, check: bool = True) -> Fraction
     return homology_summary(ic, check=check).free_grading
 
 
-def _cone_towers(ctx: _PieceCtx, ic: IotaComplex) -> tuple[int, int]:
-    """Scaled (d_lower, d_upper), read off the two free generators of the
-    homology of the cone of Q(1+iota): x at gr(x) with column dx +
+def _invariants(ic: IotaComplex, check: bool) -> tuple[Fraction, Fraction, Fraction]:
+    """(d, d_lower, d_upper), the last two read off the two free generators
+    of the homology of the cone of Q(1+iota): x at gr(x) with column dx +
     Q(1+iota)x, and Qx at gr(x) - 1 with column Q dx, Q's bits above C's."""
-    d = ctx.scaled(homology_summary(ic, check=False).free_grading)
-    n, D = len(ctx.gr), ctx.D
-    dcols = ctx.dcols
-    cols = [c | t << n for c, t in zip(dcols, _id_plus_iota(ctx, ic))] + [c << n for c in dcols]
-    free, _ = _reduce_homology(cols, ctx.gr + [g - D for g in ctx.gr], D)
-    lower = [g for g in free if (g - d) % (2 * D) == 0]
-    upper = [g + D for g in free if (g + D - d) % (2 * D) == 0]
+    view, iota_cols = _checked(ic, check)
+    d = homology_summary(ic.complex, check=False).free_grading
+    n, D, gr, dcols = len(view.gr), view.D, view.gr, view.dcols
+    cols = [c | t << n for c, t in zip(dcols, _id_plus_iota(iota_cols))] + [c << n for c in dcols]
+    free, _ = _reduce_homology(cols, gr + [g - D for g in gr], D)
+    sd = view.scaled(d)
+    lower = [g for g in free if (g - sd) % (2 * D) == 0]
+    upper = [g + D for g in free if (g + D - sd) % (2 * D) == 0]
     if len(free) != 2 or len(lower) != 1 or len(upper) != 1:
-        found = ", ".join(str(ctx.unscaled(g)) for g in free)
+        found = ", ".join(str(view.unscaled(g)) for g in free)
         raise InternalCheckError(f"cone of Q(1+iota) has free gradings [{found}], "
                                  "expected one in each class of d mod 2")
-    return lower[0], upper[0]
+    return d, view.unscaled(lower[0]), view.unscaled(upper[0])
 
 
 def d_lower(ic: IotaComplex, check: bool = True, window_slack: int = 0) -> Fraction:
@@ -568,10 +525,7 @@ def d_lower(ic: IotaComplex, check: bool = True, window_slack: int = 0) -> Fract
     the free generator of H(cone of Q(1+iota)) in d's class mod 2.
     window_slack is checked but changes no result."""
     _check_search(None, window_slack)
-    with _call_ctx(ic.complex) as ctx:
-        if check:
-            require_valid(ic)
-        return ctx.unscaled(ctx.towers(ic)[0])
+    return _invariants(ic, check)[1]
 
 
 def d_upper(
@@ -587,10 +541,7 @@ def d_upper(
     mod 2.  m_max and window_slack are checked but change no result.
     """
     _check_search(m_max, window_slack)
-    with _call_ctx(ic.complex) as ctx:
-        if check:
-            require_valid(ic)
-        return ctx.unscaled(ctx.towers(ic)[1])
+    return _invariants(ic, check)[2]
 
 
 @dataclass(frozen=True)
@@ -610,18 +561,10 @@ def d_results(
     m_max: Optional[int] = None,
     window_slack: int = 0,
 ) -> DResults:
-    """All three correction terms, asserting d_lower <= d <= d_upper.  The
-    calls share one piece context, so d_lower and d_upper read one cone.
-    m_max and window_slack are checked but change no result."""
+    """All three correction terms from one cone, asserting d_lower <= d <=
+    d_upper.  m_max and window_slack are checked but change no result."""
     _check_search(m_max, window_slack)
-    with _call_ctx(ic.complex):
-        if check:
-            require_valid(ic)
-        return DResults(
-            d_invariant(ic, check=False),
-            d_lower(ic, check=False, window_slack=window_slack),
-            d_upper(ic, check=False, m_max=m_max, window_slack=window_slack),
-        )
+    return DResults(*_invariants(ic, check))
 
 
 # ---------------------------------------------------------------------------
@@ -705,27 +648,65 @@ def _mask_images(cols: Sequence[int]) -> list[int]:
 
 
 class _BruteCtx:
-    """Mask-enumeration helpers: sources are the whole pieces of the call's
-    piece context, images are generator masks of the complex, so nothing is
-    lost.  truncation is the highest U-power d_upper's triples try."""
+    """One brute_oracle call on one complex: its generators by grading class
+    mod 2D, the whole graded pieces and the images of their subset masks,
+    all dropped when the call returns.  A graded piece V_g is the list of
+    generators x of g's class with gr(x) >= g; sources are whole pieces and
+    images are generator masks of the complex, so nothing is lost.
+    truncation is the highest U-power d_upper's triples try."""
 
-    def __init__(self, ic: IotaComplex, full: _PieceCtx, truncation: int, n_exp: int):
-        self.full = full
+    def __init__(self, view: _View, id_iota: list[int], summary: HomologySummary, truncation: int):
+        self.view = view
+        self.id_iota = id_iota
         self.truncation = truncation
-        self.n_exp = n_exp
-        self.id_iota = _id_plus_iota(full, ic)
-        self._cache: dict[tuple[str, int], list[int]] = {}
+        self.n_exp = summary.torsion_exponent
+        self.classes: dict[int, list[tuple[int, int]]] = {}
+        for i, g in enumerate(view.gr):
+            self.classes.setdefault(g % (2 * view.D), []).append((i, g))
+        self._pieces: dict[int, list[int]] = {}
+        self._images: dict[tuple[str, int], list[int]] = {}
+        self._by_image: dict[int, dict[int, list[int]]] = {}
         self._torsion: dict[int, Echelon] = {}
+        # the search window reaches d - 2N - 2 (scaled)
+        self.gradings = self.candidate_gradings(view.scaled(summary.free_grading)
+                                                - view.D * (2 * self.n_exp + 2))
+
+    def piece(self, grading: int) -> list[int]:
+        p = self._pieces.get(grading)
+        if p is None:
+            p = self._pieces[grading] = _piece_for(self, grading)
+        return p
+
+    def candidate_gradings(self, floor: int) -> list[int]:
+        """Every grading G - 2kD >= floor of a generator, from the top down."""
+        vals: set[int] = set()
+        for g in self.view.gr:
+            vals.update(range(g, floor - 1, -2 * self.view.D))
+        return sorted(vals, reverse=True)
+
+    def boundary_masks(self, grading: int) -> list[int]:
+        """Spanning masks of d(V_{grading+1}) inside V_grading."""
+        dcols = self.view.dcols
+        return [dcols[j] for j in self.piece(grading + self.view.D) if dcols[j]]
 
     def images(self, kind: str, grading: int) -> list[int]:
         """Images of every subset mask of the piece under d ("d"), id+iota
         ("i") or U^m ("u", the subsets' own generator masks)."""
         key = (kind, grading)
-        got = self._cache.get(key)
+        got = self._images.get(key)
         if got is None:
-            cols = {"d": self.full.dcols, "i": self.id_iota}.get(kind)
-            piece = self.full.piece(grading)
-            got = self._cache[key] = _mask_images([1 << j if cols is None else cols[j] for j in piece])
+            cols = {"d": self.view.dcols, "i": self.id_iota}.get(kind)
+            piece = self.piece(grading)
+            got = self._images[key] = _mask_images([1 << j if cols is None else cols[j] for j in piece])
+        return got
+
+    def by_image(self, grading: int) -> dict[int, list[int]]:
+        """The subset masks of the piece, grouped by their image under d."""
+        got = self._by_image.get(grading)
+        if got is None:
+            got = self._by_image[grading] = {}
+            for mask, img in enumerate(self.images("d", grading)):
+                got.setdefault(img, []).append(mask)
         return got
 
     def torsion(self, grading: int) -> Echelon:
@@ -733,9 +714,13 @@ class _BruteCtx:
         bits, so these are the masks in im d at grading - 2ND."""
         ech = self._torsion.get(grading)
         if ech is None:
-            full = self.full
-            ech = self._torsion[grading] = Echelon(full.boundary_masks(grading - 2 * self.n_exp * full.D))
+            ech = self._torsion[grading] = Echelon(self.boundary_masks(grading - 2 * self.n_exp * self.view.D))
         return ech
+
+
+def _piece_for(br: _BruteCtx, grading: int) -> list[int]:
+    """Generators of V_grading."""
+    return [i for i, gi in br.classes.get(grading % (2 * br.view.D), ()) if gi >= grading]
 
 
 def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResults:
@@ -749,84 +734,58 @@ def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResul
     triples are tried at every m <= truncation, which must be at least
     torsion_exponent + number of generators.
     """
-    with _call_ctx(ic.complex) as full:
-        if check:
-            require_valid(ic)
-        summary = homology_summary(ic, check=False)
-        n_exp = summary.torsion_exponent
-        min_trunc = n_exp + len(ic.complex.generators)
-        if truncation < min_trunc:
-            raise ValidationError(f"truncation {truncation} too small; need at least {min_trunc}")
-        br = _BruteCtx(ic, full, truncation, n_exp)
-        floor = _search_floor(full, summary, 0)
-        gradings = full.candidate_gradings(floor)
+    view, iota_cols = _checked(ic, check)
+    summary = homology_summary(ic.complex, check=False)
+    min_trunc = summary.torsion_exponent + len(ic.complex.generators)
+    if truncation < min_trunc:
+        raise ValidationError(f"truncation {truncation} too small; need at least {min_trunc}")
+    br = _BruteCtx(view, _id_plus_iota(iota_cols), summary, truncation)
 
-        d_val = None
-        for g in gradings:
-            dim = len(full.piece(g))
-            dimg, femb, ws = br.images("d", g), br.images("u", g), br.torsion(g)
-            if any(
-                dimg[mask] == 0 and not ws.contains(femb[mask]) for mask in range(1, 1 << dim)
-            ):
-                d_val = g
-                break
-        if d_val is None:
-            raise InternalCheckError("brute search found no non-torsion cycle")
+    d_val = None
+    for g in br.gradings:
+        dimg, femb, ws = br.images("d", g), br.images("u", g), br.torsion(g)
+        if any(dimg[mask] == 0 and not ws.contains(femb[mask]) for mask in range(1, len(dimg))):
+            d_val = g
+            break
+    if d_val is None:
+        raise InternalCheckError("brute search found no non-torsion cycle")
 
-        lower_val = None
-        for g in gradings:
-            dim = len(full.piece(g))
-            dimg, femb, ws = br.images("d", g), br.images("u", g), br.torsion(g)
-            iimg = br.images("i", g)
-            bnd = Echelon(full.boundary_masks(g))
-            found = False
-            for mask in range(1, 1 << dim):
-                if dimg[mask]:
-                    continue
-                if not bnd.contains(iimg[mask]):
-                    continue
-                if not ws.contains(femb[mask]):
-                    found = True
-                    break
-            if found:
-                lower_val = g
-                break
-        if lower_val is None:
-            raise InternalCheckError("brute search found no d_lower witness")
+    lower_val = None
+    for g in br.gradings:
+        dimg, femb, ws = br.images("d", g), br.images("u", g), br.torsion(g)
+        iimg = br.images("i", g)
+        bnd = Echelon(br.boundary_masks(g))
+        if any(dimg[mask] == 0 and bnd.contains(iimg[mask]) and not ws.contains(femb[mask])
+               for mask in range(1, len(dimg))):
+            lower_val = g
+            break
+    if lower_val is None:
+        raise InternalCheckError("brute search found no d_lower witness")
 
-        upper_val = None
-        values = sorted({w for g in gradings for w in (g, g + full.D)}, reverse=True)
-        for v in values:
-            if _brute_upper_at(br, v):
-                upper_val = v
-                break
-        if upper_val is None:
-            raise InternalCheckError("brute search found no d_upper witness")
-        return DResults(full.unscaled(d_val), full.unscaled(lower_val), full.unscaled(upper_val))
+    upper_val = None
+    values = sorted({w for g in br.gradings for w in (g, g + view.D)}, reverse=True)
+    for v in values:
+        if _brute_upper_at(br, v):
+            upper_val = v
+            break
+    if upper_val is None:
+        raise InternalCheckError("brute search found no d_upper witness")
+    return DResults(view.unscaled(d_val), view.unscaled(lower_val), view.unscaled(upper_val))
 
 
 def _brute_upper_at(br: _BruteCtx, v: int) -> bool:
-    full = br.full
-    step = 2 * full.D
-    dx = len(full.piece(v - full.D))
-    dy = len(full.piece(v))
-    if not (dx or dy):
+    D, step = br.view.D, 2 * br.view.D
+    dx = len(br.piece(v - D))
+    if not (dx or br.piece(v)):
         return False
-    ximg_i = br.images("i", v - full.D)
-    yimg_d = br.images("d", v)
+    ximg_i = br.images("i", v - D)
     # U^m moves no generator bit, so U^m x and U^m y have the masks of x, y
-    ximg_u, yimg_u = br.images("u", v - full.D), br.images("u", v)
-    y_by_image: dict[int, list[int]] = {}
-    for ymask in range(1 << dy):
-        y_by_image.setdefault(yimg_d[ymask], []).append(ymask)
+    ximg_u, yimg_u = br.images("u", v - D), br.images("u", v)
+    y_by_image = br.by_image(v)
+    bottom = min(br.view.gr)
     for m in range(br.truncation + 1):
-        dz = len(full.piece(v - m * step))
-        ws = br.torsion(v - m * step)
-        zimg_d = br.images("d", v - m * step)
-        zimg_i = br.images("i", v - m * step)
-        z_by_image: dict[int, list[int]] = {}
-        for zmask in range(1 << dz):
-            z_by_image.setdefault(zimg_d[zmask], []).append(zmask)
+        g = v - m * step
+        ws, zimg_i, z_by_image = br.torsion(g), br.images("i", g), br.by_image(g)
         for xmask in range(1 << dx):
             y_hits = y_by_image.get(ximg_i[xmask])
             if not y_hits:
@@ -842,6 +801,10 @@ def _brute_upper_at(br: _BruteCtx, v: int) -> bool:
                     w = uy ^ zimg_i[zmask]
                     if w and not ws.contains(w):
                         return True
+        if g + D <= bottom:
+            # the z piece and the torsion piece (from V_(g - 2ND + D)) are
+            # whole, so every larger m repeats this one
+            break
     return False
 
 

@@ -1,6 +1,8 @@
 """Engine tests: validation, homology, d / d_lower / d_upper, tensor, JSON."""
 
+import gc
 import hashlib
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,9 @@ from cablecalc.iota import (
     validate,
 )
 from cablecalc.randgen import random_iota_complex
+from cablecalc.torus import torus_vs
 from cablecalc.verify import figure_eight_complex
+from test_staircase import staircase_a0
 
 
 def sphere_model() -> IotaComplex:
@@ -245,10 +249,10 @@ def test_homology_refuses_non_complexes():
         assert cx._hom is None
 
 
-def _predicted_dims(ctx, free, torsion, gradings):
+def _predicted_dims(view, free, torsion, gradings):
     """dim H_g for each scaled grading g, from free gradings and torsion pairs."""
-    step = 2 * ctx.D
-    towers = [(ctx.scaled(f), None) for f in free] + [(ctx.scaled(s), e) for s, e in torsion]
+    step = 2 * view.D
+    towers = [(view.scaled(f), None) for f in free] + [(view.scaled(s), e) for s, e in torsion]
     dims = dict.fromkeys(gradings, 0)
     for top, order in towers:
         for g in gradings:
@@ -266,18 +270,33 @@ def _power(ic, k):
     return out
 
 
-def _check_homology_by_ranks(ic):
+def _cone(ic):
+    """The mapping cone of Q(1+iota) as a complex: x at gr(x) with dx +
+    Q(1+iota)x, and Qx at gr(x) - 1 with Q dx."""
     cx = ic.complex
+
+    def q(elt):
+        return [(f"Q({g})", e) for g, e in elt]
+
+    gens = [(g, cx.grading[g]) for g in cx.generators] + [(f"Q({g})", cx.grading[g] - 1) for g in cx.generators]
+    diff = {g: [*cx.diff.get(g, ()), *q(ic.iota.get(g, iota.ZERO) ^ {(g, 0)})] for g in cx.generators}
+    diff.update({f"Q({g})": q(cx.diff.get(g, ())) for g in cx.generators})
+    return GradedComplex(gens, diff)
+
+
+def _check_homology_by_ranks(cx):
     free, torsion = iota._homology(cx)
-    ctx = iota._PieceCtx(cx)
     n_exp = max((e for _, e in torsion), default=0)
-    gradings = ctx.candidate_gradings(min(ctx.gr) - 2 * ctx.D * (n_exp + 2))
-    predicted = _predicted_dims(ctx, free, torsion, gradings)
+    view = iota._view(cx)
+    # only the pieces are used: the free grading sets the oracle's window
+    br = iota._BruteCtx(view, [], iota.HomologySummary(Fraction(0), torsion, n_exp), 0)
+    gradings = br.candidate_gradings(min(view.gr) - 2 * view.D * (n_exp + 2))
+    predicted = _predicted_dims(view, free, torsion, gradings)
     for g in gradings:
-        piece = ctx.piece(g)
-        cycles = len(piece) - Echelon(ctx.dcols[j] for j in piece).rank
-        boundaries = Echelon(ctx.boundary_masks(g)).rank
-        assert cycles - boundaries == predicted[g], (ic, ctx.unscaled(g))
+        piece = br.piece(g)
+        cycles = len(piece) - Echelon(view.dcols[j] for j in piece).rank
+        boundaries = Echelon(br.boundary_masks(g)).rank
+        assert cycles - boundaries == predicted[g], (cx, view.unscaled(g))
 
 
 def test_homology_matches_piece_ranks():
@@ -292,8 +311,18 @@ def test_homology_matches_piece_ranks():
         cases.append(tensor(a, b))
     cases += [tensor(dual_model(), random_iota_complex(seed)) for seed in range(10)]
     cases += [_power(figure_eight_complex(), 2), _power(figure_eight_complex(), 5)]
-    for ic in cases:
-        _check_homology_by_ranks(ic)
+    # mid-size inputs, where a pivot may need a row that an earlier column
+    # XOR moved: randgen triple products of 27 to 125 generators, and
+    # staircases A_0 times the figure-eight complex with their duals, also
+    # as the cones of Q(1+iota) that d_lower and d_upper reduce
+    triples = [tuple(random_iota_complex(3 * j + k, max_order=4) for k in range(3)) for j in range(40)]
+    cases += [tensor(tensor(a, b), c) for a, b, c in triples
+              if 27 <= len(a.complex.generators) * len(b.complex.generators) * len(c.complex.generators) <= 125]
+    staircases = [tensor(staircase_a0(torus_vs(p, q)), figure_eight_complex()) for p, q in ((2, 7), (3, 5), (4, 7))]
+    staircases += [dual(ic) for ic in staircases]
+    cxs = [ic.complex for ic in cases + staircases] + [_cone(ic) for ic in cases[-8:] + staircases]
+    for cx in cxs:
+        _check_homology_by_ranks(cx)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +386,6 @@ def test_search_parameters_must_be_counts():
         for call in calls:
             with pytest.raises(ValidationError):
                 call()
-    assert iota._CALL_CTX.get() is None
     assert d_results(f8, m_max=0, window_slack=0) == d_results(f8)
     assert (d_upper(ic, check=False, m_max=0), d_lower(ic, window_slack=10**6)) == (0, 0)
 
@@ -367,7 +395,7 @@ def test_d_upper_needs_a_positive_u_power_on_dual_model():
     # 1/3 the engine works in thirds (D = 3)
     for r, scale in ((Fraction(0), 1), (Fraction(1, 3), 3)):
         ic = shift(dual_model(), r)
-        assert iota._PieceCtx(ic.complex).D == scale
+        assert iota._view(ic.complex).D == scale
         assert d_upper(ic) == 2 + r
         assert brute_oracle(ic, truncation=4) == d_results(ic) == DResults(r, r, 2 + r)
 
@@ -414,7 +442,7 @@ def test_class_search_matches_brute_oracle_on_fractional_gradings():
     for a, b in zip(small[0:24:2], small[1:24:2]):
         prod = tensor(shift(random_iota_complex(a, max_order=4), Fraction(1, 2)),
                       shift(random_iota_complex(b, max_order=4), Fraction(1, 3)))
-        assert iota._PieceCtx(prod.complex).D == 6
+        assert iota._view(prod.complex).D == 6
         cases.append(prod)
     for ic in cases:
         n = homology_summary(ic, check=False).torsion_exponent
@@ -427,25 +455,26 @@ def _check_columns_against_terms(ic) -> int:
     element U^k x under d, id+iota and U^m are the (generator, U-exponent)
     images that apply_map and elt_shift give."""
     cx = ic.complex
-    ctx = iota._PieceCtx(cx)
-    id_iota = iota._id_plus_iota(ctx, ic)
-    step = 2 * ctx.D
+    view = iota._view(cx)
+    id_iota = iota._id_plus_iota(iota._columns(view, ic.iota, 0))
+    br = iota._BruteCtx(view, id_iota, homology_summary(ic, check=False), 0)  # its whole pieces
+    step = 2 * view.D
 
     def element_at(mask, grading):
         # the element a generator mask stands for at a grading
         terms = []
         for i, g in enumerate(cx.generators):
             if mask >> i & 1:
-                k, r = divmod(ctx.gr[i] - grading, step)
+                k, r = divmod(view.gr[i] - grading, step)
                 assert r == 0 and k >= 0, (g, grading)
                 terms.append((g, k))
         return frozenset(terms)
 
     checked = 0
-    for g in ctx.candidate_gradings(iota._search_floor(ctx, homology_summary(ic, check=False), 0)):
-        for j in ctx.piece(g):
+    for g in br.gradings:
+        for j in br.piece(g):
             x = element_at(1 << j, g)
-            assert iota.apply_map(cx.diff, x) == element_at(ctx.dcols[j], g - ctx.D), (ic, g, x)
+            assert iota.apply_map(cx.diff, x) == element_at(view.dcols[j], g - view.D), (ic, g, x)
             assert iota.apply_map(ic.iota, x) ^ x == element_at(id_iota[j], g), (ic, g, x)
             for m in range(4):
                 assert iota.elt_shift(x, m) == element_at(1 << j, g - m * step), (ic, g, x)
@@ -498,6 +527,19 @@ def test_engine_results_match_pinned_digest():
     assert hashlib.sha256(_pinned_results()).hexdigest() == PINNED_RESULTS_SHA256
 
 
+def _spy_pieces(monkeypatch):
+    """(brute context, grading) of every graded piece built from now on."""
+    built = []
+    piece_for = iota._piece_for
+
+    def counted(br, grading):
+        built.append((br, grading))
+        return piece_for(br, grading)
+
+    monkeypatch.setattr(iota, "_piece_for", counted)
+    return built
+
+
 def test_homology_computed_once_per_complex(monkeypatch):
     calls = []
     reduce_homology = iota._reduce_homology
@@ -507,45 +549,92 @@ def test_homology_computed_once_per_complex(monkeypatch):
         return reduce_homology(cols, gr, D)
 
     monkeypatch.setattr(iota, "_reduce_homology", counted)
+    built = _spy_pieces(monkeypatch)
     ic = torsion_model(2)
     cx = ic.complex
     assert validate(ic).ok
     d_results(ic)
     homology_summary(ic)
+    assert built == []  # only the brute oracle builds graded pieces
     brute_oracle(ic, truncation=5)
+    assert built
     identity = IotaComplex(cx, {g: [(g, 0)] for g in cx.generators})
     d_results(identity)
     # C once, then one cone of 2 x 3 generators per d_results call
     assert [len(gr) for _, gr, _ in calls] == [3, 6, 6]
-    assert calls[0][1] == iota._PieceCtx(cx).gr
+    assert calls[0][1] == cx._view.gr
     free, torsion = iota._homology(cx)
     assert isinstance(free, tuple) and isinstance(torsion, tuple)
     assert torsion and all(isinstance(t, tuple) for t in torsion)
 
 
 def test_d_results_builds_each_piece_once(monkeypatch):
-    built = []
-    piece_for = iota._piece_for
-
-    def counted(ctx, grading):
-        built.append((id(ctx), grading))
-        return piece_for(ctx, grading)
-
-    monkeypatch.setattr(iota, "_piece_for", counted)
+    built = _spy_pieces(monkeypatch)
     prod = tensor(random_iota_complex(5, max_order=4), random_iota_complex(6, max_order=4))
     assert len(prod.complex.generators) == 25 and squares_to_identity(prod)
-    built.clear()
     d_results(prod)  # validate, homology and the cone need no graded piece
     assert built == []
-    assert iota._CALL_CTX.get() is None
-    # the brute oracle draws its whole pieces from the same per-call cache
+    # the brute oracle builds each whole piece once, in a state of its own
+    # that it drops on return: nothing of it stays on the complex
     ic = random_iota_complex(5, max_order=4)
     n = homology_summary(ic).torsion_exponent
-    built.clear()
     brute_oracle(ic, truncation=n + 5)
-    assert built and len(set(built)) == len(built)
-    assert len({ctx for ctx, _ in built}) == 1
-    assert iota._CALL_CTX.get() is None
+    keys = [(id(br), g) for br, g in built]
+    assert keys and len(set(keys)) == len(keys)
+    assert len({br for br, _ in built}) == 1
+    ref = weakref.ref(built[0][0])
+    built.clear()
+    assert ref() is None
+    assert not any(isinstance(r, iota._BruteCtx) for r in gc.get_referents(ic.complex._view))
+
+
+def test_d_results_builds_iota_columns_once(monkeypatch):
+    iota_builds = []
+    columns = iota._columns
+
+    def counted(view, mp, degree):
+        iota_builds.extend([mp] if degree == 0 else [])
+        return columns(view, mp, degree)
+
+    monkeypatch.setattr(iota, "_columns", counted)
+    cases = [torsion_model(2), dual_model(), tensor(dual_model(), random_iota_complex(3)),
+             tensor(random_iota_complex(5, max_order=4), random_iota_complex(6, max_order=4))]
+    for ic in cases:
+        for call in (lambda: d_results(ic), lambda: d_lower(ic), lambda: d_upper(ic), lambda: validate(ic)):
+            iota_builds.clear()
+            call()
+            assert len(iota_builds) == 1 and iota_builds[0] is ic.iota
+
+
+def test_view_is_kept_and_holds_no_reference_to_its_complex():
+    ic = tensor(dual_model(), random_iota_complex(3))
+    cx = ic.complex
+    assert cx._view is None
+    res = d_results(ic)
+    view = cx._view
+    assert isinstance(view, iota._View) and not hasattr(view, "__dict__")
+    brute_oracle(ic, truncation=homology_summary(ic).torsion_exponent + len(cx.generators))
+    assert d_results(ic) == res and cx._view is view
+    # nothing reachable from the view leads back to the complex, so a
+    # dropped complex is freed at once rather than by the cyclic GC
+    seen, todo = set(), [view]
+    while todo:
+        obj = todo.pop()
+        assert obj is not cx and obj is not ic
+        if id(obj) not in seen and not isinstance(obj, type):
+            seen.add(id(obj))
+            todo += gc.get_referents(obj)
+    assert len(seen) > len(cx.generators)
+
+
+def test_brute_oracle_does_not_depend_on_the_truncation():
+    # the U-power loop of the d_upper search stops once its pieces are whole
+    for seed in range(100):
+        base = random_iota_complex(seed)
+        for ic in (base, dual(base)):
+            n = homology_summary(ic, check=False).torsion_exponent + len(ic.complex.generators)
+            low = brute_oracle(ic, truncation=n, check=False)
+            assert brute_oracle(ic, truncation=n + 20, check=False) == low == d_results(ic), seed
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +760,7 @@ def test_shift_covariance():
         base = tensor(a, b)
         prod = tensor(shift(a, Fraction(1, 2)), shift(b, Fraction(1, 3)))
         assert {q.denominator for q in prod.complex.grading.values()} == {6}
-        assert iota._PieceCtx(prod.complex).D == 6
+        assert iota._view(prod.complex).D == 6
         assert _report(prod) == _report(base)
         res, pres = d_results(base), d_results(prod)
         r = Fraction(5, 6)
