@@ -22,11 +22,12 @@ and an element of it is a mask over the generators.  The image of U^k x
 under a map is then the generator's column, read at the target grading,
 and U^m, which sends U^k x to U^(k+m) x, leaves the mask as it is.  The
 integer view (D, the generator index, the scaled gradings, d's columns
-with the result of its checks) is built on first use and kept on the
-complex; it holds no reference back to it.  Each public call builds
-iota's columns once and shares them between validation and the cone.
-Only brute_oracle builds graded pieces, in a state of its own that it
-drops when it returns.
+with the result of its checks, and the homology below) is built on first
+use and kept on the complex; it holds no reference back to it.  Each
+public call builds iota's columns once and shares them between
+validation and the cone.  Graded pieces are built per call, in a
+_Pieces that the call drops when it returns: by brute_oracle, and by
+validate's homotopy search when iota^2 != id.
 
 validate checks d, iota and their composites on the columns.  When
 iota^2 = id exactly, H = 0 is the homotopy from iota^2 to id.  Otherwise
@@ -40,8 +41,8 @@ U-exponent left, which keeps every entry a monomial and each column
 operation a plain XOR.  Because d^2 = 0 each pivot pair x_j -> U^e x_i
 splits off as a direct summand, a torsion class F2[U]/U^e when e > 0, and
 the generators left unpaired carry the free part.  The reduction of C runs
-once per complex and its homology is kept on it, next to the integer view,
-so a GradedComplex must not be mutated after construction.
+once per complex and its homology is kept on the integer view, so a
+GradedComplex must not be mutated after construction.
 
 d_lower and d_upper come from the same reduction, run on the mapping cone
 of Q(1+iota), whose homology is HFI (Hendricks-Manolescu, Involutive
@@ -149,7 +150,7 @@ class GradedComplex:
     """Free F2[U]-complex: ordered generators, exact rational gradings,
     differential stored as generator -> element (missing means zero)."""
 
-    __slots__ = ("generators", "grading", "diff", "_hom", "_view")
+    __slots__ = ("generators", "grading", "diff", "_view")
 
     def __init__(self, generators: Sequence[tuple[str, Fraction]], diff: Mapping[str, Iterable[Term]]):
         names = [str(n) for n, _ in generators]
@@ -160,7 +161,6 @@ class GradedComplex:
         self.generators: tuple[str, ...] = tuple(names)
         self.grading: dict[str, Fraction] = {str(n): Fraction(g) for n, g in generators}
         self.diff: dict[str, Element] = _clean_map(self.generators, diff, "differential")
-        self._hom = None  # set once by _homology
         self._view = None  # set once by _view
 
     def __repr__(self) -> str:
@@ -186,11 +186,11 @@ class IotaComplex:
 
 class _View:
     """One complex in generator coordinates, on its scaled-integer gradings:
-    the generator index, d's columns and the details of its degree and d^2
-    checks (None when they pass).  It is built once per complex and holds
-    no reference back to it."""
+    the generator index, d's columns, the details of its degree and d^2
+    checks (None when they pass) and, once _homology has run, its homology.
+    It is built once per complex and holds no reference back to it."""
 
-    __slots__ = ("D", "index", "gr", "dcols", "d_degree", "d_square")
+    __slots__ = ("D", "index", "gr", "dcols", "d_degree", "d_square", "hom")
 
     def __init__(self, cx: GradedComplex):
         scale = 1
@@ -209,6 +209,7 @@ class _View:
             diff = cx.diff
             self.d_square = next((f"d(d({g})) != 0" for g in cx.generators
                                   if apply_map(diff, diff.get(g, ZERO))), None)
+        self.hom = None  # set once by _homology, and only when both checks pass
 
     def scaled(self, q: Fraction) -> int:
         return q.numerator * (self.D // q.denominator)
@@ -275,6 +276,46 @@ def _id_plus_iota(iota_cols: _Columns) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# graded pieces
+
+
+class _Pieces:
+    """The graded pieces of one view, each built on first use and kept
+    until the _Pieces is dropped; a view never holds one.  A graded piece
+    V_g is the list of generators x of g's class mod 2D with gr(x) >= g."""
+
+    def __init__(self, view: _View):
+        self.view = view
+        self.classes: dict[int, list[tuple[int, int]]] = {}  # class mod 2D -> its (generator, grading)
+        for i, g in enumerate(view.gr):
+            self.classes.setdefault(g % (2 * view.D), []).append((i, g))
+        self._got: dict[int, list[int]] = {}
+
+    def piece(self, grading: int) -> list[int]:
+        p = self._got.get(grading)
+        if p is None:
+            p = self._got[grading] = _piece_for(self, grading)
+        return p
+
+    def candidate_gradings(self, floor: int) -> list[int]:
+        """Every grading G - 2kD >= floor of a generator, from the top down."""
+        vals: set[int] = set()
+        for g in self.view.gr:
+            vals.update(range(g, floor - 1, -2 * self.view.D))
+        return sorted(vals, reverse=True)
+
+    def boundary_masks(self, grading: int) -> list[int]:
+        """Spanning masks of d(V_{grading+1}) inside V_grading."""
+        dcols = self.view.dcols
+        return [dcols[j] for j in self.piece(grading + self.view.D) if dcols[j]]
+
+
+def _piece_for(pieces: _Pieces, grading: int) -> list[int]:
+    """Generators of V_grading."""
+    return [i for i, gi in pieces.classes.get(grading % (2 * pieces.view.D), ()) if gi >= grading]
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 
@@ -309,9 +350,7 @@ def _iota_squared_homotopic(view: _View, icols: list[int]) -> bool:
     """
     gr, D, dcols = view.gr, view.D, view.dcols
     n = len(gr)
-    classes: dict[int, list[int]] = {}  # grading class mod 2D -> its generators
-    for y, g in enumerate(gr):
-        classes.setdefault(g % (2 * D), []).append(y)
+    pieces = _Pieces(view)
     preds: list[list[int]] = [[] for _ in range(n)]  # x -> the w with x in d(w)
     for w in range(n):
         for x in _bits(dcols[w]):
@@ -319,9 +358,7 @@ def _iota_squared_homotopic(view: _View, icols: list[int]) -> bool:
     order: dict[int, int] = {}  # entry w * n + g -> its coordinate
     span = Echelon()
     for x in range(n):
-        for y in classes.get((gr[x] + D) % (2 * D), ()):
-            if gr[y] < gr[x] + D:
-                continue
+        for y in pieces.piece(gr[x] + D):
             # (x, y) puts d(y) into dH(x), and y into Hd(w) for each w
             # with x in d(w)
             col = 0
@@ -392,16 +429,16 @@ _Homology = tuple[tuple[Fraction, ...], tuple[tuple[Fraction, int], ...]]
 
 def _homology(cx: GradedComplex) -> _Homology:
     """(free part gradings, torsion (grading, U-order) pairs) of H_*(C),
-    computed on first use and kept on the complex."""
-    if cx._hom is None:
-        view = _view(cx)
+    computed on first use and kept on the complex's view."""
+    view = _view(cx)
+    if view.hom is None:
         for detail in (view.d_degree, view.d_square):
             if detail is not None:
                 raise InternalCheckError(f"homology of a non-complex: {detail}")
         free, torsion = _reduce_homology(view.dcols, view.gr, view.D)
-        cx._hom = (tuple(view.unscaled(g) for g in free),
-                   tuple((view.unscaled(g), e) for g, e in sorted(torsion, reverse=True)))
-    return cx._hom
+        view.hom = (tuple(view.unscaled(g) for g in free),
+                    tuple((view.unscaled(g), e) for g, e in sorted(torsion, reverse=True)))
+    return view.hom
 
 
 def _reduce_homology(cols: Sequence[int], gr: Sequence[int], D: int) -> tuple[list[int], list[tuple[int, int]]]:
@@ -648,46 +685,21 @@ def _mask_images(cols: Sequence[int]) -> list[int]:
 
 
 class _BruteCtx:
-    """One brute_oracle call on one complex: its generators by grading class
-    mod 2D, the whole graded pieces and the images of their subset masks,
-    all dropped when the call returns.  A graded piece V_g is the list of
-    generators x of g's class with gr(x) >= g; sources are whole pieces and
-    images are generator masks of the complex, so nothing is lost.
-    truncation is the highest U-power d_upper's triples try."""
+    """One brute_oracle call on one complex: its graded pieces, the images
+    of their subset masks under d, id+iota and U^m, and the torsion test,
+    all dropped when the call returns.  Sources are whole pieces and images
+    are generator masks of the complex, so nothing is lost.  truncation is
+    the highest U-power d_upper's triples try."""
 
-    def __init__(self, view: _View, id_iota: list[int], summary: HomologySummary, truncation: int):
-        self.view = view
+    def __init__(self, pieces: _Pieces, id_iota: list[int], n_exp: int, truncation: int):
+        self.pieces = pieces
+        self.view = pieces.view
         self.id_iota = id_iota
+        self.n_exp = n_exp
         self.truncation = truncation
-        self.n_exp = summary.torsion_exponent
-        self.classes: dict[int, list[tuple[int, int]]] = {}
-        for i, g in enumerate(view.gr):
-            self.classes.setdefault(g % (2 * view.D), []).append((i, g))
-        self._pieces: dict[int, list[int]] = {}
         self._images: dict[tuple[str, int], list[int]] = {}
         self._by_image: dict[int, dict[int, list[int]]] = {}
         self._torsion: dict[int, Echelon] = {}
-        # the search window reaches d - 2N - 2 (scaled)
-        self.gradings = self.candidate_gradings(view.scaled(summary.free_grading)
-                                                - view.D * (2 * self.n_exp + 2))
-
-    def piece(self, grading: int) -> list[int]:
-        p = self._pieces.get(grading)
-        if p is None:
-            p = self._pieces[grading] = _piece_for(self, grading)
-        return p
-
-    def candidate_gradings(self, floor: int) -> list[int]:
-        """Every grading G - 2kD >= floor of a generator, from the top down."""
-        vals: set[int] = set()
-        for g in self.view.gr:
-            vals.update(range(g, floor - 1, -2 * self.view.D))
-        return sorted(vals, reverse=True)
-
-    def boundary_masks(self, grading: int) -> list[int]:
-        """Spanning masks of d(V_{grading+1}) inside V_grading."""
-        dcols = self.view.dcols
-        return [dcols[j] for j in self.piece(grading + self.view.D) if dcols[j]]
 
     def images(self, kind: str, grading: int) -> list[int]:
         """Images of every subset mask of the piece under d ("d"), id+iota
@@ -696,7 +708,7 @@ class _BruteCtx:
         got = self._images.get(key)
         if got is None:
             cols = {"d": self.view.dcols, "i": self.id_iota}.get(kind)
-            piece = self.piece(grading)
+            piece = self.pieces.piece(grading)
             got = self._images[key] = _mask_images([1 << j if cols is None else cols[j] for j in piece])
         return got
 
@@ -714,13 +726,8 @@ class _BruteCtx:
         bits, so these are the masks in im d at grading - 2ND."""
         ech = self._torsion.get(grading)
         if ech is None:
-            ech = self._torsion[grading] = Echelon(self.boundary_masks(grading - 2 * self.n_exp * self.view.D))
+            ech = self._torsion[grading] = Echelon(self.pieces.boundary_masks(grading - 2 * self.n_exp * self.view.D))
         return ech
-
-
-def _piece_for(br: _BruteCtx, grading: int) -> list[int]:
-    """Generators of V_grading."""
-    return [i for i, gi in br.classes.get(grading % (2 * br.view.D), ()) if gi >= grading]
 
 
 def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResults:
@@ -739,10 +746,13 @@ def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResul
     min_trunc = summary.torsion_exponent + len(ic.complex.generators)
     if truncation < min_trunc:
         raise ValidationError(f"truncation {truncation} too small; need at least {min_trunc}")
-    br = _BruteCtx(view, _id_plus_iota(iota_cols), summary, truncation)
+    pieces = _Pieces(view)
+    br = _BruteCtx(pieces, _id_plus_iota(iota_cols), summary.torsion_exponent, truncation)
+    # the search window reaches d - 2N - 2 (scaled)
+    gradings = pieces.candidate_gradings(view.scaled(summary.free_grading) - view.D * (2 * br.n_exp + 2))
 
     d_val = None
-    for g in br.gradings:
+    for g in gradings:
         dimg, femb, ws = br.images("d", g), br.images("u", g), br.torsion(g)
         if any(dimg[mask] == 0 and not ws.contains(femb[mask]) for mask in range(1, len(dimg))):
             d_val = g
@@ -751,10 +761,10 @@ def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResul
         raise InternalCheckError("brute search found no non-torsion cycle")
 
     lower_val = None
-    for g in br.gradings:
+    for g in gradings:
         dimg, femb, ws = br.images("d", g), br.images("u", g), br.torsion(g)
         iimg = br.images("i", g)
-        bnd = Echelon(br.boundary_masks(g))
+        bnd = Echelon(pieces.boundary_masks(g))
         if any(dimg[mask] == 0 and bnd.contains(iimg[mask]) and not ws.contains(femb[mask])
                for mask in range(1, len(dimg))):
             lower_val = g
@@ -763,7 +773,7 @@ def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResul
         raise InternalCheckError("brute search found no d_lower witness")
 
     upper_val = None
-    values = sorted({w for g in br.gradings for w in (g, g + view.D)}, reverse=True)
+    values = sorted({w for g in gradings for w in (g, g + view.D)}, reverse=True)
     for v in values:
         if _brute_upper_at(br, v):
             upper_val = v
@@ -775,8 +785,8 @@ def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResul
 
 def _brute_upper_at(br: _BruteCtx, v: int) -> bool:
     D, step = br.view.D, 2 * br.view.D
-    dx = len(br.piece(v - D))
-    if not (dx or br.piece(v)):
+    dx = len(br.pieces.piece(v - D))
+    if not (dx or br.pieces.piece(v)):
         return False
     ximg_i = br.images("i", v - D)
     # U^m moves no generator bit, so U^m x and U^m y have the masks of x, y

@@ -246,7 +246,7 @@ def test_homology_refuses_non_complexes():
         with pytest.raises(InternalCheckError) as exc:
             homology_summary(cx)
         assert detail in str(exc.value)
-        assert cx._hom is None
+        assert cx._view.hom is None
 
 
 def _predicted_dims(view, free, torsion, gradings):
@@ -288,14 +288,13 @@ def _check_homology_by_ranks(cx):
     free, torsion = iota._homology(cx)
     n_exp = max((e for _, e in torsion), default=0)
     view = iota._view(cx)
-    # only the pieces are used: the free grading sets the oracle's window
-    br = iota._BruteCtx(view, [], iota.HomologySummary(Fraction(0), torsion, n_exp), 0)
-    gradings = br.candidate_gradings(min(view.gr) - 2 * view.D * (n_exp + 2))
+    pieces = iota._Pieces(view)
+    gradings = pieces.candidate_gradings(min(view.gr) - 2 * view.D * (n_exp + 2))
     predicted = _predicted_dims(view, free, torsion, gradings)
     for g in gradings:
-        piece = br.piece(g)
+        piece = pieces.piece(g)
         cycles = len(piece) - Echelon(view.dcols[j] for j in piece).rank
-        boundaries = Echelon(br.boundary_masks(g)).rank
+        boundaries = Echelon(pieces.boundary_masks(g)).rank
         assert cycles - boundaries == predicted[g], (cx, view.unscaled(g))
 
 
@@ -451,14 +450,16 @@ def test_class_search_matches_brute_oracle_on_fractional_gradings():
 
 
 def _check_columns_against_terms(ic) -> int:
-    """In every piece of the search window, the column images of each
-    element U^k x under d, id+iota and U^m are the (generator, U-exponent)
-    images that apply_map and elt_shift give."""
+    """In every piece down to 2N + 4 below the lowest generator, past the
+    brute oracle's search window, the column images of each element U^k x
+    under d, id+iota and U^m are the (generator, U-exponent) images that
+    apply_map and elt_shift give."""
     cx = ic.complex
     view = iota._view(cx)
     id_iota = iota._id_plus_iota(iota._columns(view, ic.iota, 0))
-    br = iota._BruteCtx(view, id_iota, homology_summary(ic, check=False), 0)  # its whole pieces
+    pieces = iota._Pieces(view)
     step = 2 * view.D
+    n_exp = homology_summary(ic, check=False).torsion_exponent
 
     def element_at(mask, grading):
         # the element a generator mask stands for at a grading
@@ -471,8 +472,8 @@ def _check_columns_against_terms(ic) -> int:
         return frozenset(terms)
 
     checked = 0
-    for g in br.gradings:
-        for j in br.piece(g):
+    for g in pieces.candidate_gradings(min(view.gr) - step * (n_exp + 2)):
+        for j in pieces.piece(g):
             x = element_at(1 << j, g)
             assert iota.apply_map(cx.diff, x) == element_at(view.dcols[j], g - view.D), (ic, g, x)
             assert iota.apply_map(ic.iota, x) ^ x == element_at(id_iota[j], g), (ic, g, x)
@@ -528,13 +529,13 @@ def test_engine_results_match_pinned_digest():
 
 
 def _spy_pieces(monkeypatch):
-    """(brute context, grading) of every graded piece built from now on."""
+    """(_Pieces, grading) of every graded piece built from now on."""
     built = []
     piece_for = iota._piece_for
 
-    def counted(br, grading):
-        built.append((br, grading))
-        return piece_for(br, grading)
+    def counted(pieces, grading):
+        built.append((pieces, grading))
+        return piece_for(pieces, grading)
 
     monkeypatch.setattr(iota, "_piece_for", counted)
     return built
@@ -555,7 +556,8 @@ def test_homology_computed_once_per_complex(monkeypatch):
     assert validate(ic).ok
     d_results(ic)
     homology_summary(ic)
-    assert built == []  # only the brute oracle builds graded pieces
+    # iota^2 = id here, so only the brute oracle builds graded pieces
+    assert built == []
     brute_oracle(ic, truncation=5)
     assert built
     identity = IotaComplex(cx, {g: [(g, 0)] for g in cx.generators})
@@ -579,13 +581,20 @@ def test_d_results_builds_each_piece_once(monkeypatch):
     ic = random_iota_complex(5, max_order=4)
     n = homology_summary(ic).torsion_exponent
     brute_oracle(ic, truncation=n + 5)
-    keys = [(id(br), g) for br, g in built]
+    keys = [(id(pieces), g) for pieces, g in built]
     assert keys and len(set(keys)) == len(keys)
-    assert len({br for br, _ in built}) == 1
+    assert len({pieces for pieces, _ in built}) == 1
     ref = weakref.ref(built[0][0])
     built.clear()
     assert ref() is None
-    assert not any(isinstance(r, iota._BruteCtx) for r in gc.get_referents(ic.complex._view))
+    assert not any(isinstance(r, (iota._Pieces, iota._BruteCtx)) for r in gc.get_referents(ic.complex._view))
+    # validate's homotopy search, run when iota^2 != id, also keeps its
+    # pieces for one call only
+    assert validate(strict_model()).ok
+    assert built and len({pieces for pieces, _ in built}) == 1
+    ref = weakref.ref(built[0][0])
+    built.clear()
+    assert ref() is None
 
 
 def test_d_results_builds_iota_columns_once(monkeypatch):

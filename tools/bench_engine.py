@@ -3,9 +3,9 @@ parent checkout and this one.
 
     python3 tools/bench_engine.py --parent ../parent/src
 
-Each side is measured in --processes fresh worker processes, run in turns
+Each side is measured in PROCESSES fresh worker processes, run in turns
 (parent first, then change first, ...), each of which imports cablecalc
-from its side's src/.  In a worker every layer is timed --repeats times,
+from its side's src/.  In a worker every layer is timed REPEATS times,
 round-robin over the layers, on freshly built complexes, so nothing is
 cached on them (cold):
 
@@ -39,6 +39,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SINGLES = 30  # complexes per size
 PRODUCTS = 12  # products per size
 SIZES = (1, 3, 5)
+PROCESSES = 4  # worker processes per side
+REPEATS = 15  # repeats of each layer in one worker
 
 
 def _seeds_of_size(random_iota_complex, size: int, count: int) -> list[int]:
@@ -50,7 +52,7 @@ def _seeds_of_size(random_iota_complex, size: int, count: int) -> list[int]:
     return out
 
 
-def measure(repeats: int) -> dict:
+def measure() -> dict:
     from cablecalc import iota
     from cablecalc.randgen import random_iota_complex
     from cablecalc.verify import figure_eight_complex
@@ -89,7 +91,7 @@ def measure(repeats: int) -> dict:
     best = dict.fromkeys(name for name, *_ in cases)
     # round-robin over the cases, so every case's repeats are spread over
     # the whole run and a spell of contention on the machine hits them all
-    for r in range(repeats):
+    for r in range(REPEATS):
         for name, build, run, scale in cases:
             if name.startswith("fig8") and r >= 3:
                 continue  # a second or more per repeat
@@ -111,21 +113,18 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="the parent checkout's src/ directory")
     ap.add_argument("--src", default=str(ROOT / "src"), help="this side's src/ (default: this checkout's)")
-    ap.add_argument("--processes", type=int, default=4, help="worker processes per side")
-    ap.add_argument("--repeats", type=int, default=15, help="repeats of each layer in one worker")
     ap.add_argument("--out", default=str(ROOT / "BENCH_engine_view.json"))
     ap.add_argument("--worker", help=argparse.SUPPRESS)  # a src/ to measure and print
     args = ap.parse_args(argv)
     if args.worker:
         sys.path.insert(0, str(Path(args.worker).resolve()))
-        print(json.dumps(measure(args.repeats)))
+        print(json.dumps(measure()))
         return 0
     sides = {"parent": args.parent, "change": args.src}
     runs: dict[str, list[dict]] = {side: [] for side in sides}
-    for k in range(args.processes):
+    for k in range(PROCESSES):
         for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-            cmd = [sys.executable, __file__, "--parent", args.parent, "--worker", sides[side],
-                   "--repeats", str(args.repeats)]
+            cmd = [sys.executable, __file__, "--parent", args.parent, "--worker", sides[side]]
             runs[side].append(json.loads(subprocess.run(cmd, check=True, capture_output=True,
                                                         text=True).stdout))
     columns = {}
@@ -137,7 +136,7 @@ def main(argv=None) -> int:
         "description": "cold iota-engine layers on fixed randgen seeds (max_order=4): the minimum "
                        "over every repeat of every worker, *_us per complex or product, *_s per "
                        "call; peak_rss_mb the largest worker's; non-blank lines of src/cablecalc",
-        "settings": {"processes": args.processes, "repeats": args.repeats,
+        "settings": {"processes": PROCESSES, "repeats": REPEATS,
                      "python": platform.python_version(), "machine": platform.machine(),
                      "cpus": os.cpu_count()},
         "columns": columns,
