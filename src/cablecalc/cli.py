@@ -34,21 +34,22 @@ import functools
 import json
 import sys
 import traceback
+from math import gcd
 from typing import Iterable
 
 from .algebra import format_rational
 from .concordance import (
+    _niwu_halves,
     invariants_to_dict,
     involutive_surgery_d,
     iterated_cable,
     load_knot_spec,
-    niwu_d,
     slice_obstruction,
     unknotting_bounds,
 )
-from .errors import InsufficientDataError, InternalCheckError, UsageError, ValidationError
+from .errors import InsufficientDataError, InternalCheckError, UsageError, ValidationError, check_coprime
 from .iota import d_results, load_complex, validate
-from .lens import lens_d, lens_d_vector
+from .lens import _check_vector_size, _lens_halves, _mirror, lens_d
 from .torus import torus_vs
 from .verify import run_verify_engine, run_verify_identity13, run_verify_moser
 
@@ -87,6 +88,17 @@ def _emit(args, lines: Iterable[str], payload: dict) -> None:
         print(text)
 
 
+def _label_strings(p: int, q: int, lo: list[int], hi: list[int], den: int) -> list[str]:
+    """str(Fraction(n, den)) for every label of a vector given as
+    lens._lens_halves gives it, made once per conjugate pair."""
+    def fmt(n: int) -> str:
+        g = gcd(n, den)
+        return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+    r = q % p
+    return _mirror([fmt(n) for n in lo], r) + _mirror([fmt(n) for n in hi], p - r)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -98,7 +110,9 @@ def _cmd_lens(args) -> int:
         lines = [f"d(L({p},{q}), [{args.spinc}]) = {d}"]
         payload = {"schema": "cablecalc/lens-d/v1", "p": p, "q": q, "spinc": args.spinc, "d": d}
     else:
-        ds = [format_rational(v) for v in lens_d_vector(p, q)]
+        check_coprime(p, q)
+        _check_vector_size(p)
+        ds = _label_strings(p, q, *_lens_halves(p, q))
         lines = (f"d(L({p},{q}), [{i}]) = {d}" for i, d in enumerate(ds))
         payload = {"schema": "cablecalc/lens-d/v1", "p": p, "q": q, "d": ds}
     _emit(args, lines, payload)
@@ -175,7 +189,7 @@ def _cmd_surgery(args) -> int:
             raise InsufficientDataError(
                 "insufficient invariants: the knot's v_seq is required for surgery d-invariants"
             )
-        ds = [format_rational(v) for v in niwu_d(p, q, inv.v_seq)]
+        ds = _label_strings(p, q, *_niwu_halves(p, q, inv.v_seq))
         lines = (f"[{s}] d = {d}" for s, d in enumerate(ds))
         payload = {"schema": "cablecalc/surgery-d/v1", "p": p, "q": q, "involutive": False, "d": ds}
     _emit(args, lines, payload)

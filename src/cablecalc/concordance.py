@@ -239,6 +239,13 @@ def niwu_d(p: int, q: int, vs=None) -> list[Fraction]:
     Ni-Wu surgery formula); the V-sequence reads as zero past its stored
     part, so vs=None or () gives the plain lens-space vector.
     """
+    return _label_vector(p, q, *_niwu_halves(p, q, vs))
+
+
+def _niwu_halves(p: int, q: int, vs) -> tuple[list[int], list[int], int]:
+    """niwu_d's entries as lens._lens_halves gives d(L(p, q)): integer
+    numerators over one denominator on the first half of each conjugation
+    block.  The inputs are checked here."""
     check_coprime(p, q, "surgery parameters")
     seq = _check_vseq(() if vs is None else vs, "V-sequence")
     _check_vector_size(p)
@@ -248,8 +255,7 @@ def niwu_d(p: int, q: int, vs=None) -> list[Fraction]:
     # then runs of q labels per index, zero past the stored part.
     v0 = 2 * den * seq[0] if seq else 0
     terms = chain(chain.from_iterable(repeat(2 * den * v, q) for v in seq), repeat(0))
-    return _label_vector(p, q, [n - v0 for n in lo],
-                         [n - t for n, t in zip(hi, islice(terms, q % p, None))], den)
+    return [n - v0 for n in lo], [n - t for n, t in zip(hi, islice(terms, q % p, None))], den
 
 
 def involutive_surgery_d(p: int, q: int, inv: KnotInvariants) -> dict[int, tuple[Fraction, Fraction]]:

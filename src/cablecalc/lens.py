@@ -24,7 +24,7 @@ __all__ = ["MAX_VECTOR_LABELS", "lens_d", "lens_d_vector", "conj_spinc", "selfco
 
 # Largest p for which a whole label vector is built.  Building one takes
 # about 100 bytes per label: L(999983, 7919) peaks at 113 MB RSS in 1.4 s
-# (Python 3.11, single-threaded), and `cablecalc lens d` on it at 250 MB in 2.5 s.
+# (Python 3.11, single-threaded), and `cablecalc lens d --json` on it at 170 MB in 1.3-1.8 s.
 MAX_VECTOR_LABELS = 10**6
 
 

@@ -12,7 +12,7 @@ from cablecalc import cli
 from cablecalc.cli import main
 from cablecalc.concordance import niwu_d
 from cablecalc.iota import dump_complex
-from cablecalc.lens import MAX_VECTOR_LABELS, lens_d
+from cablecalc.lens import MAX_VECTOR_LABELS, lens_d, lens_d_vector
 from cablecalc.verify import figure_eight_complex
 
 
@@ -57,6 +57,14 @@ def test_lens_d_vector(capsys):
         "d(L(3,5), [1]) = 1/6",
         "d(L(3,5), [2]) = -1/2",
     ]
+
+
+def test_lens_d_vector_matches_the_library(capsys):
+    # the CLI formats the vector from integer numerators, not from lens_d_vector
+    for p, q in ((1, 1), (2, 1), (7, 3), (12, 5), (64, 129), (101, 13), (1009, 17)):
+        code, out, _ = run(capsys, "lens", "d", str(p), str(q), "--json")
+        assert code == 0
+        assert parse_json(out)["d"] == [str(v) for v in lens_d_vector(p, q)], (p, q)
 
 
 def test_lens_d_single_label_json(capsys):
@@ -308,7 +316,7 @@ def test_library_bug_exits_internal(capsys, monkeypatch):
     def broken(p, q):
         raise ValueError("broken invariant")
 
-    monkeypatch.setattr("cablecalc.cli.lens_d_vector", broken)
+    monkeypatch.setattr("cablecalc.cli._lens_halves", broken)
     code, out, err = run(capsys, "lens", "d", "3", "5")
     assert code == 3
     assert out == ""
@@ -320,7 +328,7 @@ def test_memory_error_is_a_data_error(capsys, monkeypatch):
     def exhausted(p, q):
         raise MemoryError
 
-    monkeypatch.setattr("cablecalc.cli.lens_d_vector", exhausted)
+    monkeypatch.setattr("cablecalc.cli._lens_halves", exhausted)
     code, out, err = run(capsys, "lens", "d", "3", "5")
     assert code == 2
     assert out == ""

@@ -1,7 +1,27 @@
 """Random-complex generator: determinism, validity, engine-vs-brute agreement."""
 
-from cablecalc.iota import brute_oracle, complex_to_dict, d_results, homology_summary, validate
+import hashlib
+import json
+
+import pytest
+
+from cablecalc import randgen
+from cablecalc.errors import InternalCheckError
+from cablecalc.iota import (
+    ValidationCheck,
+    ValidationReport,
+    brute_oracle,
+    complex_to_dict,
+    d_results,
+    homology_summary,
+    validate,
+)
 from cablecalc.randgen import random_iota_complex
+
+# sha256 of the generator's output for seeds 0-499 under each parameter set
+# of test_output_is_pinned: a change to the draw sequence, the maps or the
+# gradings shows here.
+PINNED_OUTPUT_SHA256 = "a6a0503f1bca5c080147f97bffcb33c08c0321c386f1eb5ebf4ee07be8777bef"
 
 
 def test_deterministic_per_seed():
@@ -31,3 +51,20 @@ def test_invariant_chain_on_random_complexes():
     for seed in range(100, 140):
         res = d_results(random_iota_complex(seed), check=False)
         assert res.lower <= res.d <= res.upper
+
+
+def test_output_is_pinned():
+    digest = hashlib.sha256()
+    for kw in ({}, {"max_order": 4}, {"max_pairs": 4, "max_order": 5},
+               {"max_pairs": 6, "n_transvections": 12}):
+        for seed in range(500):
+            text = json.dumps(complex_to_dict(random_iota_complex(seed, **kw)), sort_keys=True)
+            digest.update((text + "\n").encode())
+    assert digest.hexdigest() == PINNED_OUTPUT_SHA256
+
+
+def test_invalid_output_raises_with_the_seed(monkeypatch):
+    failing = ValidationReport((ValidationCheck("d-squared", False, "d(d(g0)) != 0"),))
+    monkeypatch.setattr(randgen, "validate", lambda ic: failing)
+    with pytest.raises(InternalCheckError, match=r"seed 77\b.*d-squared: d\(d\(g0\)\) != 0"):
+        random_iota_complex(77)

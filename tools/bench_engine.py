@@ -14,7 +14,9 @@ cached on them (cold):
 - tensor followed by d_results on products of 9 and 25 generators,
   microseconds per product;
 - d_results on the seventh tensor power of the figure-eight complex (2187
-  generators, at most 3 repeats), seconds.
+  generators, at most 3 repeats), seconds;
+- random_iota_complex(seed, max_order=4) itself, over all the single
+  seeds above, microseconds per complex (randgen_us).
 
 A side's figure for a layer is the minimum over all its repeats in all its
 workers; its peak RSS is the largest of its workers' (ru_maxrss), and it
@@ -88,6 +90,8 @@ def measure() -> dict:
     cases += [(f"product{n * n}.tensor_d_results_us", pairs(n), lambda ab: iota.d_results(iota.tensor(*ab)), 1e6)
               for n in (3, 5)]
     cases.append(("fig8_pow7.d_results_s", power7, iota.d_results, 1))
+    all_seeds = [s for n in SIZES for s in seeds[n]]
+    cases.append(("randgen_us", lambda: all_seeds, lambda s: random_iota_complex(s, max_order=4), 1e6))
     best = dict.fromkeys(name for name, *_ in cases)
     # round-robin over the cases, so every case's repeats are spread over
     # the whole run and a spell of contention on the machine hits them all
@@ -133,9 +137,10 @@ def main(argv=None) -> int:
         col["peak_rss_mb"] = max(r["peak_rss_mb"] for r in got)
         columns[side] = col
     doc = {
-        "description": "cold iota-engine layers on fixed randgen seeds (max_order=4): the minimum "
-                       "over every repeat of every worker, *_us per complex or product, *_s per "
-                       "call; peak_rss_mb the largest worker's; non-blank lines of src/cablecalc",
+        "description": "cold iota-engine layers and the generator itself on fixed randgen seeds "
+                       "(max_order=4): the minimum over every repeat of every worker, *_us per "
+                       "complex or product, *_s per call; peak_rss_mb the largest worker's; "
+                       "non-blank lines of src/cablecalc",
         "settings": {"processes": PROCESSES, "repeats": REPEATS,
                      "python": platform.python_version(), "machine": platform.machine(),
                      "cpus": os.cpu_count()},
