@@ -25,15 +25,15 @@ integer view (D, the generator index, the scaled gradings, d's columns
 with the result of its checks, and the homology below) is built on first
 use and kept on the complex; it holds no reference back to it.  Each
 public call builds iota's columns once and shares them between
-validation and the cone.  Graded pieces are built per call, in a
-_Pieces that the call drops when it returns: by brute_oracle, and by
-validate's homotopy search when iota^2 != id.
+validation and the cone.  Only brute_oracle builds graded pieces, in a
+_Pieces that it drops when it returns.
 
 validate checks d, iota and their composites on the columns.  When
 iota^2 = id exactly, H = 0 is the homotopy from iota^2 to id.  Otherwise
-it decides by span membership whether some H has dH + Hd = iota^2 + id:
-each entry of H gives one bit column, the entries of dH + Hd it reaches,
-and iota^2 + id must lie in their span.  It never solves for H.
+it reduces the mapping cone of the chain map iota^2 + id: some H has dH +
+Hd = iota^2 + id just when the cone's homology is H(C) + H(C)[-1], the
+homology of the cone of 0, as a graded F2[U]-module (see _null_homotopic).
+It never solves for H.
 
 Homology comes from one valuation-greedy reduction of a differential,
 which sweeps the U-exponents 0, 1, 2, ... in turn: each pivot has the least
@@ -47,7 +47,8 @@ GradedComplex must not be mutated after construction.
 d_lower and d_upper come from the same reduction, run on the mapping cone
 of Q(1+iota), whose homology is HFI (Hendricks-Manolescu, Involutive
 Heegaard Floer homology, 2017): generators x at gr(x) and Qx at gr(x) - 1,
-with x -> dx + Q(1+iota)x and Qx -> Q dx.  Localized at U it has rank 2,
+with x -> dx + Q(1+iota)x and Qx -> Q dx, built by the _cone_homology
+that validate's homotopy test shares.  Localized at U it has rank 2,
 so H(cone) has exactly two free generators, in the two classes of d mod 2:
 the one in d's class is at d_lower, the other at d_upper - 1.  The cone is
 built and reduced once per public call; d_results reads all three values
@@ -280,9 +281,10 @@ def _id_plus_iota(iota_cols: _Columns) -> list[int]:
 
 
 class _Pieces:
-    """The graded pieces of one view, each built on first use and kept
-    until the _Pieces is dropped; a view never holds one.  A graded piece
-    V_g is the list of generators x of g's class mod 2D with gr(x) >= g."""
+    """The graded pieces of one view for one brute_oracle call, each built
+    on first use and kept until the _Pieces is dropped; a view never holds
+    one, and validate and the cone need none.  A graded piece V_g is the
+    list of generators x of g's class mod 2D with gr(x) >= g."""
 
     def __init__(self, view: _View):
         self.view = view
@@ -338,40 +340,27 @@ class ValidationReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _iota_squared_homotopic(view: _View, icols: list[int]) -> bool:
-    """Whether some degree +1 map H has dH + Hd = iota^2 + id.
+def _null_homotopic(cx: GradedComplex, fcols: list[int]) -> bool:
+    """Whether the degree-0 map f with columns fcols is dH + Hd for some H.
 
-    Unknowns are the admissible entries of H: y in H(x) needs y in the
-    piece V_{gr(x)+D}.  Every term of the equation has degree 0, so each
-    entry (w, g), generator g in the image of w, is one coordinate,
-    numbered in order of first use.  An unknown's column is the entries of
-    dH + Hd it reaches, and H exists just when iota^2 + id lies in the
-    span of the columns.
+    dH + Hd is always a chain map, so f must be one.  A chain map f is
+    null-homotopic just when H(cone f) is H(C) + H(C)[-1] as a graded
+    F2[U]-module.  Given H, (x, Qy) -> (x, Q(y + Hx)) carries cone(f) onto
+    cone(0).  Conversely, equal graded dimensions force f_* = 0, so H(cone f)
+    is an extension of H(C) by H(C)[-1] whose class is [f] (universal
+    coefficients over the graded PID F2[U]), and one whose middle term is
+    the sum of its ends splits (Miyata, Note on direct summands of modules,
+    1967).  The modules are compared by their (grading, U-order) classes,
+    free ones of order 0; C's come from its view.
     """
-    gr, D, dcols = view.gr, view.D, view.dcols
-    n = len(gr)
-    pieces = _Pieces(view)
-    preds: list[list[int]] = [[] for _ in range(n)]  # x -> the w with x in d(w)
-    for w in range(n):
-        for x in _bits(dcols[w]):
-            preds[x].append(w)
-    order: dict[int, int] = {}  # entry w * n + g -> its coordinate
-    span = Echelon()
-    for x in range(n):
-        for y in pieces.piece(gr[x] + D):
-            # (x, y) puts d(y) into dH(x), and y into Hd(w) for each w
-            # with x in d(w)
-            col = 0
-            for key in [x * n + g for g in _bits(dcols[y])] + [w * n + y for w in preds[x]]:
-                col ^= 1 << order.setdefault(key, len(order))
-            span.add(col)
-    rhs = 0
-    for w in range(n):
-        for g in _bits(_image(icols, icols[w]) ^ 1 << w):
-            if w * n + g not in order:
-                return False  # an entry of iota^2 + id that no H reaches
-            rhs |= 1 << order[w * n + g]
-    return span.contains(rhs)
+    view = _view(cx)
+    if any(_image(view.dcols, fc) != _image(fcols, dc) for fc, dc in zip(fcols, view.dcols)):
+        return False
+    free, torsion = _homology(cx)
+    ours = [(view.scaled(g), 0) for g in free] + [(view.scaled(g), e) for g, e in torsion]
+    got_free, got_torsion = _cone_homology(view, fcols)
+    return (sorted(ours + [(g - view.D, e) for g, e in ours])
+            == sorted([(g, 0) for g in got_free] + got_torsion))
 
 
 def _validate(ic: IotaComplex, view: _View, iota_cols: _Columns) -> ValidationReport:
@@ -387,8 +376,8 @@ def _validate(ic: IotaComplex, view: _View, iota_cols: _Columns) -> ValidationRe
         dcols = view.dcols
         chain = next((f"iota fails to commute with d on {g}" for j, g in enumerate(ic.complex.generators)
                       if _image(dcols, icols[j]) != _image(icols, dcols[j])), None)
-        exact = all(_image(icols, c) == 1 << j for j, c in enumerate(icols))
-        homotopic = exact or _iota_squared_homotopic(view, icols)
+        square_plus_id = [_image(icols, c) ^ 1 << j for j, c in enumerate(icols)]
+        homotopic = not any(square_plus_id) or _null_homotopic(ic.complex, square_plus_id)
         rank = len(_homology(ic.complex)[0])
         details += [
             ("iota-chain-map", chain),
@@ -503,6 +492,15 @@ def _reduce_homology(cols: Sequence[int], gr: Sequence[int], D: int) -> tuple[li
     return [gr[j] for j in _bits(live)], torsion
 
 
+def _cone_homology(view: _View, fcols: Sequence[int]) -> tuple[list[int], list[tuple[int, int]]]:
+    """_reduce_homology of the cone of the degree-0 chain map f with columns
+    fcols: x at gr(x) with column dx + Q f(x), and Qx at gr(x) - D with
+    column Q dx, Q's bits above C's."""
+    n, D, gr, dcols = len(view.gr), view.D, view.gr, view.dcols
+    cols = [c | t << n for c, t in zip(dcols, fcols)] + [c << n for c in dcols]
+    return _reduce_homology(cols, gr + [g - D for g in gr], D)
+
+
 @dataclass(frozen=True)
 class HomologySummary:
     free_grading: Fraction
@@ -540,14 +538,11 @@ def d_invariant(ic: IotaComplex | GradedComplex, check: bool = True) -> Fraction
 
 def _invariants(ic: IotaComplex, check: bool) -> tuple[Fraction, Fraction, Fraction]:
     """(d, d_lower, d_upper), the last two read off the two free generators
-    of the homology of the cone of Q(1+iota): x at gr(x) with column dx +
-    Q(1+iota)x, and Qx at gr(x) - 1 with column Q dx, Q's bits above C's."""
+    of the homology of the cone of Q(1+iota)."""
     view, iota_cols = _checked(ic, check)
     d = homology_summary(ic.complex, check=False).free_grading
-    n, D, gr, dcols = len(view.gr), view.D, view.gr, view.dcols
-    cols = [c | t << n for c, t in zip(dcols, _id_plus_iota(iota_cols))] + [c << n for c in dcols]
-    free, _ = _reduce_homology(cols, gr + [g - D for g in gr], D)
-    sd = view.scaled(d)
+    free, _ = _cone_homology(view, _id_plus_iota(iota_cols))
+    sd, D = view.scaled(d), view.D
     lower = [g for g in free if (g - sd) % (2 * D) == 0]
     upper = [g + D for g in free if (g + D - sd) % (2 * D) == 0]
     if len(free) != 2 or len(lower) != 1 or len(upper) != 1:
@@ -858,6 +853,8 @@ def complex_from_dict(data: Mapping) -> IotaComplex:
             grading = parse_rational(entry["grading"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad generator entry {entry!r}") from exc
+        if not isinstance(name, str):
+            raise ValidationError(f"bad generator entry {entry!r}")
         gens.append((name, grading))
 
     def map_in(key: str) -> dict[str, list[Term]]:
@@ -875,6 +872,8 @@ def complex_from_dict(data: Mapping) -> IotaComplex:
                     upow = t["upow"]
                 except (KeyError, TypeError) as exc:
                     raise ValidationError(f"bad term {t!r} in {key}[{src!r}]") from exc
+                if not isinstance(gen, str):
+                    raise ValidationError(f"bad generator {gen!r} in {key}[{src!r}]")
                 if not isinstance(upow, int) or isinstance(upow, bool) or upow < 0:
                     raise ValidationError(f"bad U-exponent {upow!r} in {key}[{src!r}]")
                 parsed.append((gen, upow))

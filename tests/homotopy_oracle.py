@@ -1,0 +1,96 @@
+"""Span route to the null-homotopy of a chain map, kept as a test oracle.
+
+A degree-0 map f on a free F2[U]-complex C is null-homotopic when some map
+H of degree +1 has dH + Hd = f.  The unknowns are the admissible entries of
+H: y in H(x) needs y in the graded piece V_{gr(x)+D}.  Every term of the
+equation has degree 0, so each entry (w, g), generator g in the image of w,
+is one coordinate, and an unknown's column is the entries of dH + Hd it
+reaches.  f is null-homotopic just when its entries lie in the span of the
+columns.  This solves one global linear system, independent of the
+mapping-cone homology that cablecalc.iota compares, and its size grows with
+the square of the generator count, so it is for small complexes only.
+
+Maps are given as the engine gives them: one generator bitmask column per
+generator, with U-exponents forced by the gradings.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator, Sequence
+
+from cablecalc import iota
+from cablecalc.algebra import Echelon
+
+
+def _commutator_columns(view, degree: int, order: dict[int, int]) -> Iterator[tuple[int, int, int]]:
+    """(x, y, column) for each admissible entry y in X(x) of a map X of
+    degree `degree` (in units of D): the entries of dX + Xd it reaches, the
+    entry (w, g) numbered by order, in order of first use."""
+    gr, D, dcols = view.gr, view.D, view.dcols
+    n = len(gr)
+    pieces = iota._Pieces(view)
+    preds: list[list[int]] = [[] for _ in range(n)]  # x -> the w with x in d(w)
+    for w in range(n):
+        for x in iota._bits(dcols[w]):
+            preds[x].append(w)
+    for x in range(n):
+        for y in pieces.piece(gr[x] + degree * D):
+            # (x, y) puts d(y) into dX(x), and y into Xd(w) for each w
+            # with x in d(w)
+            col = 0
+            for key in [x * n + g for g in iota._bits(dcols[y])] + [w * n + y for w in preds[x]]:
+                col ^= 1 << order.setdefault(key, len(order))
+            yield x, y, col
+
+
+def null_homotopic(cx: iota.GradedComplex, fcols: Sequence[int]) -> bool:
+    """Whether some H of degree +1 has dH + Hd = f."""
+    view = iota._view(cx)
+    n = len(view.gr)
+    order: dict[int, int] = {}
+    span = Echelon(col for _, _, col in _commutator_columns(view, 1, order))
+    rhs = 0
+    for w in range(n):
+        for g in iota._bits(fcols[w]):
+            if w * n + g not in order:
+                return False  # an entry of f that no H reaches
+            rhs |= 1 << order[w * n + g]
+    return span.contains(rhs)
+
+
+def chain_maps(cx: iota.GradedComplex) -> list[list[int]]:
+    """A basis of the degree-0 chain maps of cx over F2, each as columns:
+    the kernel of f -> df + fd on the admissible entries of f, read off an
+    echelon basis of the rows (df + fd) << m | f."""
+    view = iota._view(cx)
+    entries = list(_commutator_columns(view, 0, {}))
+    m = len(entries)
+    ech = Echelon(col << m | 1 << k for k, (_, _, col) in enumerate(entries))
+    basis = []
+    for row in ech.pivots.values():
+        if row >> m == 0:
+            cols = [0] * len(view.gr)
+            for k in iota._bits(row):
+                x, y, _ = entries[k]
+                cols[x] ^= 1 << y
+            basis.append(cols)
+    return basis
+
+
+def homotopy_image(cx: iota.GradedComplex, hcols: Sequence[int]) -> list[int]:
+    """The columns of dH + Hd, for H given by its columns."""
+    dcols = iota._view(cx).dcols
+    return [iota._image(dcols, h) ^ iota._image(hcols, dc) for h, dc in zip(hcols, dcols)]
+
+
+def random_map(cx: iota.GradedComplex, degree: int, rng) -> list[int]:
+    """Columns of a random map of degree `degree` (in units of D), each
+    admissible entry kept with probability 1/2."""
+    view = iota._view(cx)
+    pieces = iota._Pieces(view)
+    cols = [0] * len(view.gr)
+    for x, g in enumerate(view.gr):
+        for y in pieces.piece(g + degree * view.D):
+            if rng.random() < 0.5:
+                cols[x] |= 1 << y
+    return cols

@@ -247,6 +247,20 @@ def test_complex_rejects_broken_input(capsys, tmp_path):
     assert code == 2
 
 
+def test_complex_with_a_non_string_generator_is_a_data_error(capsys, tmp_path):
+    # a list in a term is unhashable, so it once escaped as a TypeError
+    # (exit 3); a non-string name was once turned into a string
+    path = tmp_path / "bad.json"
+    for gen in (["a"], {"a": 1}, 1, None):
+        for name, term in ((gen, "a"), ("a", gen)):
+            path.write_text(json.dumps({"generators": [{"name": name, "grading": "0"}],
+                                        "iota": {"a": [{"gen": term, "upow": 0}]}}))
+            for sub in ("d", "validate"):
+                code, _, err = run(capsys, "complex", sub, str(path))
+                assert code == 2, (name, term, sub)
+                assert "bad generator" in err and "Traceback" not in err
+
+
 def test_verify_identity13_cli(capsys):
     code, out, _ = run(capsys, "verify", "identity13", "--max", "15")
     assert code == 0

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import random
 import weakref
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from cablecalc.randgen import random_iota_complex
 from cablecalc.torus import torus_vs
 from cablecalc.verify import figure_eight_complex
 from test_staircase import staircase_a0
+import homotopy_oracle
 
 
 def sphere_model() -> IotaComplex:
@@ -156,37 +158,109 @@ def test_validate_accepts_strict_homotopy_involution():
 
 
 def test_validate_finds_the_homotopy_on_a_large_strict_product():
-    # 9 * 5 * 5 = 225 generators: the homotopy's system has thousands of
-    # unknowns, and the span test must still find it
-    ic = tensor(tensor(strict_model(), random_iota_complex(5, max_order=4)), random_iota_complex(6, max_order=4))
-    assert len(ic.complex.generators) == 225 and not squares_to_identity(ic)
-    report = validate(ic)
-    assert report.ok, report.failures()
-    res = d_results(ic, check=False)
-    assert (res.d, res.lower, res.upper) == (0, -2, 0)
+    # iota^2 != id on each product, so validate must decide the homotopy
+    # from the cone's homology; a global system over the entries of H ran
+    # out of memory on the last two
+    cases = [
+        (tensor(tensor(strict_model(), random_iota_complex(5, max_order=4)), random_iota_complex(6, max_order=4)),
+         225, (0, -2, 0)),
+        (tensor(strict_model(), _power(figure_eight_complex(), 5)), 2187, (0, -2, 0)),
+        (tensor(staircase_a0(torus_vs(17, 19)), strict_model()), 1449, (-80, -82, -80)),
+    ]
+    for ic, size, expected in cases:
+        assert len(ic.complex.generators) == size and not squares_to_identity(ic)
+        report = validate(ic)
+        assert report.ok, report.failures()
+        res = d_results(ic, check=False)
+        assert (res.d, res.lower, res.upper) == expected, size
+
+
+def inconsistent_model() -> IotaComplex:
+    """d q = g + p and iota: g -> g + p, p -> 0, q -> q, a chain map that
+    kills the free class [g] = [p], so iota^2 is not homotopic to id."""
+    cx = GradedComplex([("g", 0), ("p", 0), ("q", 1)], {"q": [("g", 0), ("p", 0)]})
+    return IotaComplex(cx, {"g": [("g", 0), ("p", 0)], "q": [("q", 0)]})
 
 
 def test_validate_rejects_an_inconsistent_homotopy_system(monkeypatch):
-    # d q = g + p and iota: g -> g + p, p -> 0, q -> q is a chain map, but
-    # it kills the free class [g] = [p], so iota^2 is not homotopic to id.
-    # Both entries of iota^2 + id, (g, p) and (p, p), are reached by an
-    # entry of H (H(g) = q and H(p) = q), so the early return for an
-    # unreachable entry does not fire: the span test must reject
-    cx = GradedComplex([("g", 0), ("p", 0), ("q", 1)], {"q": [("g", 0), ("p", 0)]})
-    ic = IotaComplex(cx, {"g": [("g", 0), ("p", 0)], "q": [("q", 0)]})
-    answers = []
+    # iota^2 + id (g -> p, p -> p) is itself a chain map, so the guard
+    # does not fire: the homology of its cone must reject
+    ic = inconsistent_model()
+    answers, cones = [], []
+    null_homotopic, cone_homology = iota._null_homotopic, iota._cone_homology
 
-    class Spy(Echelon):
-        def contains(self, v):
-            answers.append(super().contains(v))
-            return answers[-1]
+    def spy_null(cx, fcols):
+        answers.append(null_homotopic(cx, fcols))
+        return answers[-1]
 
-    monkeypatch.setattr(iota, "Echelon", Spy)
+    def spy_cone(view, fcols):
+        cones.append(cone_homology(view, fcols))
+        return cones[-1]
+
+    monkeypatch.setattr(iota, "_null_homotopic", spy_null)
+    monkeypatch.setattr(iota, "_cone_homology", spy_cone)
     names = {c.name: c.ok for c in validate(ic).checks}
-    assert answers == [False]
+    assert answers == [False] and len(cones) == 1
     assert names == {"differential-degree": True, "differential-squared": True, "iota-degree": True,
                      "iota-chain-map": True, "iota-squared-homotopic-identity": False,
                      "localized-rank-one": True}
+
+
+def _torsion_sum(e0: int, e1: int, k: int) -> GradedComplex:
+    """A free generator a plus two torsion summands d x_i = U^(e_i) y_i,
+    placed so that x0 -> U^k y1 is a degree-0 map."""
+    x0 = -2 * e0 + 1  # y0 at 0
+    y1 = x0 + 2 * k
+    return GradedComplex([("a", 0), ("y0", 0), ("x0", x0), ("y1", y1), ("x1", y1 - 2 * e1 + 1)],
+                         {"x0": [("y0", e0)], "x1": [("y1", e1)]})
+
+
+def _homotopy_sweep():
+    """(complex, name, f's columns, whether f is null-homotopic or None when
+    not known) for a fixed set of maps.  On iota-complexes: iota^2 + id
+    (which is (id + iota)^2), id + iota, iota, dG + Gd and a random
+    degree-0 map, most often not a chain map.  On torsion sums: x0 -> U^k y1, which has f_* = 0
+    and is null-homotopic just when k >= min(e0, e1).  On a quarter of the
+    iota-complexes and on every torsion sum: random chain maps."""
+    rng = random.Random(19)
+    ics = all_fixtures() + [strict_model(), figure_eight_complex(), inconsistent_model()]
+    for seed in range(60):
+        ic = random_iota_complex(seed, max_order=4)
+        ics += [ic, dual(ic)]
+    ics += [tensor(random_iota_complex(2 * j, max_order=4), random_iota_complex(2 * j + 1, max_order=4))
+            for j in range(6)]
+    ics += [tensor(strict_model(), random_iota_complex(seed, max_order=4)) for seed in range(4)]
+    for ic in ics:
+        cx = ic.complex
+        icols = iota._columns(iota._view(cx), ic.iota, 0)[0]
+        maps = {"iota^2+id": [iota._image(icols, c) ^ 1 << j for j, c in enumerate(icols)],
+                "id+iota": [c ^ 1 << j for j, c in enumerate(icols)], "iota": icols,
+                "dG+Gd": homotopy_oracle.homotopy_image(cx, homotopy_oracle.random_map(cx, 1, rng)),
+                "degree-0 map": homotopy_oracle.random_map(cx, 0, rng)}
+        for name, fcols in maps.items():
+            yield cx, name, fcols, None
+    sums = [(e0, e1, k) for e0 in (1, 2, 3) for e1 in (1, 3) for k in range(min(e0, e1) + 1)]
+    for e0, e1, k in sums:
+        # generators a, y0, x0, y1, x1: column x0 holds y1
+        yield _torsion_sum(e0, e1, k), f"x0 -> U^{k} y1", [0, 0, 1 << 3, 0, 0], k >= min(e0, e1)
+    for cx in [ic.complex for ic in ics[::4]] + [_torsion_sum(*t) for t in sums]:
+        basis = homotopy_oracle.chain_maps(cx)
+        for r in range(3):
+            fcols = [0] * len(cx.generators)
+            for b in basis:
+                if rng.random() < 0.5:
+                    fcols = [c ^ d for c, d in zip(fcols, b)]
+            yield cx, f"chain map {r}", fcols, None
+
+
+def test_cone_criterion_matches_the_span_oracle():
+    verdicts = []
+    for cx, name, fcols, expected in _homotopy_sweep():
+        slow = homotopy_oracle.null_homotopic(cx, fcols)
+        assert iota._null_homotopic(cx, fcols) == slow, (cx.generators, name, fcols)
+        assert expected in (None, slow), (cx.generators, name)
+        verdicts.append(slow)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_constructor_rejects_bad_input():
@@ -588,13 +662,10 @@ def test_d_results_builds_each_piece_once(monkeypatch):
     built.clear()
     assert ref() is None
     assert not any(isinstance(r, (iota._Pieces, iota._BruteCtx)) for r in gc.get_referents(ic.complex._view))
-    # validate's homotopy search, run when iota^2 != id, also keeps its
-    # pieces for one call only
+    # when iota^2 != id, validate decides the homotopy from the homology
+    # of a cone, which needs no graded piece either
     assert validate(strict_model()).ok
-    assert built and len({pieces for pieces, _ in built}) == 1
-    ref = weakref.ref(built[0][0])
-    built.clear()
-    assert ref() is None
+    assert built == []
 
 
 def test_d_results_builds_iota_columns_once(monkeypatch):

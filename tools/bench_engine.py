@@ -15,6 +15,10 @@ cached on them (cold):
   microseconds per product;
 - d_results on the seventh tensor power of the figure-eight complex (2187
   generators, at most 3 repeats), seconds;
+- validate on a complex whose iota squares to the identity only up to
+  homotopy: the strict model (the tensor square of a one-torsion-class
+  complex, its iota perturbed by dG + Gd) tensored with the fourth power
+  of the figure-eight complex (729 generators, at most 3 repeats), seconds;
 - random_iota_complex(seed, max_order=4) itself, over all the single
   seeds above, microseconds per complex (randgen_us).
 
@@ -77,6 +81,17 @@ def measure() -> dict:
             ic = iota.tensor(ic, f8)
         return [ic]
 
+    def strict_pow4():
+        # a at 0, c at 0 and b at -1 with d b = U c; iota: a -> a + c
+        torsion = iota.IotaComplex(iota.GradedComplex([("a", 0), ("c", 0), ("b", -1)], {"b": [("c", 1)]}),
+                                   {"a": [("a", 0), ("c", 0)], "c": [("c", 0)], "b": [("b", 0)]})
+        sq = iota.tensor(torsion, torsion, sep=".")
+        ic = iota.IotaComplex(sq.complex, {**sq.iota, "b.b": sq.iota["b.b"] ^ {("a.c", 1)}})
+        f8 = figure_eight_complex()
+        for _ in range(4):
+            ic = iota.tensor(ic, f8)
+        return [ic]
+
     def oracle(ic):
         span = iota.homology_summary(ic, check=False).torsion_exponent + len(ic.complex.generators)
         iota.brute_oracle(ic, truncation=span)
@@ -90,6 +105,7 @@ def measure() -> dict:
     cases += [(f"product{n * n}.tensor_d_results_us", pairs(n), lambda ab: iota.d_results(iota.tensor(*ab)), 1e6)
               for n in (3, 5)]
     cases.append(("fig8_pow7.d_results_s", power7, iota.d_results, 1))
+    cases.append(("strict_fig8_pow4.validate_s", strict_pow4, iota.validate, 1))
     all_seeds = [s for n in SIZES for s in seeds[n]]
     cases.append(("randgen_us", lambda: all_seeds, lambda s: random_iota_complex(s, max_order=4), 1e6))
     best = dict.fromkeys(name for name, *_ in cases)
@@ -97,8 +113,8 @@ def measure() -> dict:
     # the whole run and a spell of contention on the machine hits them all
     for r in range(REPEATS):
         for name, build, run, scale in cases:
-            if name.startswith("fig8") and r >= 3:
-                continue  # a second or more per repeat
+            if scale == 1 and r >= 3:
+                continue  # up to a second or more per repeat
             items = build()
             t0 = time.perf_counter()
             for item in items:
