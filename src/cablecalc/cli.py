@@ -22,7 +22,9 @@ extend it.
 
 Exit codes: 0 success; 1 usage error; 2 invalid input, insufficient data,
 a label vector longer than lens.MAX_VECTOR_LABELS (lens d without --spinc,
-surgery d without --involutive), or input too large for available memory;
+surgery d without --involutive), a complex file of more than
+iota.MAX_GENERATORS generators (20000; complex d and complex validate
+refuse it before any reduction), or input too large for available memory;
 3 failed internal check, failed verification sweep, or any other exception
 (a bug, reported with its traceback).
 """

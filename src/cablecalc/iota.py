@@ -4,29 +4,32 @@ correction terms d, d_lower and d_upper.
 A complex is finitely generated and free over F2[U], graded by exact
 rationals; U drops the grading by 2 and the differential by 1.  Module
 elements are frozensets of (generator, U-exponent) terms, so addition is
-symmetric difference.  Because every map in sight is homogeneous, a map is
-determined by a GF(2) bit matrix whose U-exponents are forced by the
-gradings; all heavy lifting reduces to bit-packed linear algebra over the
-finite-dimensional graded pieces.
+symmetric difference.  The constructors keep a grading that is already a
+Fraction and an image that is already a frozenset as given, checking each
+of its terms; other inputs are normalized.  Because every map in sight is
+homogeneous, a map is determined by a GF(2) bit matrix whose U-exponents
+are forced by the gradings; all heavy lifting reduces to bit-packed linear
+algebra over the finite-dimensional graded pieces.
 
 Inside the engine gradings are integers: the complex's gradings are scaled
 by D, the lcm of their denominators, so d has degree -D and U degree -2D,
 and only generators in one class mod 2D meet in a graded piece.  Fractions
-are made only for the values returned.  The engine works in generator
-coordinates.  A map is one bitmask column per generator (bit i: generator
-i occurs in the image), and its U-exponents are checked once, where the
-columns are built; a column stands for the map only when that
-check passes.  A graded piece V_g is the list of generators x of its class
-with gr(x) >= g, standing for the elements U^k x with k = (gr(x) - g)/2D,
-and an element of it is a mask over the generators.  The image of U^k x
-under a map is then the generator's column, read at the target grading,
-and U^m, which sends U^k x to U^(k+m) x, leaves the mask as it is.  The
-integer view (D, the generator index, the scaled gradings, d's columns
-with the result of its checks, and the homology below) is built on first
-use and kept on the complex; it holds no reference back to it.  Each
-public call builds iota's columns once and shares them between
-validation and the cone.  Only brute_oracle builds graded pieces, in a
-_Pieces that it drops when it returns.
+are made only for the values returned and for the gradings of a tensor
+product, which are added as integers on the factors' views.  The engine
+works in generator coordinates.  A map is one bitmask column per generator
+(bit i: generator i occurs in the image), and its U-exponents are checked
+once, where the columns are built; a column stands for the map only when
+that check passes.  A graded piece V_g is the list of generators x of its
+class with gr(x) >= g, standing for the elements U^k x with
+k = (gr(x) - g)/2D, and an element of it is a mask over the generators.
+The image of U^k x under a map is then the generator's column, read at
+the target grading, and U^m, which sends U^k x to U^(k+m) x, leaves the
+mask as it is.  The integer view (D, the generator index, the scaled
+gradings, d's columns with the result of its checks, and the homology
+below) is built on first use and kept on the complex; it holds no
+reference back to it.  Each public call builds iota's columns once and
+shares them between validation and the cone.  Only brute_oracle builds
+graded pieces, in a _Pieces that it drops when it returns.
 
 validate checks d, iota and their composites on the columns.  When
 iota^2 = id exactly, H = 0 is the homotopy from iota^2 to id.  Otherwise
@@ -98,7 +101,11 @@ __all__ = [
     "complex_from_dict",
     "load_complex",
     "dump_complex",
+    "MAX_GENERATORS",
 ]
+
+# complex_from_dict refuses more generators: memory grows as their square
+MAX_GENERATORS = 20_000
 
 Term = tuple  # (generator name, U exponent)
 Element = frozenset
@@ -136,11 +143,11 @@ def _clean_map(generators: Sequence[str], raw: Mapping[str, Iterable[Term]], wha
     for src, terms in raw.items():
         if src not in known:
             raise ValidationError(f"{what} defined on unknown generator {src!r}")
-        val = element(terms)
+        val = terms if type(terms) is frozenset else element(terms)
         for g, e in val:
             if g not in known:
                 raise ValidationError(f"{what}[{src!r}] hits unknown generator {g!r}")
-            if not isinstance(e, int) or e < 0:
+            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                 raise ValidationError(f"{what}[{src!r}] has bad U-exponent {e!r}")
         if val:
             out[src] = val
@@ -149,7 +156,8 @@ def _clean_map(generators: Sequence[str], raw: Mapping[str, Iterable[Term]], wha
 
 class GradedComplex:
     """Free F2[U]-complex: ordered generators, exact rational gradings,
-    differential stored as generator -> element (missing means zero)."""
+    differential stored as generator -> element (missing means zero).  A
+    Fraction grading and a frozenset image are kept as given, not copied."""
 
     __slots__ = ("generators", "grading", "diff", "_view")
 
@@ -160,7 +168,8 @@ class GradedComplex:
         if not names:
             raise ValidationError("complex needs at least one generator")
         self.generators: tuple[str, ...] = tuple(names)
-        self.grading: dict[str, Fraction] = {str(n): Fraction(g) for n, g in generators}
+        self.grading: dict[str, Fraction] = {str(n): g if type(g) is Fraction else Fraction(g)
+                                             for n, g in generators}
         self.diff: dict[str, Element] = _clean_map(self.generators, diff, "differential")
         self._view = None  # set once by _view
 
@@ -194,12 +203,10 @@ class _View:
     __slots__ = ("D", "index", "gr", "dcols", "d_degree", "d_square", "hom")
 
     def __init__(self, cx: GradedComplex):
-        scale = 1
-        for q in cx.grading.values():
-            scale = lcm(scale, q.denominator)
-        self.D = scale
+        grading = [cx.grading[g] for g in cx.generators]
+        self.D = scale = lcm(*{q.denominator for q in grading})
         self.index: dict[str, int] = {g: i for i, g in enumerate(cx.generators)}
-        self.gr: list[int] = [self.scaled(cx.grading[g]) for g in cx.generators]
+        self.gr: list[int] = [q.numerator * (scale // q.denominator) for q in grading]
         self.dcols, self.d_degree = _columns(self, cx.diff, -1)
         if self.d_degree is None:
             self.d_square = next((f"d(d({g})) != 0" for g, c in zip(cx.generators, self.dcols)
@@ -363,7 +370,8 @@ def _null_homotopic(cx: GradedComplex, fcols: list[int]) -> bool:
             == sorted([(g, 0) for g in got_free] + got_torsion))
 
 
-def _validate(ic: IotaComplex, view: _View, iota_cols: _Columns) -> ValidationReport:
+def _validate(ic: IotaComplex, view: _View, iota_cols: _Columns) -> list[tuple[str, Optional[str]]]:
+    """(name, failure detail or None) of every check."""
     icols, i_degree = iota_cols
     details = [("differential-degree", view.d_degree), ("differential-squared", view.d_square),
                ("iota-degree", i_degree)]
@@ -384,14 +392,15 @@ def _validate(ic: IotaComplex, view: _View, iota_cols: _Columns) -> ValidationRe
             ("iota-squared-homotopic-identity", None if homotopic else "no homotopy from iota^2 to id"),
             ("localized-rank-one", None if rank == 1 else f"localized homology has rank {rank}, expected 1"),
         ]
-    checks = (ValidationCheck(name, detail is None, detail or "") for name, detail in details)
-    return ValidationReport(tuple(checks))
+    return details
 
 
 def validate(ic: IotaComplex) -> ValidationReport:
     """Check all defining properties; later checks are skipped once one fails."""
     view = _view(ic.complex)
-    return _validate(ic, view, _columns(view, ic.iota, 0))
+    details = _validate(ic, view, _columns(view, ic.iota, 0))
+    checks = (ValidationCheck(name, detail is None, detail or "") for name, detail in details)
+    return ValidationReport(tuple(checks))
 
 
 def require_valid(ic: IotaComplex) -> None:
@@ -403,9 +412,9 @@ def _checked(ic: IotaComplex, check: bool) -> tuple[_View, _Columns]:
     check set, an ic that fails validate raises ValidationError."""
     view = _view(ic.complex)
     iota_cols = _columns(view, ic.iota, 0)
-    bad = _validate(ic, view, iota_cols).failures() if check else []
+    bad = [(name, detail) for name, detail in _validate(ic, view, iota_cols) if detail] if check else []
     if bad:
-        raise ValidationError(f"invalid iota-complex: {bad[0].name}: {bad[0].detail}")
+        raise ValidationError(f"invalid iota-complex: {bad[0][0]}: {bad[0][1]}")
     return view, iota_cols
 
 
@@ -454,38 +463,60 @@ def _reduce_homology(cols: Sequence[int], gr: Sequence[int], D: int) -> tuple[li
     A row index keeps, for each live row, the mask of the live columns
     with a bit there, so a pivot on row i XORs only the columns that hold
     i, and then flips those columns in the index of each live row of the
-    column it added.
+    column it added.  Every bit loop is written out inline, and a pivot row
+    is found among the column's own live bits, as the scan finds levels: on
+    25-generator products, _bits' frames and a map from gradings to
+    generators cost a third of the reduction.
     """
     cols = list(cols)
     n, step = len(gr), 2 * D
-    at: dict[int, int] = {}  # scaled grading -> mask of its generators
-    for i, g in enumerate(gr):
-        at[g] = at.get(g, 0) | 1 << i
     rows = [0] * n  # row -> mask of the columns with a bit there
     for j, c in enumerate(cols):
-        for i in _bits(c):
-            rows[i] |= 1 << j
+        col_bit = 1 << j
+        while c:
+            bit = c & -c
+            rows[bit.bit_length() - 1] |= col_bit
+            c ^= bit
     live = (1 << n) - 1
     busy = [j for j in range(n) if cols[j]]  # the columns that may still pivot
     torsion = []
     e = -1
     while busy:
         # go on at the least level left: every pass clears its own level
-        low = min(gr[i] - gr[j] + D for j in busy for i in _bits(cols[j] & live))
+        low = None
+        for j in busy:
+            m, base = cols[j] & live, D - gr[j]
+            while m:
+                bit = m & -m
+                level = gr[bit.bit_length() - 1] + base
+                if low is None or level < low:
+                    low = level
+                m ^= bit
         if low % step or low <= step * e:
             raise InternalCheckError("homology reduction left a live entry of d")
         e = low // step
         for j in busy:
-            hits = cols[j] & live & at.get(gr[j] - D + step * e, 0)
-            if not (hits and live >> j & 1):
+            m, target = cols[j] & live if live >> j & 1 else 0, gr[j] - D + step * e
+            while m:
+                bit = m & -m
+                if gr[bit.bit_length() - 1] == target:
+                    break
+                m ^= bit
+            else:
                 continue
-            i = (hits & -hits).bit_length() - 1
+            i = bit.bit_length() - 1
             live ^= 1 << i | 1 << j
             col, holders = cols[j], rows[i] & live
-            for k in _bits(holders):
-                cols[k] ^= col
-            for r in _bits(col & live):
-                rows[r] ^= holders
+            m = holders
+            while m:
+                bit = m & -m
+                cols[bit.bit_length() - 1] ^= col
+                m ^= bit
+            m = col & live
+            while m:
+                bit = m & -m
+                rows[bit.bit_length() - 1] ^= holders
+                m ^= bit
             if e:
                 torsion.append((gr[i], e))
         busy = [j for j in busy if live >> j & 1 and cols[j] & live]
@@ -629,40 +660,36 @@ def dual(ic: IotaComplex) -> IotaComplex:
 
 def tensor(a: IotaComplex, b: IotaComplex, sep: str = "|") -> IotaComplex:
     """Tensor product over F2[U]: gradings add, d is the Leibniz map and
-    iota acts diagonally."""
+    iota acts diagonally.  The gradings are added on the factors' integer
+    views, which are built if they are not there yet."""
     ca, cb = a.complex, b.complex
-    names: dict[tuple[str, str], str] = {}
-    for ga in ca.generators:
-        for gb in cb.generators:
-            names[(ga, gb)] = f"{ga}{sep}{gb}"
-    if len(set(names.values())) != len(names):
-        names = {pair: f"t{i}" for i, pair in enumerate(names)}
-    gens = [
-        (names[(ga, gb)], ca.grading[ga] + cb.grading[gb])
-        for ga in ca.generators
-        for gb in cb.generators
-    ]
-
-    def pair_elt(ea: Element, eb: Element) -> Element:
-        acc: set[Term] = set()
-        for ga, ka in ea:
-            for gb, kb in eb:
-                acc ^= {(names[(ga, gb)], ka + kb)}
-        return frozenset(acc)
-
+    va, vb = _view(ca), _view(cb)
+    D = lcm(va.D, vb.D)
+    sa, sb, nb = D // va.D, D // vb.D, len(vb.gr)
+    names = [f"{ga}{sep}{gb}" for ga in ca.generators for gb in cb.generators]
+    if len(set(names)) != len(names):
+        names = [f"t{i}" for i in range(len(names))]
+    sums = [x * sa + y * sb for x in va.gr for y in vb.gr]
+    fracs = {g: Fraction(g, D) for g in set(sums)}  # one per grading
+    gens = [(nm, fracs[g]) for nm, g in zip(names, sums)]
+    # the product generator of (x, y) is names[x * nb + y]; b's maps as index terms
+    db = [[(vb.index[h], m) for h, m in cb.diff.get(gb, ZERO)] for gb in cb.generators]
+    ib = [[(vb.index[h], m) for h, m in b.iota.get(gb, ZERO)] for gb in cb.generators]
     diff: dict[str, Element] = {}
     iota: dict[str, Element] = {}
-    for ga in ca.generators:
-        for gb in cb.generators:
-            nm = names[(ga, gb)]
-            d = pair_elt(ca.diff.get(ga, ZERO), frozenset(((gb, 0),))) ^ pair_elt(
-                frozenset(((ga, 0),)), cb.diff.get(gb, ZERO)
-            )
-            if d:
-                diff[nm] = d
-            it = pair_elt(a.iota.get(ga, ZERO), b.iota.get(gb, ZERO))
-            if it:
-                iota[nm] = it
+    for x, ga in enumerate(ca.generators):
+        da = [(va.index[g] * nb, k) for g, k in ca.diff.get(ga, ZERO)]
+        ia = [(va.index[g] * nb, k) for g, k in a.iota.get(ga, ZERO)]
+        row = x * nb
+        for y in range(nb):
+            d_terms = [(names[p + y], k) for p, k in da] + [(names[row + q], m) for q, m in db[y]]
+            iota_terms = [(names[p + q], k + m) for p, k in ia for q, m in ib[y]]
+            for mp, terms in ((diff, d_terms), (iota, iota_terms)):
+                val = frozenset(terms)
+                if len(val) != len(terms):
+                    val = element(terms)  # colliding terms cancel in pairs
+                if val:
+                    mp[names[row + y]] = val
     return IotaComplex(GradedComplex(gens, diff), iota)
 
 
@@ -846,6 +873,8 @@ def complex_from_dict(data: Mapping) -> IotaComplex:
     gens_raw = data.get("generators")
     if not isinstance(gens_raw, list) or not gens_raw:
         raise ValidationError("complex file needs a non-empty 'generators' list")
+    if len(gens_raw) > MAX_GENERATORS:
+        raise ValidationError(f"{len(gens_raw)} generators exceed the complex-file limit of {MAX_GENERATORS}")
     gens = []
     for entry in gens_raw:
         try:

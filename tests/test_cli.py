@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cablecalc
-from cablecalc import cli
+from cablecalc import cli, iota
 from cablecalc.cli import main
 from cablecalc.concordance import niwu_d
 from cablecalc.iota import dump_complex
@@ -259,6 +259,19 @@ def test_complex_with_a_non_string_generator_is_a_data_error(capsys, tmp_path):
                 code, _, err = run(capsys, "complex", sub, str(path))
                 assert code == 2, (name, term, sub)
                 assert "bad generator" in err and "Traceback" not in err
+
+
+def test_complex_past_the_generator_limit_is_refused_before_any_reduction(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "big.json"
+    dump_complex(figure_eight_complex(), str(path))  # 3 generators
+    monkeypatch.setattr(iota, "MAX_GENERATORS", 2)
+    monkeypatch.setattr(iota, "_View", None)  # no view, so no reduction, may be built
+    for sub in ("d", "validate"):
+        code, out, err = run(capsys, "complex", sub, str(path))
+        assert code == 2 and out == ""
+        assert err.strip() == "error: 3 generators exceed the complex-file limit of 2"
+    monkeypatch.setattr(iota, "MAX_GENERATORS", 3)
+    assert len(iota.load_complex(str(path)).complex.generators) == 3
 
 
 def test_verify_identity13_cli(capsys):

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import json
 import random
 import weakref
 from fractions import Fraction
@@ -274,6 +275,40 @@ def test_constructor_rejects_bad_input():
         GradedComplex([("x", 0), ("y", 1)], {"y": [("x", -1)]})
 
 
+def test_constructors_keep_normalized_inputs_and_still_check_them():
+    q, img = Fraction(1, 3), frozenset({("x", 0)})
+    ic = IotaComplex(GradedComplex([("x", q), ("y", Fraction(4, 3))], {"y": img}), {"x": img})
+    assert ic.complex.grading["x"] is q and ic.complex.diff["y"] is img and ic.iota["x"] is img
+    assert type(GradedComplex([("x", 2)], {}).grading["x"]) is Fraction
+    # a frozenset image is kept, but each of its terms is still checked
+    for bad, detail in ((("z", 0), "unknown generator 'z'"), (("x", -1), "bad U-exponent -1"),
+                        (("x", 1.0), "bad U-exponent 1.0")):
+        with pytest.raises(ValidationError, match=detail):
+            GradedComplex([("x", 0), ("y", 1)], {"y": frozenset({bad})})
+        with pytest.raises(ValidationError, match=detail):
+            IotaComplex(GradedComplex([("x", 0)], {}), {"x": frozenset({bad})})
+
+
+def test_bool_u_exponents_are_refused_so_every_complex_loads_back(tmp_path):
+    # False passes isinstance(e, int): a complex built with it was dumped
+    # as "upow": false, which load_complex refuses
+    for flag in (False, True):
+        for terms in ([("x", flag)], frozenset({("x", flag)})):
+            with pytest.raises(ValidationError, match=f"bad U-exponent {flag}"):
+                GradedComplex([("x", 0), ("y", 1)], {"y": terms})
+            with pytest.raises(ValidationError, match=f"bad U-exponent {flag}"):
+                IotaComplex(GradedComplex([("x", 0)], {}), {"x": terms})
+    path = tmp_path / "cx.json"
+    cases = all_fixtures() + [strict_model(), shift(dual_model(), Fraction(-2, 3)),
+                              tensor(random_iota_complex(5, max_order=4), random_iota_complex(6, max_order=4))]
+    for ic in cases:
+        iota.dump_complex(ic, str(path))
+        back = iota.load_complex(str(path))
+        assert back.complex.generators == ic.complex.generators
+        assert back.complex.grading == ic.complex.grading
+        assert back.complex.diff == ic.complex.diff and back.iota == ic.iota
+
+
 # ---------------------------------------------------------------------------
 # homology
 
@@ -321,6 +356,19 @@ def test_homology_refuses_non_complexes():
             homology_summary(cx)
         assert detail in str(exc.value)
         assert cx._view.hom is None
+
+
+def test_reduction_refuses_entries_off_its_levels():
+    # entry (i, j) stands for U^e with e = (gr_i - gr_j + D) / 2D, so it
+    # must be a whole e >= 0; the public calls check the degree first, so
+    # only a direct call reaches this check.  Here D = 1.
+    cases = [
+        ([0, 1], [0, 3]),  # x1 -> U^-1 x0, on the first pass
+        ([0, 1, 0, 1 << 2], [0, 1, 0, -2]),  # x3 -> U^1.5 x2, left after x1 -> x0 pivots
+    ]
+    for cols, gr in cases:
+        with pytest.raises(InternalCheckError, match="homology reduction left a live entry of d"):
+            iota._reduce_homology(cols, gr, 1)
 
 
 def _predicted_dims(view, free, torsion, gradings):
@@ -890,6 +938,49 @@ def test_tensor_name_collisions_get_renamed():
     prod = tensor(a, b)
     assert len(prod.complex.generators) == 4
     assert len(set(prod.complex.generators)) == 4
+
+
+# sha256 of _tensor_outputs(), recorded with the tensor that added Fraction
+# gradings and XORed in one singleton set per term
+PINNED_TENSOR_SHA256 = "587bfb03d8d2a82956c770d6016df675d7ea668743702abbcfa862d47b22a950"
+
+
+def _tensor_outputs() -> bytes:
+    """complex_to_dict of fixed products, each with its grading dict (whose
+    repr pins the type and the order of the gradings)."""
+    def r(seed):
+        return random_iota_complex(seed, max_order=4)
+
+    c, d = r(0), r(7)  # 3 generators each
+    # "p" x "q|r" and "p|q" x "r" would both be called "p|q|r"
+    renamed_a = IotaComplex(GradedComplex([("p", 0), ("p|q", 1)], {"p|q": [("p", 0)]}),
+                            {"p": [("p", 0)], "p|q": [("p|q", 0), ("p", 1)]})
+    renamed_b = IotaComplex(GradedComplex([("q|r", 0), ("r", 1)], {"r": [("q|r", 0)]}),
+                            {"q|r": [("q|r", 0)], "r": [("r", 0)]})
+    # terms that collide in the product cancel: d(z|z) = z|z + z|z = 0 and
+    # iota(z|z) = (1 + U)^2 z|z = z|z + U^2 z|z
+    loop = IotaComplex(GradedComplex([("z", 0)], {"z": [("z", 0)]}), {"z": [("z", 0), ("z", 1)]})
+    cases = [
+        ("pair1", tensor(r(1), r(2)), 1),
+        ("pair9", tensor(c, d), 9),
+        ("pair25", tensor(r(5), r(6)), 25),
+        ("triple27", tensor(tensor(c, d), c), 27),
+        ("third", tensor(shift(r(5), Fraction(1, 3)), r(6)), 25),
+        ("sixths", tensor(shift(c, Fraction(1, 2)), shift(d, Fraction(-1, 3)), sep="."), 9),
+        ("renamed", tensor(renamed_a, renamed_b), 4),
+        ("cancelling", tensor(loop, loop), 1),
+    ]
+    lines = []
+    for name, prod, size in cases:
+        assert len(prod.complex.generators) == size
+        lines.append(f"{name} {json.dumps(complex_to_dict(prod))} {prod.complex.grading!r}")
+    return "\n".join(lines).encode()
+
+
+def test_tensor_output_is_pinned():
+    out = _tensor_outputs()
+    assert b"t3" in out and b'"z|z"' in out and b"Fraction(1, 6)" in out
+    assert hashlib.sha256(out).hexdigest() == PINNED_TENSOR_SHA256
 
 
 # ---------------------------------------------------------------------------

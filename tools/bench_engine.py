@@ -11,8 +11,11 @@ cached on them (cold):
 
 - d_results, validate and brute_oracle (at its minimum truncation) on
   randgen singles of 1, 3 and 5 generators, microseconds per complex;
-- tensor followed by d_results on products of 9 and 25 generators,
-  microseconds per product;
+- tensor, and then d_results with its checks on the product, timed apart,
+  on products of 9 and 25 generators and on the 27-generator triple
+  (C x D) x C of two 3-generator complexes, built the way the engine-sweep
+  workload builds it: every factor has been through d_results first, so
+  its integer view is there; microseconds per product;
 - d_results on the seventh tensor power of the figure-eight complex (2187
   generators, at most 3 repeats), seconds;
 - validate on a complex whose iota squares to the identity only up to
@@ -71,8 +74,21 @@ def measure() -> dict:
     def pairs(n):
         def build():
             ics = [random_iota_complex(s, max_order=4) for s in seeds[n][:2 * PRODUCTS]]
+            for ic in ics:
+                iota.d_results(ic, check=False)
             return list(zip(ics[0::2], ics[1::2]))
         return build
+
+    def triples():
+        out = []
+        for c, d in pairs(3)():
+            cd = iota.tensor(c, d)
+            iota.d_results(cd)
+            out.append((cd, c))
+        return out
+
+    def products(build):
+        return lambda: [iota.tensor(*ab) for ab in build()]
 
     def power7():
         f8 = figure_eight_complex()
@@ -102,8 +118,9 @@ def measure() -> dict:
         cases += [(f"single{n}.d_results_us", singles(n), iota.d_results, 1e6),
                   (f"single{n}.validate_us", singles(n), iota.validate, 1e6),
                   (f"single{n}.brute_oracle_us", singles(n), oracle, 1e6)]
-    cases += [(f"product{n * n}.tensor_d_results_us", pairs(n), lambda ab: iota.d_results(iota.tensor(*ab)), 1e6)
-              for n in (3, 5)]
+    for name, build in (("product9", pairs(3)), ("product25", pairs(5)), ("triple27", triples)):
+        cases += [(f"{name}.tensor_us", build, lambda ab: iota.tensor(*ab), 1e6),
+                  (f"{name}.d_results_check_us", products(build), iota.d_results, 1e6)]
     cases.append(("fig8_pow7.d_results_s", power7, iota.d_results, 1))
     cases.append(("strict_fig8_pow4.validate_s", strict_pow4, iota.validate, 1))
     all_seeds = [s for n in SIZES for s in seeds[n]]
