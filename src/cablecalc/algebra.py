@@ -1,22 +1,19 @@
-"""Exact scalar arithmetic: rationals and GF(2) linear algebra.
+"""Exact rationals for the JSON interfaces.
 
 Rationals are stdlib ``fractions.Fraction`` (already exact, lowest terms,
 positive denominator); this module only adds the string forms used by the
-JSON interfaces.  GF(2) vectors are ints used as bitmasks (bit j = coordinate
-j), so all elimination is word-parallel.  There is one eliminator: Echelon
-keeps a basis of a span and answers span membership.
+JSON interfaces.  The engine's GF(2) linear algebra works on bitmask
+columns inside ``cablecalc.iota``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 __all__ = [
     "Fraction",
     "parse_rational",
     "format_rational",
-    "Echelon",
 ]
 
 
@@ -36,39 +33,4 @@ def format_rational(r: Fraction | int) -> str:
     ``str`` is the whole conversion.
     """
     return str(r)
-
-
-class Echelon:
-    """Incremental row-echelon basis keyed by highest set bit."""
-
-    __slots__ = ("pivots",)
-
-    def __init__(self, vectors: Iterable[int] = ()):
-        self.pivots: dict[int, int] = {}
-        for v in vectors:
-            self.add(v)
-
-    def reduce(self, v: int) -> int:
-        while v:
-            p = v.bit_length() - 1
-            row = self.pivots.get(p)
-            if row is None:
-                return v
-            v ^= row
-        return 0
-
-    def add(self, v: int) -> bool:
-        """Insert v; True if it enlarged the span."""
-        v = self.reduce(v)
-        if v == 0:
-            return False
-        self.pivots[v.bit_length() - 1] = v
-        return True
-
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 

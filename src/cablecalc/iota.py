@@ -4,12 +4,9 @@ correction terms d, d_lower and d_upper.
 A complex is finitely generated and free over F2[U], graded by exact
 rationals; U drops the grading by 2 and the differential by 1.  Module
 elements are frozensets of (generator, U-exponent) terms, so addition is
-symmetric difference.  The constructors keep a grading that is already a
-Fraction and an image that is already a frozenset as given, checking each
-of its terms; other inputs are normalized.  Because every map in sight is
-homogeneous, a map is determined by a GF(2) bit matrix whose U-exponents
-are forced by the gradings; all heavy lifting reduces to bit-packed linear
-algebra over the finite-dimensional graded pieces.
+symmetric difference.  Every map in sight is homogeneous, so it is a GF(2)
+bit matrix whose U-exponents are forced by the gradings, and all heavy
+lifting is bit-packed linear algebra.
 
 Inside the engine gradings are integers: the complex's gradings are scaled
 by D, the lcm of their denominators, so d has degree -D and U degree -2D,
@@ -27,25 +24,23 @@ the target grading, and U^m, which sends U^k x to U^(k+m) x, leaves the
 mask as it is.  The integer view (D, the generator index, the scaled
 gradings, d's columns with the result of its checks, and the homology
 below) is built on first use and kept on the complex; it holds no
-reference back to it.  Each public call builds iota's columns once and
-shares them between validation and the cone.  Only brute_oracle builds
-graded pieces, in a _Pieces that it drops when it returns.
+reference back to it.  Other calls build iota's columns once per call,
+but a tensor product keeps them, so neither a GradedComplex nor the iota
+of an IotaComplex may be mutated after construction.  tensor builds a
+product of well-graded factors on columns: its view and iota's columns
+come straight from the factors', and its name-keyed diff and iota are
+made only when something reads them.
 
-validate checks d, iota and their composites on the columns.  When
-iota^2 = id exactly, H = 0 is the homotopy from iota^2 to id.  Otherwise
-it reduces the mapping cone of the chain map iota^2 + id: some H has dH +
-Hd = iota^2 + id just when the cone's homology is H(C) + H(C)[-1], the
-homology of the cone of 0, as a graded F2[U]-module (see _null_homotopic).
-It never solves for H.
+validate checks d, iota and their composites on the columns.  Unless
+iota^2 = id exactly, it decides whether iota^2 is homotopic to id from the
+homology of the mapping cone of iota^2 + id (see _null_homotopic).
 
 Homology comes from one valuation-greedy reduction of a differential,
 which sweeps the U-exponents 0, 1, 2, ... in turn: each pivot has the least
 U-exponent left, which keeps every entry a monomial and each column
 operation a plain XOR.  Because d^2 = 0 each pivot pair x_j -> U^e x_i
 splits off as a direct summand, a torsion class F2[U]/U^e when e > 0, and
-the generators left unpaired carry the free part.  The reduction of C runs
-once per complex and its homology is kept on the integer view, so a
-GradedComplex must not be mutated after construction.
+the generators left unpaired carry the free part.
 
 d_lower and d_upper come from the same reduction, run on the mapping cone
 of Q(1+iota), whose homology is HFI (Hendricks-Manolescu, Involutive
@@ -53,24 +48,27 @@ Heegaard Floer homology, 2017): generators x at gr(x) and Qx at gr(x) - 1,
 with x -> dx + Q(1+iota)x and Qx -> Q dx, built by the _cone_homology
 that validate's homotopy test shares.  Localized at U it has rank 2,
 so H(cone) has exactly two free generators, in the two classes of d mod 2:
-the one in d's class is at d_lower, the other at d_upper - 1.  The cone is
-built and reduced once per public call; d_results reads all three values
-from that one reduction.
+the one in d's class is at d_lower, the other at d_upper - 1.  d_results
+reads all three values from one reduction of the cone.
 brute_oracle re-derives all three invariants by exhaustive enumeration over
 every subset of whole graded pieces, with its own non-torsion test (U^N w
 is a boundary, which in generator coordinates is w in im d at the grading
-2ND lower), and is used to cross-check.
+2ND lower), and is used to cross-check.  It sorts each grading class's
+generators top first, so every piece is a prefix of its class, and reads
+the images of its subsets off three tables per class built once per call.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cache
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .algebra import Echelon, format_rational, parse_rational
+from .algebra import format_rational, parse_rational
 from .errors import InternalCheckError, ValidationError
 
 __all__ = [
@@ -154,12 +152,26 @@ def _clean_map(generators: Sequence[str], raw: Mapping[str, Iterable[Term]], wha
     return out
 
 
+def _read_grading(name, g) -> Fraction:
+    """A grading that is neither an int nor a Fraction, read the way a
+    complex file's is; a bool is refused."""
+    if not isinstance(g, bool):
+        try:
+            return parse_rational(g)
+        except ValueError:
+            pass
+    raise ValidationError(f"bad grading {g!r} of generator {name!r}")
+
+
 class GradedComplex:
     """Free F2[U]-complex: ordered generators, exact rational gradings,
     differential stored as generator -> element (missing means zero).  A
-    Fraction grading and a frozenset image are kept as given, not copied."""
+    Fraction grading and a frozenset image are kept as given, not copied;
+    a grading that is not an int is read by parse_rational, as a complex
+    file's is.  A complex keeps its integer view, so it must not be mutated.
+    The diff of a tensor product is made when it is first read."""
 
-    __slots__ = ("generators", "grading", "diff", "_view")
+    __slots__ = ("generators", "grading", "_diff", "_view", "_pending")
 
     def __init__(self, generators: Sequence[tuple[str, Fraction]], diff: Mapping[str, Iterable[Term]]):
         names = [str(n) for n, _ in generators]
@@ -168,23 +180,41 @@ class GradedComplex:
         if not names:
             raise ValidationError("complex needs at least one generator")
         self.generators: tuple[str, ...] = tuple(names)
-        self.grading: dict[str, Fraction] = {str(n): g if type(g) is Fraction else Fraction(g)
-                                             for n, g in generators}
-        self.diff: dict[str, Element] = _clean_map(self.generators, diff, "differential")
-        self._view = None  # set once by _view
+        self.grading: dict[str, Fraction] = {
+            str(n): g if type(g) is Fraction else Fraction(g) if type(g) is int else _read_grading(n, g)
+            for n, g in generators}
+        self._diff: Optional[dict[str, Element]] = _clean_map(self.generators, diff, "differential")
+        self._view = None  # set once by _view, or by tensor
+        self._pending = None  # a product's deferred (diff, iota), until diff is read
+
+    @property
+    def diff(self) -> dict[str, Element]:
+        if self._diff is None:
+            self._diff, self._pending = self._pending()[0], None
+        return self._diff
 
     def __repr__(self) -> str:
         return f"GradedComplex({len(self.generators)} generators)"
 
 
 class IotaComplex:
-    """A graded complex together with a candidate homotopy involution."""
+    """A graded complex together with a candidate homotopy involution.  A
+    tensor product keeps iota's columns, so iota must not be mutated, and
+    its iota is made when it is first read."""
 
-    __slots__ = ("complex", "iota")
+    __slots__ = ("complex", "_iota", "_icols", "_pending")
 
     def __init__(self, complex: GradedComplex, iota: Mapping[str, Iterable[Term]]):
         self.complex = complex
-        self.iota: dict[str, Element] = _clean_map(complex.generators, iota, "iota")
+        self._iota: Optional[dict[str, Element]] = _clean_map(complex.generators, iota, "iota")
+        self._icols = None  # a product's iota columns, set by tensor
+        self._pending = None
+
+    @property
+    def iota(self) -> dict[str, Element]:
+        if self._iota is None:
+            self._iota, self._pending = self._pending()[1], None
+        return self._iota
 
     def __repr__(self) -> str:
         return f"IotaComplex({len(self.complex.generators)} generators)"
@@ -198,24 +228,23 @@ class _View:
     """One complex in generator coordinates, on its scaled-integer gradings:
     the generator index, d's columns, the details of its degree and d^2
     checks (None when they pass) and, once _homology has run, its homology.
-    It is built once per complex and holds no reference back to it."""
+    It is built once per complex and holds no reference back to it.  d's
+    columns are built from diff, or given, by tensor, with no degree fault."""
 
     __slots__ = ("D", "index", "gr", "dcols", "d_degree", "d_square", "hom")
 
-    def __init__(self, cx: GradedComplex):
-        grading = [cx.grading[g] for g in cx.generators]
-        self.D = scale = lcm(*{q.denominator for q in grading})
-        self.index: dict[str, int] = {g: i for i, g in enumerate(cx.generators)}
-        self.gr: list[int] = [q.numerator * (scale // q.denominator) for q in grading]
-        self.dcols, self.d_degree = _columns(self, cx.diff, -1)
+    def __init__(self, names: Sequence[str], D: int, gr: list[int], diff: Optional[Mapping[str, Element]],
+                 dcols: Optional[list[int]] = None):
+        self.D, self.gr = D, gr
+        self.index: dict[str, int] = {g: i for i, g in enumerate(names)}
+        self.dcols, self.d_degree = _columns(self, diff, -1) if dcols is None else (dcols, None)
         if self.d_degree is None:
-            self.d_square = next((f"d(d({g})) != 0" for g, c in zip(cx.generators, self.dcols)
+            self.d_square = next((f"d(d({g})) != 0" for g, c in zip(names, self.dcols)
                                   if _image(self.dcols, c)), None)
         else:
             # the columns drop U-exponents, which only the degree check
             # ties to the gradings, so d^2 is taken on the terms
-            diff = cx.diff
-            self.d_square = next((f"d(d({g})) != 0" for g in cx.generators
+            self.d_square = next((f"d(d({g})) != 0" for g in names
                                   if apply_map(diff, diff.get(g, ZERO))), None)
         self.hom = None  # set once by _homology, and only when both checks pass
 
@@ -229,11 +258,19 @@ class _View:
 def _view(cx: GradedComplex) -> _View:
     """cx's integer view, built on first use and kept on the complex."""
     if cx._view is None:
-        cx._view = _View(cx)
+        grading = [cx.grading[g] for g in cx.generators]
+        D = lcm(*{q.denominator for q in grading})
+        cx._view = _View(cx.generators, D, [q.numerator * (D // q.denominator) for q in grading], cx.diff)
     return cx._view
 
 
 _Columns = tuple[list[int], Optional[str]]
+
+
+def _iota_columns(ic: IotaComplex) -> _Columns:
+    """iota's columns and the detail of its degree check: the ones tensor
+    gave a product, or else built for the call."""
+    return ic._icols if ic._icols is not None else _columns(_view(ic.complex), ic.iota, 0)
 
 
 def _columns(view: _View, mp: Mapping[str, Element], degree: int) -> _Columns:
@@ -281,47 +318,6 @@ def _id_plus_iota(iota_cols: _Columns) -> list[int]:
     if detail is not None:
         raise InternalCheckError(f"iota is not a degree-0 map: {detail}")
     return [c ^ 1 << j for j, c in enumerate(cols)]
-
-
-# ---------------------------------------------------------------------------
-# graded pieces
-
-
-class _Pieces:
-    """The graded pieces of one view for one brute_oracle call, each built
-    on first use and kept until the _Pieces is dropped; a view never holds
-    one, and validate and the cone need none.  A graded piece V_g is the
-    list of generators x of g's class mod 2D with gr(x) >= g."""
-
-    def __init__(self, view: _View):
-        self.view = view
-        self.classes: dict[int, list[tuple[int, int]]] = {}  # class mod 2D -> its (generator, grading)
-        for i, g in enumerate(view.gr):
-            self.classes.setdefault(g % (2 * view.D), []).append((i, g))
-        self._got: dict[int, list[int]] = {}
-
-    def piece(self, grading: int) -> list[int]:
-        p = self._got.get(grading)
-        if p is None:
-            p = self._got[grading] = _piece_for(self, grading)
-        return p
-
-    def candidate_gradings(self, floor: int) -> list[int]:
-        """Every grading G - 2kD >= floor of a generator, from the top down."""
-        vals: set[int] = set()
-        for g in self.view.gr:
-            vals.update(range(g, floor - 1, -2 * self.view.D))
-        return sorted(vals, reverse=True)
-
-    def boundary_masks(self, grading: int) -> list[int]:
-        """Spanning masks of d(V_{grading+1}) inside V_grading."""
-        dcols = self.view.dcols
-        return [dcols[j] for j in self.piece(grading + self.view.D) if dcols[j]]
-
-
-def _piece_for(pieces: _Pieces, grading: int) -> list[int]:
-    """Generators of V_grading."""
-    return [i for i, gi in pieces.classes.get(grading % (2 * pieces.view.D), ()) if gi >= grading]
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +393,7 @@ def _validate(ic: IotaComplex, view: _View, iota_cols: _Columns) -> list[tuple[s
 
 def validate(ic: IotaComplex) -> ValidationReport:
     """Check all defining properties; later checks are skipped once one fails."""
-    view = _view(ic.complex)
-    details = _validate(ic, view, _columns(view, ic.iota, 0))
+    details = _validate(ic, _view(ic.complex), _iota_columns(ic))
     checks = (ValidationCheck(name, detail is None, detail or "") for name, detail in details)
     return ValidationReport(tuple(checks))
 
@@ -408,10 +403,9 @@ def require_valid(ic: IotaComplex) -> None:
 
 
 def _checked(ic: IotaComplex, check: bool) -> tuple[_View, _Columns]:
-    """ic's view and iota's columns, built once for the whole call; with
-    check set, an ic that fails validate raises ValidationError."""
-    view = _view(ic.complex)
-    iota_cols = _columns(view, ic.iota, 0)
+    """ic's view and iota's columns; with check set, an ic that fails
+    validate raises ValidationError."""
+    view, iota_cols = _view(ic.complex), _iota_columns(ic)
     bad = [(name, detail) for name, detail in _validate(ic, view, iota_cols) if detail] if check else []
     if bad:
         raise ValidationError(f"invalid iota-complex: {bad[0][0]}: {bad[0][1]}")
@@ -463,10 +457,8 @@ def _reduce_homology(cols: Sequence[int], gr: Sequence[int], D: int) -> tuple[li
     A row index keeps, for each live row, the mask of the live columns
     with a bit there, so a pivot on row i XORs only the columns that hold
     i, and then flips those columns in the index of each live row of the
-    column it added.  Every bit loop is written out inline, and a pivot row
-    is found among the column's own live bits, as the scan finds levels: on
-    25-generator products, _bits' frames and a map from gradings to
-    generators cost a third of the reduction.
+    column it added.  Bit loops are written out inline, and a pivot row is
+    found among the column's own live bits, as the scan finds levels.
     """
     cols = list(cols)
     n, step = len(gr), 2 * D
@@ -661,7 +653,10 @@ def dual(ic: IotaComplex) -> IotaComplex:
 def tensor(a: IotaComplex, b: IotaComplex, sep: str = "|") -> IotaComplex:
     """Tensor product over F2[U]: gradings add, d is the Leibniz map and
     iota acts diagonally.  The gradings are added on the factors' integer
-    views, which are built if they are not there yet."""
+    views, which are built if they are not there yet.  When both factors
+    pass their degree checks, the product's view and iota's columns are
+    built from the factors' columns, and its diff and iota are made when
+    first read; otherwise they are made at once."""
     ca, cb = a.complex, b.complex
     va, vb = _view(ca), _view(cb)
     D = lcm(va.D, vb.D)
@@ -671,8 +666,38 @@ def tensor(a: IotaComplex, b: IotaComplex, sep: str = "|") -> IotaComplex:
         names = [f"t{i}" for i in range(len(names))]
     sums = [x * sa + y * sb for x in va.gr for y in vb.gr]
     fracs = {g: Fraction(g, D) for g in set(sums)}  # one per grading
-    gens = [(nm, fracs[g]) for nm, g in zip(names, sums)]
-    # the product generator of (x, y) is names[x * nb + y]; b's maps as index terms
+    (ia, ia_degree), (ib, ib_degree) = _iota_columns(a), _iota_columns(b)
+    if va.d_degree or vb.d_degree or ia_degree or ib_degree:
+        diff, iota = _product_terms(a, b, names)
+        return IotaComplex(GradedComplex([(nm, fracs[g]) for nm, g in zip(names, sums)], diff), iota)
+
+    def spread(c: int) -> int:
+        # the column c of a, moved to b's first generator: bit p to bit p * nb
+        return sum(1 << p * nb for p in _bits(c))
+
+    # entry (x, y) is bit x * nb + y.  d(x|y) = dx|y + x|dy, and iota(x|y) =
+    # iota(x)|iota(y) holds a copy of iota(y) in the nb-bit block of each bit
+    # of iota(x): the product with spread(iota(x)), as the blocks are disjoint
+    dcols = [s << y ^ c << x * nb for x, s in enumerate(map(spread, va.dcols)) for y, c in enumerate(vb.dcols)]
+    icols = [c * s for s in map(spread, ia) for c in ib]
+    k = gcd(D, *sums)  # the view scales by the lcm of the product's denominators
+    cx = GradedComplex.__new__(GradedComplex)
+    cx.generators, cx.grading = tuple(names), {nm: fracs[g] for nm, g in zip(names, sums)}
+    cx._view = _View(names, D // k, sums if k == 1 else [g // k for g in sums], None, dcols)
+    ic = IotaComplex.__new__(IotaComplex)
+    ic.complex, ic._icols = cx, (icols, None)
+    cx._diff = ic._iota = None
+    cx._pending = ic._pending = cache(lambda: _product_terms(a, b, names))
+    return ic
+
+
+def _product_terms(a: IotaComplex, b: IotaComplex, names: list[str]) -> tuple[dict[str, Element], dict[str, Element]]:
+    """The product's diff and iota as name-keyed maps of terms, names[x *
+    nb + y] standing for the generator (x, y)."""
+    ca, cb = a.complex, b.complex
+    va, vb = _view(ca), _view(cb)
+    nb = len(vb.gr)
+    # b's maps as index terms
     db = [[(vb.index[h], m) for h, m in cb.diff.get(gb, ZERO)] for gb in cb.generators]
     ib = [[(vb.index[h], m) for h, m in b.iota.get(gb, ZERO)] for gb in cb.generators]
     diff: dict[str, Element] = {}
@@ -690,66 +715,39 @@ def tensor(a: IotaComplex, b: IotaComplex, sep: str = "|") -> IotaComplex:
                     val = element(terms)  # colliding terms cancel in pairs
                 if val:
                     mp[names[row + y]] = val
-    return IotaComplex(GradedComplex(gens, diff), iota)
+    return diff, iota
 
 
 # ---------------------------------------------------------------------------
 # brute-force oracle
 
 
-def _mask_images(cols: Sequence[int]) -> list[int]:
-    """Images of every subset mask, given per-basis-vector image columns."""
-    out = [0] * (1 << len(cols))
-    for mask in range(1, len(out)):
-        low = mask & -mask
-        out[mask] = out[mask ^ low] ^ cols[low.bit_length() - 1]
+def _class_tables(view: _View, id_iota: list[int]) -> dict[int, tuple]:
+    """For each class mod 2D that holds a generator, with its generators
+    sorted top first so that every graded piece is a prefix of them: their
+    gradings negated; the images of every subset mask of them under id+iota
+    and the embedding into the complex's generator masks, the subsets of a
+    piece of k generators being the first 2^k masks; the masks grouped by
+    their image under d, each group ascending; and, for each k, the set of
+    d-images of the first 2^k masks."""
+    step, gr = 2 * view.D, view.gr
+    classes: dict[int, list[int]] = {}
+    for i in sorted(range(len(gr)), key=lambda i: -gr[i]):
+        classes.setdefault(gr[i] % step, []).append(i)
+    out = {}
+    for c, gens in classes.items():
+        dtab, itab, utab = [0], [0], [0]
+        for i in gens:
+            dc, ic, uc = view.dcols[i], id_iota[i], 1 << i
+            dtab += [t ^ dc for t in dtab]
+            itab += [t ^ ic for t in itab]
+            utab += [t ^ uc for t in utab]
+        by_d: dict[int, list[int]] = {}
+        for mask, img in enumerate(dtab):
+            by_d.setdefault(img, []).append(mask)
+        spans = [frozenset(dtab[:1 << k]) for k in range(len(gens) + 1)]
+        out[c] = ([-gr[i] for i in gens], itab, utab, by_d, spans)
     return out
-
-
-class _BruteCtx:
-    """One brute_oracle call on one complex: its graded pieces, the images
-    of their subset masks under d, id+iota and U^m, and the torsion test,
-    all dropped when the call returns.  Sources are whole pieces and images
-    are generator masks of the complex, so nothing is lost.  truncation is
-    the highest U-power d_upper's triples try."""
-
-    def __init__(self, pieces: _Pieces, id_iota: list[int], n_exp: int, truncation: int):
-        self.pieces = pieces
-        self.view = pieces.view
-        self.id_iota = id_iota
-        self.n_exp = n_exp
-        self.truncation = truncation
-        self._images: dict[tuple[str, int], list[int]] = {}
-        self._by_image: dict[int, dict[int, list[int]]] = {}
-        self._torsion: dict[int, Echelon] = {}
-
-    def images(self, kind: str, grading: int) -> list[int]:
-        """Images of every subset mask of the piece under d ("d"), id+iota
-        ("i") or U^m ("u", the subsets' own generator masks)."""
-        key = (kind, grading)
-        got = self._images.get(key)
-        if got is None:
-            cols = {"d": self.view.dcols, "i": self.id_iota}.get(kind)
-            piece = self.pieces.piece(grading)
-            got = self._images[key] = _mask_images([1 << j if cols is None else cols[j] for j in piece])
-        return got
-
-    def by_image(self, grading: int) -> dict[int, list[int]]:
-        """The subset masks of the piece, grouped by their image under d."""
-        got = self._by_image.get(grading)
-        if got is None:
-            got = self._by_image[grading] = {}
-            for mask, img in enumerate(self.images("d", grading)):
-                got.setdefault(img, []).append(mask)
-        return got
-
-    def torsion(self, grading: int) -> Echelon:
-        """The w in V_grading with U^N w a boundary: U^N keeps w's generator
-        bits, so these are the masks in im d at grading - 2ND."""
-        ech = self._torsion.get(grading)
-        if ech is None:
-            ech = self._torsion[grading] = Echelon(self.pieces.boundary_masks(grading - 2 * self.n_exp * self.view.D))
-        return ech
 
 
 def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResults:
@@ -761,83 +759,79 @@ def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResul
     and non-torsionness is tested against the complex, so every witness
     found is genuine.  ``truncation`` bounds only d_upper's U-power: its
     triples are tried at every m <= truncation, which must be at least
-    torsion_exponent + number of generators.
+    torsion_exponent + number of generators.  A boundary test looks the
+    element up among the d-images of every subset of a piece.
     """
     view, iota_cols = _checked(ic, check)
     summary = homology_summary(ic.complex, check=False)
     min_trunc = summary.torsion_exponent + len(ic.complex.generators)
     if truncation < min_trunc:
         raise ValidationError(f"truncation {truncation} too small; need at least {min_trunc}")
-    pieces = _Pieces(view)
-    br = _BruteCtx(pieces, _id_plus_iota(iota_cols), summary.torsion_exponent, truncation)
-    # the search window reaches d - 2N - 2 (scaled)
-    gradings = pieces.candidate_gradings(view.scaled(summary.free_grading) - view.D * (2 * br.n_exp + 2))
+    D, step, n_exp, bottom = view.D, 2 * view.D, summary.torsion_exponent, min(view.gr)
+    tables = _class_tables(view, _id_plus_iota(iota_cols))
+    empty = ([], [0], [0], {0: [0]}, [frozenset([0])])
 
-    d_val = None
+    def piece(g: int) -> tuple[int, tuple]:
+        """The size k of V_g and its class's tables."""
+        t = tables.get(g % step, empty)
+        return bisect_right(t[0], -g), t
+
+    def boundaries(g: int) -> frozenset:
+        """d(V_(g+D)) as generator masks.  U^N w is a boundary just when w
+        is in boundaries(g - 2ND), since U^N keeps w's generator bits."""
+        k, t = piece(g + D)
+        return t[4][k]
+
+    # the search window reaches d - 2N - 2 (scaled)
+    floor = view.scaled(summary.free_grading) - D * (2 * n_exp + 2)
+    gradings = sorted({h for g in view.gr for h in range(g, floor - 1, -step)}, reverse=True)
+    d_val = lower_val = None
     for g in gradings:
-        dimg, femb, ws = br.images("d", g), br.images("u", g), br.torsion(g)
-        if any(dimg[mask] == 0 and not ws.contains(femb[mask]) for mask in range(1, len(dimg))):
-            d_val = g
+        k, (_, itab, utab, by_d, _) = piece(g)
+        torsion, bnd = boundaries(g - step * n_exp), boundaries(g)
+        for mask in by_d.get(0, ()):  # the cycles; 0 is torsion
+            if mask >> k:
+                break
+            if utab[mask] not in torsion:
+                d_val = g if d_val is None else d_val
+                if itab[mask] in bnd:
+                    lower_val = g
+                    break
+        if lower_val is not None:
             break
     if d_val is None:
         raise InternalCheckError("brute search found no non-torsion cycle")
-
-    lower_val = None
-    for g in gradings:
-        dimg, femb, ws = br.images("d", g), br.images("u", g), br.torsion(g)
-        iimg = br.images("i", g)
-        bnd = Echelon(pieces.boundary_masks(g))
-        if any(dimg[mask] == 0 and bnd.contains(iimg[mask]) and not ws.contains(femb[mask])
-               for mask in range(1, len(dimg))):
-            lower_val = g
-            break
     if lower_val is None:
         raise InternalCheckError("brute search found no d_lower witness")
 
-    upper_val = None
-    values = sorted({w for g in gradings for w in (g, g + view.D)}, reverse=True)
-    for v in values:
-        if _brute_upper_at(br, v):
-            upper_val = v
-            break
+    def upper_at(v: int) -> bool:
+        # x lies in V_(v-D), y and every z in v's class; U^m moves no
+        # generator bit, so U^m x and U^m y have the masks of x and y
+        kx, (_, ximg_i, ximg_u, _, _) = piece(v - D)
+        ky, (_, zimg_i, yimg_u, by_d, _) = piece(v)
+        # (U^m x, U^m y) for each x and y, not both 0, with d y = (id+iota) x
+        pairs = [(ximg_u[x], yimg_u[y]) for x in range(1 << kx)
+                 for y in by_d.get(ximg_i[x], ()) if not y >> ky and (x or y)]
+        tried = set()
+        for m in range(truncation + 1 if pairs else 0):
+            g = v - m * step
+            kz, (kt, t) = piece(g)[0], piece(g - step * n_exp + D)
+            if (kz, kt) not in tried:  # the pieces of z and of the torsion test decide
+                tried.add((kz, kt))
+                # z with d z = U^m x, and U^m y + (id+iota) z not torsion (0 is)
+                if any(uy ^ zimg_i[z] not in t[4][kt] for ux, uy in pairs for z in by_d.get(ux, ()) if not z >> kz):
+                    return True
+            if g + D <= bottom:
+                # z's piece and the torsion test's, V_(g - 2ND + D), are
+                # whole, so every larger m repeats this one
+                break
+        return False
+
+    values = sorted({w for g in gradings for w in (g, g + D)}, reverse=True)
+    upper_val = next((v for v in values if upper_at(v)), None)
     if upper_val is None:
         raise InternalCheckError("brute search found no d_upper witness")
     return DResults(view.unscaled(d_val), view.unscaled(lower_val), view.unscaled(upper_val))
-
-
-def _brute_upper_at(br: _BruteCtx, v: int) -> bool:
-    D, step = br.view.D, 2 * br.view.D
-    dx = len(br.pieces.piece(v - D))
-    if not (dx or br.pieces.piece(v)):
-        return False
-    ximg_i = br.images("i", v - D)
-    # U^m moves no generator bit, so U^m x and U^m y have the masks of x, y
-    ximg_u, yimg_u = br.images("u", v - D), br.images("u", v)
-    y_by_image = br.by_image(v)
-    bottom = min(br.view.gr)
-    for m in range(br.truncation + 1):
-        g = v - m * step
-        ws, zimg_i, z_by_image = br.torsion(g), br.images("i", g), br.by_image(g)
-        for xmask in range(1 << dx):
-            y_hits = y_by_image.get(ximg_i[xmask])
-            if not y_hits:
-                continue
-            z_hits = z_by_image.get(ximg_u[xmask])
-            if not z_hits:
-                continue
-            for ymask in y_hits:
-                if xmask == 0 and ymask == 0:
-                    continue
-                uy = yimg_u[ymask]
-                for zmask in z_hits:
-                    w = uy ^ zimg_i[zmask]
-                    if w and not ws.contains(w):
-                        return True
-        if g + D <= bottom:
-            # the z piece and the torsion piece (from V_(g - 2ND + D)) are
-            # whole, so every larger m repeats this one
-            break
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,63 @@ mapping-cone homology that cablecalc.iota compares, and its size grows with
 the square of the generator count, so it is for small complexes only.
 
 Maps are given as the engine gives them: one generator bitmask column per
-generator, with U-exponents forced by the gradings.
+generator, with U-exponents forced by the gradings.  Span membership is
+decided by Echelon, a row-echelon basis over GF(2), and a graded piece is
+the list of generators that piece() gives.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from cablecalc import iota
-from cablecalc.algebra import Echelon
+
+
+class Echelon:
+    """Incremental row-echelon basis keyed by highest set bit."""
+
+    __slots__ = ("pivots",)
+
+    def __init__(self, vectors: Iterable[int] = ()):
+        self.pivots: dict[int, int] = {}
+        for v in vectors:
+            self.add(v)
+
+    def reduce(self, v: int) -> int:
+        while v:
+            p = v.bit_length() - 1
+            row = self.pivots.get(p)
+            if row is None:
+                return v
+            v ^= row
+        return 0
+
+    def add(self, v: int) -> bool:
+        """Insert v; True if it enlarged the span."""
+        v = self.reduce(v)
+        if v == 0:
+            return False
+        self.pivots[v.bit_length() - 1] = v
+        return True
+
+    def contains(self, v: int) -> bool:
+        return self.reduce(v) == 0
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+
+def piece(view, grading: int) -> list[int]:
+    """The graded piece V_grading of an engine view: the generators x of
+    grading's class mod 2D with gr(x) >= grading, in generator order."""
+    step = 2 * view.D
+    return [i for i, g in enumerate(view.gr) if g >= grading and (g - grading) % step == 0]
+
+
+def candidate_gradings(view, floor: int) -> list[int]:
+    """Every grading G - 2kD >= floor of a generator, from the top down."""
+    return sorted({h for g in view.gr for h in range(g, floor - 1, -2 * view.D)}, reverse=True)
 
 
 def _commutator_columns(view, degree: int, order: dict[int, int]) -> Iterator[tuple[int, int, int]]:
@@ -28,13 +76,12 @@ def _commutator_columns(view, degree: int, order: dict[int, int]) -> Iterator[tu
     entry (w, g) numbered by order, in order of first use."""
     gr, D, dcols = view.gr, view.D, view.dcols
     n = len(gr)
-    pieces = iota._Pieces(view)
     preds: list[list[int]] = [[] for _ in range(n)]  # x -> the w with x in d(w)
     for w in range(n):
         for x in iota._bits(dcols[w]):
             preds[x].append(w)
     for x in range(n):
-        for y in pieces.piece(gr[x] + degree * D):
+        for y in piece(view, gr[x] + degree * D):
             # (x, y) puts d(y) into dX(x), and y into Xd(w) for each w
             # with x in d(w)
             col = 0
@@ -87,10 +134,9 @@ def random_map(cx: iota.GradedComplex, degree: int, rng) -> list[int]:
     """Columns of a random map of degree `degree` (in units of D), each
     admissible entry kept with probability 1/2."""
     view = iota._view(cx)
-    pieces = iota._Pieces(view)
     cols = [0] * len(view.gr)
     for x, g in enumerate(view.gr):
-        for y in pieces.piece(g + degree * view.D):
+        for y in piece(view, g + degree * view.D):
             if rng.random() < 0.5:
                 cols[x] |= 1 << y
     return cols

@@ -4,12 +4,11 @@ import gc
 import hashlib
 import json
 import random
-import weakref
+import sys
 from fractions import Fraction
 
 import pytest
 
-from cablecalc.algebra import Echelon
 from cablecalc.errors import InternalCheckError, ValidationError
 from cablecalc import iota
 from cablecalc.iota import (
@@ -34,6 +33,7 @@ from cablecalc.torus import torus_vs
 from cablecalc.verify import figure_eight_complex
 from test_staircase import staircase_a0
 import homotopy_oracle
+from homotopy_oracle import Echelon, candidate_gradings, piece
 
 
 def sphere_model() -> IotaComplex:
@@ -309,6 +309,27 @@ def test_bool_u_exponents_are_refused_so_every_complex_loads_back(tmp_path):
         assert back.complex.diff == ic.complex.diff and back.iota == ic.iota
 
 
+def test_library_and_file_read_gradings_alike():
+    # a float grading used to be kept at its binary value (0.1 as
+    # 3602879701896397/2^55), and True as 1, where the file route reads 0.1
+    # as 1/10 and refuses True
+    for raw, want in ((0.1, Fraction(1, 10)), (2.5, Fraction(5, 2)), ("1/3", Fraction(1, 3)), (True, None)):
+        data = {"generators": [{"name": "x", "grading": raw}], "iota": {"x": [{"gen": "x", "upow": 0}]}}
+        if want is None:
+            with pytest.raises(ValidationError, match="bad generator entry"):
+                complex_from_dict(data)
+            with pytest.raises(ValidationError, match="bad grading True of generator 'x'"):
+                GradedComplex([("x", raw)], {})
+            continue
+        lib = IotaComplex(GradedComplex([("x", raw)], {}), {"x": [("x", 0)]})
+        for ic in (lib, complex_from_dict(data)):
+            assert ic.complex.grading == {"x": want} and type(ic.complex.grading["x"]) is Fraction
+            assert d_results(ic) == DResults(want, want, want)
+    for bad in ("sqrt2", float("nan"), None):
+        with pytest.raises(ValidationError, match="bad grading"):
+            GradedComplex([("x", bad)], {})
+
+
 # ---------------------------------------------------------------------------
 # homology
 
@@ -410,13 +431,11 @@ def _check_homology_by_ranks(cx):
     free, torsion = iota._homology(cx)
     n_exp = max((e for _, e in torsion), default=0)
     view = iota._view(cx)
-    pieces = iota._Pieces(view)
-    gradings = pieces.candidate_gradings(min(view.gr) - 2 * view.D * (n_exp + 2))
+    gradings = candidate_gradings(view, min(view.gr) - 2 * view.D * (n_exp + 2))
     predicted = _predicted_dims(view, free, torsion, gradings)
     for g in gradings:
-        piece = pieces.piece(g)
-        cycles = len(piece) - Echelon(view.dcols[j] for j in piece).rank
-        boundaries = Echelon(pieces.boundary_masks(g)).rank
+        cycles = len(piece(view, g)) - Echelon(view.dcols[j] for j in piece(view, g)).rank
+        boundaries = Echelon(view.dcols[j] for j in piece(view, g + view.D)).rank
         assert cycles - boundaries == predicted[g], (cx, view.unscaled(g))
 
 
@@ -575,11 +594,11 @@ def _check_columns_against_terms(ic) -> int:
     """In every piece down to 2N + 4 below the lowest generator, past the
     brute oracle's search window, the column images of each element U^k x
     under d, id+iota and U^m are the (generator, U-exponent) images that
-    apply_map and elt_shift give."""
+    apply_map and elt_shift give.  A product's columns are built from its
+    factors' and its maps of terms on first read, so the two are compared."""
     cx = ic.complex
     view = iota._view(cx)
-    id_iota = iota._id_plus_iota(iota._columns(view, ic.iota, 0))
-    pieces = iota._Pieces(view)
+    id_iota = iota._id_plus_iota(iota._iota_columns(ic))
     step = 2 * view.D
     n_exp = homology_summary(ic, check=False).torsion_exponent
 
@@ -594,8 +613,8 @@ def _check_columns_against_terms(ic) -> int:
         return frozenset(terms)
 
     checked = 0
-    for g in pieces.candidate_gradings(min(view.gr) - step * (n_exp + 2)):
-        for j in pieces.piece(g):
+    for g in candidate_gradings(view, min(view.gr) - step * (n_exp + 2)):
+        for j in piece(view, g):
             x = element_at(1 << j, g)
             assert iota.apply_map(cx.diff, x) == element_at(view.dcols[j], g - view.D), (ic, g, x)
             assert iota.apply_map(ic.iota, x) ^ x == element_at(id_iota[j], g), (ic, g, x)
@@ -650,16 +669,50 @@ def test_engine_results_match_pinned_digest():
     assert hashlib.sha256(_pinned_results()).hexdigest() == PINNED_RESULTS_SHA256
 
 
-def _spy_pieces(monkeypatch):
-    """(_Pieces, grading) of every graded piece built from now on."""
+# sha256 of _oracle_results(), recorded with the brute oracle that built
+# every graded piece as a generator list and tested spans with an echelon
+# basis
+PINNED_ORACLE_SHA256 = "a7f0c24bf14a9a1e5451aa193ca5362ae8e67829b55c6dffe9aded930b90fc75"
+
+
+def _oracle_results() -> bytes:
+    """brute_oracle at the least truncation and 3 above it, on randgen seeds
+    plain, shifted by 1/3 and dualized, the fixtures, and randgen products
+    of at most 9 generators."""
+    cases = [(f"fixture{i}", ic) for i, ic in enumerate(all_fixtures())]
+    for seed in range(200):
+        ic = random_iota_complex(seed)
+        cases += [(f"seed{seed}", ic), (f"seed{seed}+1/3", shift(ic, Fraction(1, 3))), (f"seed{seed}*", dual(ic))]
+    for j in range(40):
+        prod = tensor(random_iota_complex(2 * j, max_order=4), random_iota_complex(2 * j + 1, max_order=4))
+        if len(prod.complex.generators) <= 9:
+            cases.append((f"product{j}", prod))
+    lines = []
+    for name, ic in cases:
+        low = homology_summary(ic, check=False).torsion_exponent + len(ic.complex.generators)
+        for t in (low, low + 3):
+            r = brute_oracle(ic, truncation=t, check=False)
+            lines.append(f"{name} {t} {r.d} {r.lower} {r.upper}")
+    return "\n".join(lines).encode()
+
+
+def test_brute_oracle_results_match_pinned_digest():
+    # 634 complexes, 29 of them products, each at two truncations
+    out = _oracle_results()
+    assert out.count(b"\n") + 1 == 1268 and b"product" in out
+    assert hashlib.sha256(out).hexdigest() == PINNED_ORACLE_SHA256
+
+
+def _spy_tables(monkeypatch):
+    """The class tables of every brute_oracle call from now on."""
     built = []
-    piece_for = iota._piece_for
+    class_tables = iota._class_tables
 
-    def counted(pieces, grading):
-        built.append((pieces, grading))
-        return piece_for(pieces, grading)
+    def counted(view, id_iota):
+        built.append(class_tables(view, id_iota))
+        return built[-1]
 
-    monkeypatch.setattr(iota, "_piece_for", counted)
+    monkeypatch.setattr(iota, "_class_tables", counted)
     return built
 
 
@@ -672,16 +725,16 @@ def test_homology_computed_once_per_complex(monkeypatch):
         return reduce_homology(cols, gr, D)
 
     monkeypatch.setattr(iota, "_reduce_homology", counted)
-    built = _spy_pieces(monkeypatch)
+    built = _spy_tables(monkeypatch)
     ic = torsion_model(2)
     cx = ic.complex
     assert validate(ic).ok
     d_results(ic)
     homology_summary(ic)
-    # iota^2 = id here, so only the brute oracle builds graded pieces
+    # iota^2 = id here, so only the brute oracle builds tables of graded pieces
     assert built == []
     brute_oracle(ic, truncation=5)
-    assert built
+    assert len(built) == 1
     identity = IotaComplex(cx, {g: [(g, 0)] for g in cx.generators})
     d_results(identity)
     # C once, then one cone of 2 x 3 generators per d_results call
@@ -693,23 +746,25 @@ def test_homology_computed_once_per_complex(monkeypatch):
 
 
 def test_d_results_builds_each_piece_once(monkeypatch):
-    built = _spy_pieces(monkeypatch)
+    built = _spy_tables(monkeypatch)
     prod = tensor(random_iota_complex(5, max_order=4), random_iota_complex(6, max_order=4))
     assert len(prod.complex.generators) == 25 and squares_to_identity(prod)
     d_results(prod)  # validate, homology and the cone need no graded piece
     assert built == []
-    # the brute oracle builds each whole piece once, in a state of its own
-    # that it drops on return: nothing of it stays on the complex
+    # the brute oracle builds the tables of each grading class once per
+    # call, every piece being a prefix of its class, and drops them on
+    # return: nothing of them stays on the complex
     ic = random_iota_complex(5, max_order=4)
     n = homology_summary(ic).torsion_exponent
     brute_oracle(ic, truncation=n + 5)
-    keys = [(id(pieces), g) for pieces, g in built]
-    assert keys and len(set(keys)) == len(keys)
-    assert len({pieces for pieces, _ in built}) == 1
-    ref = weakref.ref(built[0][0])
-    built.clear()
-    assert ref() is None
-    assert not any(isinstance(r, (iota._Pieces, iota._BruteCtx)) for r in gc.get_referents(ic.complex._view))
+    assert len(built) == 1
+    tables = built.pop()
+    view = ic.complex._view
+    assert sorted(tables) == sorted({g % (2 * view.D) for g in view.gr})
+    assert sum(len(t[0]) for t in tables.values()) == 5
+    assert all(len(t[1]) == len(t[2]) == 1 << len(t[0]) for t in tables.values())
+    assert sys.getrefcount(tables) == 2  # the name here and the argument
+    assert not any(r is tables for r in gc.get_referents(view))
     # when iota^2 != id, validate decides the homotopy from the homology
     # of a cone, which needs no graded piece either
     assert validate(strict_model()).ok
@@ -717,6 +772,12 @@ def test_d_results_builds_each_piece_once(monkeypatch):
 
 
 def test_d_results_builds_iota_columns_once(monkeypatch):
+    # each call builds iota's columns once, from ic.iota; tensor gives a
+    # product its columns, so no call builds them, nor the product's maps
+    # of terms
+    plain = [torsion_model(2), dual_model()]
+    products = [tensor(dual_model(), random_iota_complex(3)),
+                tensor(random_iota_complex(5, max_order=4), random_iota_complex(6, max_order=4))]
     iota_builds = []
     columns = iota._columns
 
@@ -725,27 +786,38 @@ def test_d_results_builds_iota_columns_once(monkeypatch):
         return columns(view, mp, degree)
 
     monkeypatch.setattr(iota, "_columns", counted)
-    cases = [torsion_model(2), dual_model(), tensor(dual_model(), random_iota_complex(3)),
-             tensor(random_iota_complex(5, max_order=4), random_iota_complex(6, max_order=4))]
-    for ic in cases:
-        for call in (lambda: d_results(ic), lambda: d_lower(ic), lambda: d_upper(ic), lambda: validate(ic)):
+    for ic in plain + products:
+        n = len(ic.complex.generators)
+        calls = [lambda: d_results(ic), lambda: d_lower(ic), lambda: d_upper(ic), lambda: validate(ic)]
+        if n <= 9:
+            span = homology_summary(ic, check=False).torsion_exponent + n
+            calls.append(lambda: brute_oracle(ic, truncation=span))
+        builds = []
+        for call in calls:
             iota_builds.clear()
             call()
-            assert len(iota_builds) == 1 and iota_builds[0] is ic.iota
+            builds.append(list(iota_builds))
+        if any(ic is p for p in products):
+            assert builds == [[]] * len(calls) and ic._iota is None and ic.complex._diff is None
+        else:
+            assert all(len(b) == 1 and b[0] is ic.iota for b in builds)
+    assert [len(p.complex.generators) for p in products] == [3, 25]
 
 
 def test_view_is_kept_and_holds_no_reference_to_its_complex():
+    # a complex builds its view on first use; tensor gives a product its own
+    assert dual_model().complex._view is None
     ic = tensor(dual_model(), random_iota_complex(3))
     cx = ic.complex
-    assert cx._view is None
-    res = d_results(ic)
     view = cx._view
     assert isinstance(view, iota._View) and not hasattr(view, "__dict__")
+    res = d_results(ic)
     brute_oracle(ic, truncation=homology_summary(ic).torsion_exponent + len(cx.generators))
     assert d_results(ic) == res and cx._view is view
-    # nothing reachable from the view leads back to the complex, so a
-    # dropped complex is freed at once rather than by the cyclic GC
-    seen, todo = set(), [view]
+    # nothing reachable from the view, or from the iota columns tensor kept
+    # on ic, leads back to the complex, so a dropped complex is freed at
+    # once rather than by the cyclic GC
+    seen, todo = set(), [view, ic._icols]
     while todo:
         obj = todo.pop()
         assert obj is not cx and obj is not ic

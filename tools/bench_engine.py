@@ -11,11 +11,17 @@ cached on them (cold):
 
 - d_results, validate and brute_oracle (at its minimum truncation) on
   randgen singles of 1, 3 and 5 generators, microseconds per complex;
+- brute_oracle again on the same singles, warm (brute_oracle_warm_us):
+  d_results(check=False) has built each complex's view, homology and iota
+  columns first, and the oracle runs with check=False, which is the call
+  that the engine-sweep workload and `verify engine` make;
 - tensor, and then d_results with its checks on the product, timed apart,
   on products of 9 and 25 generators and on the 27-generator triple
   (C x D) x C of two 3-generator complexes, built the way the engine-sweep
   workload builds it: every factor has been through d_results first, so
   its integer view is there; microseconds per product;
+- the first read of a 25-generator product's diff and iota, which a
+  product of well-graded factors makes only then (product25.read_maps_us);
 - d_results on the seventh tensor power of the figure-eight complex (2187
   generators, at most 3 repeats), seconds;
 - validate on a complex whose iota squares to the identity only up to
@@ -27,7 +33,10 @@ cached on them (cold):
 
 A side's figure for a layer is the minimum over all its repeats in all its
 workers; its peak RSS is the largest of its workers' (ru_maxrss), and it
-also counts the non-blank lines of the src/cablecalc it imported.  The two
+also counts the non-blank lines of the src/cablecalc it imported.  Next to
+each worker, a fresh interpreter compiles the side's cablecalc/iota.py
+once, as an import that writes no bytecode does; iota_compile_peak_mb is
+the largest growth of its ru_maxrss over that compile.  The two
 columns go to --out (default: BENCH_engine_view.json at the checkout's
 root).  Numbers vary with the machine: quote them with its CPU and Python.
 """
@@ -108,19 +117,29 @@ def measure() -> dict:
             ic = iota.tensor(ic, f8)
         return [ic]
 
-    def oracle(ic):
+    def oracle(ic, check=True):
         span = iota.homology_summary(ic, check=False).torsion_exponent + len(ic.complex.generators)
-        iota.brute_oracle(ic, truncation=span)
+        iota.brute_oracle(ic, truncation=span, check=check)
+
+    def warm(build):
+        def built():
+            ics = build()
+            for ic in ics:
+                iota.d_results(ic, check=False)
+            return ics
+        return built
 
     # (name, build, run on one built item, scale of the reported figure)
     cases = []
     for n in SIZES:
         cases += [(f"single{n}.d_results_us", singles(n), iota.d_results, 1e6),
                   (f"single{n}.validate_us", singles(n), iota.validate, 1e6),
-                  (f"single{n}.brute_oracle_us", singles(n), oracle, 1e6)]
+                  (f"single{n}.brute_oracle_us", singles(n), oracle, 1e6),
+                  (f"single{n}.brute_oracle_warm_us", warm(singles(n)), lambda ic: oracle(ic, False), 1e6)]
     for name, build in (("product9", pairs(3)), ("product25", pairs(5)), ("triple27", triples)):
         cases += [(f"{name}.tensor_us", build, lambda ab: iota.tensor(*ab), 1e6),
                   (f"{name}.d_results_check_us", products(build), iota.d_results, 1e6)]
+    cases.append(("product25.read_maps_us", products(pairs(5)), lambda p: (p.complex.diff, p.iota), 1e6))
     cases.append(("fig8_pow7.d_results_s", power7, iota.d_results, 1))
     cases.append(("strict_fig8_pow4.validate_s", strict_pow4, iota.validate, 1))
     all_seeds = [s for n in SIZES for s in seeds[n]]
@@ -146,6 +165,21 @@ def measure() -> dict:
     return out
 
 
+# run in a fresh interpreter: the ru_maxrss growth, in MB, of compiling one file
+COMPILE_PEAK = """import resource, sys
+source = open(sys.argv[1], encoding="utf-8").read()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+compile(source, sys.argv[1], "exec")
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+def compile_peak(src: str) -> float:
+    path = Path(src) / "cablecalc" / "iota.py"
+    done = subprocess.run([sys.executable, "-c", COMPILE_PEAK, str(path)], check=True, capture_output=True, text=True)
+    return float(done.stdout)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="the parent checkout's src/ directory")
@@ -164,16 +198,20 @@ def main(argv=None) -> int:
             cmd = [sys.executable, __file__, "--parent", args.parent, "--worker", sides[side]]
             runs[side].append(json.loads(subprocess.run(cmd, check=True, capture_output=True,
                                                         text=True).stdout))
+            runs[side][-1]["iota_compile_peak_mb"] = compile_peak(sides[side])
     columns = {}
     for side, got in runs.items():
         col = {name: min(r[name] for r in got) for name in got[0]}
-        col["peak_rss_mb"] = max(r["peak_rss_mb"] for r in got)
+        for name in ("peak_rss_mb", "iota_compile_peak_mb"):
+            col[name] = max(r[name] for r in got)
         columns[side] = col
     doc = {
-        "description": "cold iota-engine layers and the generator itself on fixed randgen seeds "
-                       "(max_order=4): the minimum over every repeat of every worker, *_us per "
+        "description": "iota-engine layers, cold unless named warm, and the generator itself on "
+                       "fixed randgen seeds (max_order=4): the minimum over every repeat of every "
+                       "worker, *_us per "
                        "complex or product, *_s per call; peak_rss_mb the largest worker's; "
-                       "non-blank lines of src/cablecalc",
+                       "iota_compile_peak_mb the largest ru_maxrss growth of compiling iota.py "
+                       "in a fresh interpreter; non-blank lines of src/cablecalc",
         "settings": {"processes": PROCESSES, "repeats": REPEATS,
                      "python": platform.python_version(), "machine": platform.machine(),
                      "cpus": os.cpu_count()},
