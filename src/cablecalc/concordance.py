@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
+from operator import sub
 
 from .errors import InsufficientDataError, InternalCheckError, ValidationError, check_coprime
 from .lens import _check_vector_size, _label_vector, _lens_halves, conj_spinc, lens_d, selfconj_spinc
@@ -60,7 +61,14 @@ def _check_vseq(vs, what: str = "v_seq") -> tuple[int, ...]:
     """
     if isinstance(vs, (str, bytes)) or not hasattr(vs, "__iter__"):
         raise ValidationError(f"{what} must be a sequence of integers, got {vs!r}")
-    out = tuple(_as_int(v, f"{what} entry") for v in vs)
+    out = tuple(vs)
+    # One pass at C speed for the common case: plain ints, steps of 0 or 1
+    # down, last entry 0 (which with such steps rules out negative entries).
+    # Anything else takes the loops below, which name what is wrong.
+    if set(map(type, out)) == {int} and out[-1] == 0 and set(map(sub, out, out[1:])) <= {0, 1}:
+        return out
+    for v in out:
+        _as_int(v, f"{what} entry")
     for v in out:
         if v < 0:
             raise ValidationError(f"{what} entries must be non-negative, got {v}")

@@ -6,25 +6,26 @@ and terminates at d(L(1, 0), 0) = 0, so every value is an exact rational.
 Conjugation i -> (p + q - 1 - i) mod p reverses each of the label blocks
 0..q-1 and q..p-1 (q reduced mod p), and d(i) = d(conj i), so whole
 vectors recurse on integer numerators over one common denominator for the
-first half of each block only, build one ``Fraction`` per conjugate pair and
-mirror the rest.  They are refused above MAX_VECTOR_LABELS labels before
-anything is allocated; a single label needs only O(log p) work and has no
-such limit.
+first half of each block only, overwrite each numerator with one
+``Fraction`` per conjugate pair and mirror the rest in place.  They are
+refused above MAX_VECTOR_LABELS labels before anything is allocated; a
+single label needs only O(log p) integer steps and has no such limit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import cycle
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ValidationError, check_coprime
 
 __all__ = ["MAX_VECTOR_LABELS", "lens_d", "lens_d_vector", "conj_spinc", "selfconj_spinc"]
 
 # Largest p for which a whole label vector is built.  Building one takes
-# about 100 bytes per label: L(999983, 7919) peaks at 113 MB RSS in 1.4 s
-# (Python 3.11, single-threaded), and `cablecalc lens d --json` on it at 170 MB in 1.3-1.8 s.
+# about 55 bytes per label: L(999983, 7919) peaks at 71 MB RSS in 1.0-1.2 s
+# (Python 3.11, x86-64, single-threaded), and `cablecalc lens d --json` on
+# it at 169 MB in 1.5-1.8 s.
 MAX_VECTOR_LABELS = 10**6
 
 
@@ -42,8 +43,9 @@ def _check_vector_size(p: int) -> None:
 def _mirror(half: list, n: int) -> list:
     """A conjugation block of n labels from its first half (middle
     included): the block is a palindrome, so the rest is the same entries
-    in reverse."""
-    return half + half[:n // 2][::-1]
+    in reverse.  half is extended in place and returned."""
+    half += half[n // 2 - 1::-1] if n > 1 else []
+    return half
 
 
 def _lens_halves(p: int, q: int) -> tuple[list[int], list[int], int]:
@@ -71,21 +73,38 @@ def _lens_halves(p: int, q: int) -> tuple[list[int], list[int], int]:
 
 def _label_vector(p: int, q: int, lo: list[int], hi: list[int], den: int) -> list[Fraction]:
     """The p entries from the block halves of _lens_halves (numerators over
-    den): one Fraction per conjugate pair, shared by both labels."""
-    r = q % p
-    return _mirror([Fraction(n, den) for n in lo], r) + _mirror([Fraction(n, den) for n in hi], p - r)
+    den): one Fraction per conjugate pair, shared by both labels, written
+    over lo and hi, which become the vector.  As Fraction._from_coprime_ints
+    does, one gcd reduces each entry and its slots are set directly, so
+    entries with the same reduced denominator share one int; Fraction(n,
+    den) would give each its own."""
+    dens: dict[int, int] = {}
+    new = object.__new__
+    for half in (lo, hi):
+        for k, n in enumerate(half):
+            g = gcd(n, den)
+            f = new(Fraction)
+            f._numerator, d = n // g, den // g
+            f._denominator = dens.setdefault(d, d)
+            half[k] = f
+    vec = _mirror(lo, q % p)
+    vec += _mirror(hi, p - q % p)
+    return vec
 
 
 def lens_d(p: int, q: int, i: int) -> Fraction:
     """d(L(p, q), i) for 0 <= i < p; q >= p is reduced mod p (label kept)."""
     check_coprime(p, q)
     _check_label(p, i)
-    d, sign = Fraction(0), 1
+    # num/den accumulates the alternating sum of the recursion's terms
+    num, den, sign = 0, 1, 1
     while p > 1:
         q %= p
-        d += sign * Fraction((2 * i + 1 - p - q) ** 2 - p * q, 4 * p * q)
+        t = 4 * p * q
+        num = num * t + sign * ((2 * i + 1 - p - q) ** 2 - p * q) * den
+        den *= t
         p, q, i, sign = q, p % q, i % q, -sign
-    return d
+    return Fraction(num, den)
 
 
 def lens_d_vector(p: int, q: int) -> list[Fraction]:

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -22,6 +23,7 @@ from cablecalc.concordance import (
     spinc_projection_zero,
     torus_knot_invariants,
     unknotting_bounds,
+    _check_vseq,
 )
 from cablecalc.errors import InsufficientDataError, ValidationError
 from cablecalc.lens import conj_spinc, lens_d, lens_d_vector
@@ -62,6 +64,25 @@ def test_vseq_shape_is_checked():
         KnotInvariants(0, 0, v_seq=(-1,))
     with pytest.raises(ValidationError):
         KnotInvariants(0, 0, v_seq=())
+
+    # the messages are read off the per-entry checks; an int subclass and
+    # an iterator pass them, a bool does not
+    class Count(int):
+        pass
+
+    one, zero = Count(1), Count(0)
+    got = _check_vseq([one, zero])
+    assert got == (1, 0) and got[0] is one and got[1] is zero
+    assert _check_vseq(iter([2, 1, 1, 0])) == (2, 1, 1, 0)
+    assert _check_vseq(()) == ()
+    for vs, message in [((True, 0), "v_seq entry must be an integer, got True"),
+                        ((1, 0, -1), "v_seq entries must be non-negative, got -1"),
+                        ((3, 1, 0), "v_seq must be non-increasing in steps of at most 1 "
+                                    "(entries 0..1 are 3, 1)"),
+                        ((2, 1), "v_seq must end at 0, got final entry 1")]:
+        with pytest.raises(ValidationError) as err:
+            _check_vseq(vs)
+        assert str(err.value) == message, vs
 
 
 def test_lspace_flag_requires_vseq():
@@ -139,6 +160,40 @@ def test_niwu_mirrors_each_block_exactly():
         got = niwu_d(p, q, vs)
         assert got == want, (p, q, vs)
         assert all(got[s] is got[conj_spinc(p, q, s)] for s in range(p)), (p, q, vs)
+
+
+def test_label_vectors_hold_reduced_shared_fractions():
+    # p = 1 and 2, even p, q > p, q = +-1 mod p, V-sequences longer than p/q
+    cases = [(1, 1), (1, 4), (2, 1), (2, 5), (10, 3), (64, 7), (7, 30), (11, 25),
+             (13, 1), (13, 12), (13, 14), (13, 25), (301, 2)]
+    for p, q in cases:
+        for vs in (None, (1, 0), torus_vs(5, 7), torus_vs(2, 81)):
+            got = lens_d_vector(p, q) if vs is None else niwu_d(p, q, vs)
+            v = (vs or (0,)) + (0,) * (p // q + 2)
+            assert got == [lens_d(p, q, s) - 2 * max(v[s // q], v[(p + q - 1 - s) // q])
+                           for s in range(p)], (p, q, vs)
+            for x in got:
+                assert type(x) is Fraction, (p, q, vs)
+                assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1, (p, q, vs, x)
+                assert hash(x) == hash(Fraction(x.numerator, x.denominator)), (p, q, vs, x)
+            assert all(got[s] is got[conj_spinc(p, q, s)] for s in range(p)), (p, q, vs)
+
+
+def test_label_vectors_trace_under_64_bytes_per_label():
+    # one Fraction per conjugate pair with shared denominators: about 56
+    # traced bytes per label; Fraction(n, den) per pair takes about 72
+    vs = torus_vs(2, 401)
+    niwu_d(5, 3, vs)  # so that no first-call allocation is counted
+    for build in (lambda: lens_d_vector(20011, 797), lambda: niwu_d(20011, 3, vs)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            vec = build()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(vec) == 20011
+        assert peak / 20011 < 64, peak / 20011
 
 
 def test_niwu_rejects_bad_parameters():

@@ -1,5 +1,6 @@
-"""Time the iota engine's layers in-process on fixed randgen seeds, for a
-parent checkout and this one.
+"""Time the iota engine's layers in-process on fixed randgen seeds, and the
+knot side's label-vector layers on fixed parameters, for a parent checkout
+and this one.
 
     python3 tools/bench_engine.py --parent ../parent/src
 
@@ -29,7 +30,16 @@ cached on them (cold):
   complex, its iota perturbed by dG + Gd) tensored with the fourth power
   of the figure-eight complex (729 generators, at most 3 repeats), seconds;
 - random_iota_complex(seed, max_order=4) itself, over all the single
-  seeds above, microseconds per complex (randgen_us).
+  seeds above, microseconds per complex (randgen_us);
+- lens_d_vector(5001, 701) in milliseconds and lens_d_vector(200003, 7919)
+  in seconds (at most 3 repeats); niwu_d(5003, 3) on the V-sequence of the
+  genus-1200 tower T(2,3) cabled by (2,5) and (2,2385), milliseconds;
+  lens_d per call over up to eight evenly spaced labels each of L(15, 1),
+  L(1009, 17) and L(40009, 123), microseconds; concordance._check_vseq on the
+  1297-entry V-sequence of T(2, 2593), microseconds;
+- the tracemalloc peak of lens_d_vector(20011, 797) and of niwu_d(20011,
+  3) on the V-sequence of T(2, 401), in bytes per label, once per worker
+  after the timings (*.traced_b_per_label).
 
 A side's figure for a layer is the minimum over all its repeats in all its
 workers; its peak RSS is the largest of its workers' (ru_maxrss), and it
@@ -51,6 +61,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,6 +79,40 @@ def _seeds_of_size(random_iota_complex, size: int, count: int) -> list[int]:
             out.append(seed)
         seed += 1
     return out
+
+
+def knot_cases() -> tuple[list, list]:
+    """The knot side's timed layers, as (name, build, run, scale) like
+    measure()'s cases, and its traced-peak probes, as (name, call, labels)."""
+    from cablecalc.concordance import (CableStage, _check_vseq, cable_inv_v0, niwu_d,
+                                       torus_knot_invariants)
+    from cablecalc.lens import lens_d, lens_d_vector
+    from cablecalc.torus import torus_vs
+
+    tower = torus_knot_invariants(2, 3)
+    for stage in ((2, 5), (2, 2385)):
+        tower = cable_inv_v0(CableStage(*stage), tower)
+    assert tower.genus3 == 1200
+    labels = [(p, q, i) for p, q in ((15, 1), (1009, 17), (40009, 123)) for i in range(0, p, p // 8 + 7)]
+    vs1297, vs401 = torus_vs(2, 2593), torus_vs(2, 401)
+    cases = [("lens5001.lens_d_vector_ms", lambda: [(5001, 701)], lambda pq: lens_d_vector(*pq), 1e3),
+             ("lens200003.lens_d_vector_s", lambda: [(200003, 7919)], lambda pq: lens_d_vector(*pq), 1),
+             ("tower1200.niwu_d_ms", lambda: [tower.v_seq], lambda vs: niwu_d(5003, 3, vs), 1e3),
+             ("lens_d_us", lambda: labels, lambda pqi: lens_d(*pqi), 1e6),
+             ("check_vseq1297_us", lambda: [vs1297], _check_vseq, 1e6)]
+    probes = [("lens20011.traced_b_per_label", lambda: lens_d_vector(20011, 797), 20011),
+              ("niwu20011.traced_b_per_label", lambda: niwu_d(20011, 3, vs401), 20011)]
+    return cases, probes
+
+
+def traced_peak(call) -> int:
+    """Bytes of the tracemalloc peak of one call, its result included."""
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    call()
+    peak = tracemalloc.get_traced_memory()[1] - base
+    tracemalloc.stop()
+    return peak
 
 
 def measure() -> dict:
@@ -144,6 +189,8 @@ def measure() -> dict:
     cases.append(("strict_fig8_pow4.validate_s", strict_pow4, iota.validate, 1))
     all_seeds = [s for n in SIZES for s in seeds[n]]
     cases.append(("randgen_us", lambda: all_seeds, lambda s: random_iota_complex(s, max_order=4), 1e6))
+    knot, probes = knot_cases()
+    cases += knot
     best = dict.fromkeys(name for name, *_ in cases)
     # round-robin over the cases, so every case's repeats are spread over
     # the whole run and a spell of contention on the machine hits them all
@@ -158,6 +205,9 @@ def measure() -> dict:
             t = (time.perf_counter() - t0) / len(items) * scale
             best[name] = t if best[name] is None else min(best[name], t)
     out = {name: round(t, 1 if scale > 1 else 4) for (name, *_, scale), t in zip(cases, best.values())}
+    for name, call, labels in probes:
+        call()  # warm, as the timed repeats have warmed every other layer
+        out[name] = round(traced_peak(call) / labels, 1)
     out["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     pkg = Path(iota.__file__).resolve().parent
     out["src_nonblank_lines"] = sum(1 for f in sorted(pkg.glob("*.py"))
@@ -207,9 +257,10 @@ def main(argv=None) -> int:
         columns[side] = col
     doc = {
         "description": "iota-engine layers, cold unless named warm, and the generator itself on "
-                       "fixed randgen seeds (max_order=4): the minimum over every repeat of every "
-                       "worker, *_us per "
-                       "complex or product, *_s per call; peak_rss_mb the largest worker's; "
+                       "fixed randgen seeds (max_order=4), and the knot side's label-vector layers: "
+                       "the minimum over every repeat of every worker, *_us per complex, product, "
+                       "label or sequence, *_ms and *_s per call; *.traced_b_per_label the "
+                       "tracemalloc peak per label; peak_rss_mb the largest worker's; "
                        "iota_compile_peak_mb the largest ru_maxrss growth of compiling iota.py "
                        "in a fresh interpreter; non-blank lines of src/cablecalc",
         "settings": {"processes": PROCESSES, "repeats": REPEATS,
