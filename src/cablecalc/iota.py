@@ -50,18 +50,16 @@ that validate's homotopy test shares.  Localized at U it has rank 2,
 so H(cone) has exactly two free generators, in the two classes of d mod 2:
 the one in d's class is at d_lower, the other at d_upper - 1.  d_results
 reads all three values from one reduction of the cone.
-brute_oracle re-derives all three invariants by exhaustive enumeration over
-every subset of whole graded pieces, with its own non-torsion test (U^N w
-is a boundary, which in generator coordinates is w in im d at the grading
-2ND lower), and is used to cross-check.  It sorts each grading class's
-generators top first, so every piece is a prefix of its class, and reads
-the images of its subsets off three tables per class built once per call.
+brute_oracle re-derives all three invariants without these reductions, to
+cross-check them: d_lower is the top grading of a non-torsion cycle x with
+(id+iota)x = dy, one linear system over F2 per candidate grading, and
+d_upper comes from the same system on the transposed columns.  A cycle is
+non-torsion when it lies outside the span of d over its whole other class.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -575,27 +573,19 @@ def _invariants(ic: IotaComplex, check: bool) -> tuple[Fraction, Fraction, Fract
     return d, view.unscaled(lower[0]), view.unscaled(upper[0])
 
 
-def d_lower(ic: IotaComplex, check: bool = True, window_slack: int = 0) -> Fraction:
+def d_lower(ic: IotaComplex, check: bool = True) -> Fraction:
     """Maximal grading of a non-U-torsion cycle a with (id+iota)a a boundary:
-    the free generator of H(cone of Q(1+iota)) in d's class mod 2.
-    window_slack is checked but changes no result."""
-    _check_search(None, window_slack)
+    the free generator of H(cone of Q(1+iota)) in d's class mod 2."""
     return _invariants(ic, check)[1]
 
 
-def d_upper(
-    ic: IotaComplex,
-    check: bool = True,
-    m_max: Optional[int] = None,
-    window_slack: int = 0,
-) -> Fraction:
+def d_upper(ic: IotaComplex, check: bool = True) -> Fraction:
     """Maximal value over triples (x, y, z) with d y = (id+iota) x,
     d z = U^m x and U^m y + (id+iota) z of non-torsion class, m >= 0;
     the value is gr(x)+1 when x is nonzero and gr(y) when x = 0.  It is 1
     above the free generator of H(cone of Q(1+iota)) outside d's class
-    mod 2.  m_max and window_slack are checked but change no result.
+    mod 2.
     """
-    _check_search(m_max, window_slack)
     return _invariants(ic, check)[2]
 
 
@@ -719,119 +709,87 @@ def _product_terms(a: IotaComplex, b: IotaComplex, names: list[str]) -> tuple[di
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle
+# cycle/cocycle oracle
 
 
-def _class_tables(view: _View, id_iota: list[int]) -> dict[int, tuple]:
-    """For each class mod 2D that holds a generator, with its generators
-    sorted top first so that every graded piece is a prefix of them: their
-    gradings negated; the images of every subset mask of them under id+iota
-    and the embedding into the complex's generator masks, the subsets of a
-    piece of k generators being the first 2^k masks; the masks grouped by
-    their image under d, each group ascending; and, for each k, the set of
-    d-images of the first 2^k masks."""
-    step, gr = 2 * view.D, view.gr
+def _reduce(pivots: dict[int, tuple[int, int]], img: int, x: int) -> tuple[int, int]:
+    """img reduced by an echelon basis of (image, x-part) pairs keyed by
+    each image's lowest bit, with the x-parts of the pairs used added to x."""
+    while p := pivots.get(img & -img):  # 0, the low bit of img = 0, keys no pivot
+        img, x = img ^ p[0], x ^ p[1]
+    return img, x
+
+
+def _echelon(cols: list[tuple[int, int]], span: dict) -> Optional[dict[int, tuple[int, int]]]:
+    """An echelon basis of the (image, x-part) columns, or None as soon as
+    a combination of them with image 0 has its x-part outside span."""
+    pivots: dict[int, tuple[int, int]] = {}
+    for img, x in cols:
+        img, x = _reduce(pivots, img, x)
+        if img:
+            pivots[img & -img] = img, x
+        elif _reduce(span, x, 0)[0]:
+            return None
+    return pivots
+
+
+def _tops(gr: Sequence[int], dcols: Sequence[int], id_iota: Sequence[int], D: int) -> tuple[int, int]:
+    """Scaled (d, d_lower) of the complex with these columns: the top
+    candidate r with a cycle x in V_r that is not torsion, and the top one
+    where also (id+iota)x = dy for a y in V_(r+D).  A new witness appears
+    only where V_r or V_(r+D) gains a generator, at a candidate gr(x) or
+    gr(x) - D.  U^N x is a boundary far below every generator, where the
+    piece of the other class is whole, just when x is in the span of d's
+    columns over that whole class: that is the tower test."""
+    step = 2 * D
     classes: dict[int, list[int]] = {}
-    for i in sorted(range(len(gr)), key=lambda i: -gr[i]):
+    for i in sorted(range(len(gr)), key=gr.__getitem__, reverse=True):
         classes.setdefault(gr[i] % step, []).append(i)
-    out = {}
-    for c, gens in classes.items():
-        dtab, itab, utab = [0], [0], [0]
-        for i in gens:
-            dc, ic, uc = view.dcols[i], id_iota[i], 1 << i
-            dtab += [t ^ dc for t in dtab]
-            itab += [t ^ ic for t in itab]
-            utab += [t ^ uc for t in utab]
-        by_d: dict[int, list[int]] = {}
-        for mask, img in enumerate(dtab):
-            by_d.setdefault(img, []).append(mask)
-        spans = [frozenset(dtab[:1 << k]) for k in range(len(gens) + 1)]
-        out[c] = ([-gr[i] for i in gens], itab, utab, by_d, spans)
+    spans = {c: _echelon([(dcols[i], 0) for i in gens], {}) for c, gens in classes.items()}
+    d = None
+    for r in sorted({g - k for g in gr for k in (0, D)}, reverse=True):
+        xs = [i for i in classes.get(r % step, ()) if gr[i] >= r]
+        ys = [j for j in classes.get((r + D) % step, ()) if gr[j] >= r + D]
+        span = spans.get((r + D) % step, {})
+        if d is None and _echelon([(dcols[i], 1 << i) for i in xs], span) is None:
+            d = r
+        # a y adds nothing to the x-part of a combination
+        if d is not None and _echelon([(dcols[i] ^ id_iota[i], 1 << i) for i in xs]
+                                      + [(dcols[j], 0) for j in ys], span) is None:
+            return d, r
+    raise InternalCheckError("cycle oracle found no " + ("non-torsion cycle" if d is None else "d_lower witness"))
+
+
+def _transpose(cols: Sequence[int]) -> list[int]:
+    out = [0] * len(cols)
+    for j, c in enumerate(cols):
+        for i in _bits(c):
+            out[i] |= 1 << j
     return out
 
 
 def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResults:
-    """Recompute (d, d_lower, d_upper) by exhaustive enumeration.
+    """Recompute (d, d_lower, d_upper) from cycles and cocycles, without
+    the engine's reductions.
 
-    Candidate elements are every subset of a whole graded piece, so a
-    cycle that needs a high U-power of a generator far above it is found.
-    Maps are evaluated exactly (images are generator masks of the complex)
-    and non-torsionness is tested against the complex, so every witness
-    found is genuine.  ``truncation`` bounds only d_upper's U-power: its
-    triples are tried at every m <= truncation, which must be at least
-    torsion_exponent + number of generators.  A boundary test looks the
-    element up among the d-images of every subset of a piece.
+    d_lower is the top grading r of a non-torsion cycle x with (id+iota)x =
+    dy (Hendricks-Manolescu, Involutive Heegaard Floer homology, 2017), a
+    local map T_r -> C; each candidate r is one linear system over F2.
+    d_upper is the least r with a local map C -> T_r (Hendricks-Manolescu-
+    Zemke, 2018): the same system on the transposed columns at negated
+    gradings.  ``truncation`` bounds nothing, but must be at least the
+    torsion exponent of the homology plus the number of generators.
     """
     view, iota_cols = _checked(ic, check)
-    summary = homology_summary(ic.complex, check=False)
-    min_trunc = summary.torsion_exponent + len(ic.complex.generators)
+    min_trunc = homology_summary(ic.complex, check=False).torsion_exponent + len(ic.complex.generators)
     if truncation < min_trunc:
         raise ValidationError(f"truncation {truncation} too small; need at least {min_trunc}")
-    D, step, n_exp, bottom = view.D, 2 * view.D, summary.torsion_exponent, min(view.gr)
-    tables = _class_tables(view, _id_plus_iota(iota_cols))
-    empty = ([], [0], [0], {0: [0]}, [frozenset([0])])
-
-    def piece(g: int) -> tuple[int, tuple]:
-        """The size k of V_g and its class's tables."""
-        t = tables.get(g % step, empty)
-        return bisect_right(t[0], -g), t
-
-    def boundaries(g: int) -> frozenset:
-        """d(V_(g+D)) as generator masks.  U^N w is a boundary just when w
-        is in boundaries(g - 2ND), since U^N keeps w's generator bits."""
-        k, t = piece(g + D)
-        return t[4][k]
-
-    # the search window reaches d - 2N - 2 (scaled)
-    floor = view.scaled(summary.free_grading) - D * (2 * n_exp + 2)
-    gradings = sorted({h for g in view.gr for h in range(g, floor - 1, -step)}, reverse=True)
-    d_val = lower_val = None
-    for g in gradings:
-        k, (_, itab, utab, by_d, _) = piece(g)
-        torsion, bnd = boundaries(g - step * n_exp), boundaries(g)
-        for mask in by_d.get(0, ()):  # the cycles; 0 is torsion
-            if mask >> k:
-                break
-            if utab[mask] not in torsion:
-                d_val = g if d_val is None else d_val
-                if itab[mask] in bnd:
-                    lower_val = g
-                    break
-        if lower_val is not None:
-            break
-    if d_val is None:
-        raise InternalCheckError("brute search found no non-torsion cycle")
-    if lower_val is None:
-        raise InternalCheckError("brute search found no d_lower witness")
-
-    def upper_at(v: int) -> bool:
-        # x lies in V_(v-D), y and every z in v's class; U^m moves no
-        # generator bit, so U^m x and U^m y have the masks of x and y
-        kx, (_, ximg_i, ximg_u, _, _) = piece(v - D)
-        ky, (_, zimg_i, yimg_u, by_d, _) = piece(v)
-        # (U^m x, U^m y) for each x and y, not both 0, with d y = (id+iota) x
-        pairs = [(ximg_u[x], yimg_u[y]) for x in range(1 << kx)
-                 for y in by_d.get(ximg_i[x], ()) if not y >> ky and (x or y)]
-        tried = set()
-        for m in range(truncation + 1 if pairs else 0):
-            g = v - m * step
-            kz, (kt, t) = piece(g)[0], piece(g - step * n_exp + D)
-            if (kz, kt) not in tried:  # the pieces of z and of the torsion test decide
-                tried.add((kz, kt))
-                # z with d z = U^m x, and U^m y + (id+iota) z not torsion (0 is)
-                if any(uy ^ zimg_i[z] not in t[4][kt] for ux, uy in pairs for z in by_d.get(ux, ()) if not z >> kz):
-                    return True
-            if g + D <= bottom:
-                # z's piece and the torsion test's, V_(g - 2ND + D), are
-                # whole, so every larger m repeats this one
-                break
-        return False
-
-    values = sorted({w for g in gradings for w in (g, g + D)}, reverse=True)
-    upper_val = next((v for v in values if upper_at(v)), None)
-    if upper_val is None:
-        raise InternalCheckError("brute search found no d_upper witness")
-    return DResults(view.unscaled(d_val), view.unscaled(lower_val), view.unscaled(upper_val))
+    id_iota = _id_plus_iota(iota_cols)
+    d, lower = _tops(view.gr, view.dcols, id_iota, view.D)
+    co_d, co_lower = _tops([-g for g in view.gr], _transpose(view.dcols), _transpose(id_iota), view.D)
+    if co_d != -d:
+        raise InternalCheckError(f"cycle oracle: d of the cocycle system is {-co_d}, of the cycle system {d}")
+    return DResults(view.unscaled(d), view.unscaled(lower), view.unscaled(-co_lower))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ MAX_VECTOR_LABELS = 10**6
 
 
 def _check_label(p: int, i: int) -> None:
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise ValidationError(f"spin-c label must be an integer, got {i!r}")
     if not 0 <= i < p:
         raise ValidationError(f"spin-c label {i} out of range 0..{p - 1}")
 

@@ -265,14 +265,14 @@ def run_verify_engine(n_random: int, seed: int = 0) -> VerifyReport:
     """Randomized property suite for the engine.
 
     Always starts from the two fixed fixtures, then draws n_random seeded
-    complexes: each must agree with the exhaustive oracle, give
+    complexes: each must agree with the cycle/cocycle oracle, give
     (-d, -d_upper, -d_lower) on its dual complex, collapse to equal
     invariants under the identity involution, and satisfy additivity plus
     the inequality chain under tensor products in consecutive pairs.
     """
-    if not isinstance(n_random, int) or n_random < 1:
+    if not isinstance(n_random, int) or isinstance(n_random, bool) or n_random < 1:
         raise ValidationError(f"n_random must be a positive integer, got {n_random!r}")
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValidationError(f"seed must be an integer, got {seed!r}")
 
     failures: list[str] = []

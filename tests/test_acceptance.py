@@ -158,9 +158,9 @@ def test_connected_sum_surgery_consistency_pipeline():
 
 def test_engine_randomized_property_suite():
     """500 seeded random iota-complexes: the three invariants are ordered,
-    identity involution collapses them, tensor products satisfy the
-    additivity and chain inequalities, the brute-force oracle agrees, and
-    the answers are stable under enlarged search windows."""
+    the cycle/cocycle oracle agrees, the dual complex gives (-d, -d_upper,
+    -d_lower), the identity involution collapses them, and tensor products
+    of consecutive pairs satisfy additivity and the inequality chain."""
     start = time.perf_counter()
     report = run_verify_engine(500, seed=0)
     elapsed = time.perf_counter() - start

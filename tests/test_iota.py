@@ -4,7 +4,6 @@ import gc
 import hashlib
 import json
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -31,7 +30,7 @@ from cablecalc.iota import (
 from cablecalc.randgen import random_iota_complex
 from cablecalc.torus import torus_vs
 from cablecalc.verify import figure_eight_complex
-from test_staircase import staircase_a0
+from test_staircase import TORUS_KNOTS, staircase_a0
 import homotopy_oracle
 from homotopy_oracle import Echelon, candidate_gradings, piece
 
@@ -506,28 +505,19 @@ def test_invariants_reject_invalid_complex():
 
 
 def test_search_parameters_must_be_counts():
-    # unchecked, m_max=-2 put d_upper at -4 below d = 0, m_max=-1 broke the
-    # invariant chain and window_slack=-5 hid every d_lower witness, both as
-    # internal errors, and m_max=1.5 went through
-    ic, f8 = random_iota_complex(0, max_order=4), figure_eight_complex()
-    with pytest.raises(ValidationError, match="m_max must be an integer >= 0, got -2"):
-        d_upper(ic, check=False, m_max=-2)
-    with pytest.raises(ValidationError, match="m_max"):
+    # unchecked, m_max=-1 broke the invariant chain as an internal error
+    # and m_max=1.5 went through; only d_results still takes them
+    f8 = figure_eight_complex()
+    with pytest.raises(ValidationError, match="m_max must be an integer >= 0, got -1"):
         d_results(f8, m_max=-1)
-    with pytest.raises(ValidationError, match="window_slack"):
-        d_lower(f8, window_slack=-5)
-    with pytest.raises(ValidationError, match="m_max"):
-        d_upper(f8, m_max=1.5)
     for bad in (-1, 1.5, True, False, "2", None):
-        calls = [lambda: d_lower(f8, window_slack=bad), lambda: d_upper(f8, window_slack=bad),
-                 lambda: d_results(f8, window_slack=bad)]
+        calls = [lambda: d_results(f8, window_slack=bad)]
         if bad is not None:  # m_max=None asks for the default
-            calls += [lambda: d_upper(f8, m_max=bad), lambda: d_results(f8, m_max=bad)]
+            calls.append(lambda: d_results(f8, m_max=bad))
         for call in calls:
             with pytest.raises(ValidationError):
                 call()
     assert d_results(f8, m_max=0, window_slack=0) == d_results(f8)
-    assert (d_upper(ic, check=False, m_max=0), d_lower(ic, window_slack=10**6)) == (0, 0)
 
 
 def test_d_upper_needs_a_positive_u_power_on_dual_model():
@@ -563,8 +553,8 @@ def test_d_upper_needs_positive_u_powers_on_dual_products():
 
 
 def test_invariants_of_a_large_tensor_power():
-    # 3^7 generators, far past brute_oracle's reach: the row index of the
-    # reduction carries both C and its cone of Q(1+iota)
+    # 3^7 generators: the row index of the reduction carries both C and its
+    # cone of Q(1+iota)
     ic = _power(figure_eight_complex(), 7)
     assert len(ic.complex.generators) == 2187
     assert d_results(ic) == DResults(0, -2, 0)
@@ -591,11 +581,11 @@ def test_class_search_matches_brute_oracle_on_fractional_gradings():
 
 
 def _check_columns_against_terms(ic) -> int:
-    """In every piece down to 2N + 4 below the lowest generator, past the
-    brute oracle's search window, the column images of each element U^k x
-    under d, id+iota and U^m are the (generator, U-exponent) images that
-    apply_map and elt_shift give.  A product's columns are built from its
-    factors' and its maps of terms on first read, so the two are compared."""
+    """In every piece down to 2N + 4 below the lowest generator, the column
+    images of each element U^k x under d, id+iota and U^m are the
+    (generator, U-exponent) images that apply_map and elt_shift give.  A
+    product's columns are built from its factors' and its maps of terms on
+    first read, so the two are compared."""
     cx = ic.complex
     view = iota._view(cx)
     id_iota = iota._id_plus_iota(iota._iota_columns(ic))
@@ -703,19 +693,6 @@ def test_brute_oracle_results_match_pinned_digest():
     assert hashlib.sha256(out).hexdigest() == PINNED_ORACLE_SHA256
 
 
-def _spy_tables(monkeypatch):
-    """The class tables of every brute_oracle call from now on."""
-    built = []
-    class_tables = iota._class_tables
-
-    def counted(view, id_iota):
-        built.append(class_tables(view, id_iota))
-        return built[-1]
-
-    monkeypatch.setattr(iota, "_class_tables", counted)
-    return built
-
-
 def test_homology_computed_once_per_complex(monkeypatch):
     calls = []
     reduce_homology = iota._reduce_homology
@@ -725,16 +702,12 @@ def test_homology_computed_once_per_complex(monkeypatch):
         return reduce_homology(cols, gr, D)
 
     monkeypatch.setattr(iota, "_reduce_homology", counted)
-    built = _spy_tables(monkeypatch)
     ic = torsion_model(2)
     cx = ic.complex
     assert validate(ic).ok
     d_results(ic)
     homology_summary(ic)
-    # iota^2 = id here, so only the brute oracle builds tables of graded pieces
-    assert built == []
     brute_oracle(ic, truncation=5)
-    assert len(built) == 1
     identity = IotaComplex(cx, {g: [(g, 0)] for g in cx.generators})
     d_results(identity)
     # C once, then one cone of 2 x 3 generators per d_results call
@@ -745,30 +718,37 @@ def test_homology_computed_once_per_complex(monkeypatch):
     assert torsion and all(isinstance(t, tuple) for t in torsion)
 
 
-def test_d_results_builds_each_piece_once(monkeypatch):
-    built = _spy_tables(monkeypatch)
-    prod = tensor(random_iota_complex(5, max_order=4), random_iota_complex(6, max_order=4))
-    assert len(prod.complex.generators) == 25 and squares_to_identity(prod)
-    d_results(prod)  # validate, homology and the cone need no graded piece
-    assert built == []
-    # the brute oracle builds the tables of each grading class once per
-    # call, every piece being a prefix of its class, and drops them on
-    # return: nothing of them stays on the complex
-    ic = random_iota_complex(5, max_order=4)
-    n = homology_summary(ic).torsion_exponent
-    brute_oracle(ic, truncation=n + 5)
-    assert len(built) == 1
-    tables = built.pop()
-    view = ic.complex._view
-    assert sorted(tables) == sorted({g % (2 * view.D) for g in view.gr})
-    assert sum(len(t[0]) for t in tables.values()) == 5
-    assert all(len(t[1]) == len(t[2]) == 1 << len(t[0]) for t in tables.values())
-    assert sys.getrefcount(tables) == 2  # the name here and the argument
-    assert not any(r is tables for r in gc.get_referents(view))
-    # when iota^2 != id, validate decides the homotopy from the homology
-    # of a cone, which needs no graded piece either
-    assert validate(strict_model()).ok
-    assert built == []
+def _reachable(root) -> set[int]:
+    """The ids of every object reachable from root through
+    gc.get_referents, types left out."""
+    seen, todo = set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen and not isinstance(obj, type):
+            seen.add(id(obj))
+            todo += gc.get_referents(obj)
+    return seen
+
+
+def test_oracle_reduces_nothing_and_keeps_nothing(monkeypatch):
+    # once a complex's homology is there (the truncation check reads its
+    # torsion exponent), the oracle solves its own systems on the columns:
+    # it reduces neither C nor a cone, and leaves nothing on the view
+    cases = [strict_model(), tensor(dual_model(), random_iota_complex(3)), shift(torsion_model(2), Fraction(1, 3)),
+             dual(figure_eight_complex())]
+    expected = [d_results(ic) for ic in cases]
+
+    def refuse(*args):
+        raise AssertionError("the oracle ran one of the engine's reductions")
+
+    monkeypatch.setattr(iota, "_reduce_homology", refuse)
+    monkeypatch.setattr(iota, "_cone_homology", refuse)
+    for ic, res in zip(cases, expected):
+        view = ic.complex._view
+        before = _reachable(view)
+        span = homology_summary(ic, check=False).torsion_exponent + len(ic.complex.generators)
+        assert brute_oracle(ic, truncation=span, check=False) == res
+        assert _reachable(view) == before and ic.complex._view is view
 
 
 def test_d_results_builds_iota_columns_once(monkeypatch):
@@ -787,11 +767,9 @@ def test_d_results_builds_iota_columns_once(monkeypatch):
 
     monkeypatch.setattr(iota, "_columns", counted)
     for ic in plain + products:
-        n = len(ic.complex.generators)
-        calls = [lambda: d_results(ic), lambda: d_lower(ic), lambda: d_upper(ic), lambda: validate(ic)]
-        if n <= 9:
-            span = homology_summary(ic, check=False).torsion_exponent + n
-            calls.append(lambda: brute_oracle(ic, truncation=span))
+        span = homology_summary(ic, check=False).torsion_exponent + len(ic.complex.generators)
+        calls = [lambda: d_results(ic), lambda: d_lower(ic), lambda: d_upper(ic), lambda: validate(ic),
+                 lambda: brute_oracle(ic, truncation=span)]
         builds = []
         for call in calls:
             iota_builds.clear()
@@ -817,18 +795,13 @@ def test_view_is_kept_and_holds_no_reference_to_its_complex():
     # nothing reachable from the view, or from the iota columns tensor kept
     # on ic, leads back to the complex, so a dropped complex is freed at
     # once rather than by the cyclic GC
-    seen, todo = set(), [view, ic._icols]
-    while todo:
-        obj = todo.pop()
-        assert obj is not cx and obj is not ic
-        if id(obj) not in seen and not isinstance(obj, type):
-            seen.add(id(obj))
-            todo += gc.get_referents(obj)
+    seen = _reachable(view) | _reachable(ic._icols)
+    assert id(cx) not in seen and id(ic) not in seen
     assert len(seen) > len(cx.generators)
 
 
 def test_brute_oracle_does_not_depend_on_the_truncation():
-    # the U-power loop of the d_upper search stops once its pieces are whole
+    # the truncation is checked, but bounds nothing
     for seed in range(100):
         base = random_iota_complex(seed)
         for ic in (base, dual(base)):
@@ -966,8 +939,7 @@ def test_shift_covariance():
         r = Fraction(5, 6)
         assert (pres.d, pres.lower, pres.upper) == (res.d + r, res.lower + r, res.upper + r)
         n = homology_summary(prod).torsion_exponent
-        if len(prod.complex.generators) <= 9:
-            assert brute_oracle(prod, truncation=n + len(prod.complex.generators)) == pres
+        assert brute_oracle(prod, truncation=n + len(prod.complex.generators)) == pres
 
 
 def test_tensor_unit():
@@ -1056,7 +1028,7 @@ def test_tensor_output_is_pinned():
 
 
 # ---------------------------------------------------------------------------
-# brute-force agreement
+# oracle agreement
 
 
 def test_brute_oracle_matches_engine_on_fixtures():
@@ -1065,6 +1037,30 @@ def test_brute_oracle_matches_engine_on_fixtures():
         n = homology_summary(ic, check=False).torsion_exponent
         slow = brute_oracle(ic, truncation=n + len(ic.complex.generators) + 1, check=False)
         assert fast == slow, ic
+
+
+def test_brute_oracle_matches_engine_on_large_complexes():
+    # strict x 4_1^k up to 729 generators, the staircases x 4_1 of
+    # test_staircase.py, and randgen products of 25 and 27 generators with
+    # their duals
+    cases = [strict_model()]
+    for _ in range(4):
+        cases.append(tensor(cases[-1], figure_eight_complex()))
+    cases += [tensor(staircase_a0(torus_vs(p, q)), figure_eight_complex()) for p, q in TORUS_KNOTS
+              if p <= 4 and q <= 9]
+    by_size = {3: [], 5: []}
+    for seed in range(60):
+        ic = random_iota_complex(seed, max_order=4)
+        by_size.get(len(ic.complex.generators), []).append(ic)
+    fives, threes = by_size[5][:8], by_size[3][:8]
+    products = [tensor(a, b) for a, b in zip(fives[0::2], fives[1::2])]
+    products += [tensor(tensor(c, d), c) for c, d in zip(threes[0::2], threes[1::2])]
+    cases += products + [dual(ic) for ic in products]
+    sizes = [len(ic.complex.generators) for ic in cases]
+    assert (sizes[4], len(cases), sorted(set(sizes[-8:]))) == (729, 32, [25, 27])
+    for ic in cases:
+        span = homology_summary(ic, check=False).torsion_exponent + len(ic.complex.generators)
+        assert brute_oracle(ic, truncation=span, check=False) == d_results(ic, check=False), len(ic.complex.generators)
 
 
 def test_brute_oracle_rejects_small_truncation():

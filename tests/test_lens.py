@@ -48,6 +48,15 @@ def test_validation_errors():
         conj_spinc(3, 2, 5)
 
 
+def test_labels_must_be_ints():
+    # 1.5 used to raise TypeError from lens_d and give conj_spinc 4.5, and
+    # True passed as label 1
+    for bad in (1.5, True, False, "1", None, Fraction(1)):
+        for call in (lens_d, conj_spinc):
+            with pytest.raises(ValidationError, match="spin-c label must be an integer"):
+                call(5, 2, bad)
+
+
 def test_conjugation_symmetry():
     for p in range(1, 13):
         for q in range(1, p + 5):

@@ -1,4 +1,4 @@
-"""Random-complex generator: determinism, validity, engine-vs-brute agreement."""
+"""Random-complex generator: determinism, validity, engine-vs-oracle agreement."""
 
 import hashlib
 import json

@@ -4,7 +4,7 @@ An L-space knot's knot Floer complex is a staircase, read off its
 V-sequence.  Its A_0 with the involution x_k -> x_(2m-k) has d = d_lower =
 d_upper = -2 V_0 (Hendricks-Manolescu, Involutive Heegaard Floer homology,
 2017), so torus knots and L-space cables from cable_inv_v0 give the engine
-checks that no brute-force oracle can reach.
+checks against values known in closed form.
 """
 
 from math import gcd

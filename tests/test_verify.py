@@ -104,6 +104,14 @@ def test_engine_rejects_bad_arguments():
         run_verify_engine(10, seed="3")
 
 
+def test_engine_refuses_bool_arguments():
+    # True and False are ints: run_verify_engine(True, seed=False) ran and
+    # reported "seed False, True random complexes"
+    for kwargs in ({"n_random": True}, {"n_random": 4, "seed": False}, {"n_random": 4, "seed": True}):
+        with pytest.raises(ValidationError, match="n_random" if "seed" not in kwargs else "seed"):
+            run_verify_engine(**kwargs)
+
+
 def test_thread_cap_is_one_whatever_the_env(monkeypatch):
     # the benchmark's worker still imports thread_cap; sweeps are serial
     monkeypatch.delenv("CABLECALC_THREADS", raising=False)

@@ -29,6 +29,9 @@ cached on them (cold):
   homotopy: the strict model (the tensor square of a one-torsion-class
   complex, its iota perturbed by dG + Gd) tensored with the fourth power
   of the figure-eight complex (729 generators, at most 3 repeats), seconds;
+- brute_oracle, warm and unchecked, on that same complex, seconds; a side
+  whose oracle still enumerates the subsets of graded pieces (it has
+  iota._class_tables) cannot reach it, and reads n/a;
 - random_iota_complex(seed, max_order=4) itself, over all the single
   seeds above, microseconds per complex (randgen_us);
 - lens_d_vector(5001, 701) in milliseconds and lens_d_vector(200003, 7919)
@@ -187,6 +190,8 @@ def measure() -> dict:
     cases.append(("product25.read_maps_us", products(pairs(5)), lambda p: (p.complex.diff, p.iota), 1e6))
     cases.append(("fig8_pow7.d_results_s", power7, iota.d_results, 1))
     cases.append(("strict_fig8_pow4.validate_s", strict_pow4, iota.validate, 1))
+    if not hasattr(iota, "_class_tables"):
+        cases.append(("strict_fig8_pow4.brute_oracle_s", warm(strict_pow4), lambda ic: oracle(ic, False), 1))
     all_seeds = [s for n in SIZES for s in seeds[n]]
     cases.append(("randgen_us", lambda: all_seeds, lambda s: random_iota_complex(s, max_order=4), 1e6))
     knot, probes = knot_cases()
@@ -249,9 +254,10 @@ def main(argv=None) -> int:
             runs[side].append(json.loads(subprocess.run(cmd, check=True, capture_output=True,
                                                         text=True).stdout))
             runs[side][-1]["iota_compile_peak_mb"] = compile_peak(sides[side])
+    names = list(dict.fromkeys([*runs["change"][0], *runs["parent"][0]]))
     columns = {}
     for side, got in runs.items():
-        col = {name: min(r[name] for r in got) for name in got[0]}
+        col = {name: min(r[name] for r in got) if name in got[0] else "n/a" for name in names}
         for name in ("peak_rss_mb", "iota_compile_peak_mb"):
             col[name] = max(r[name] for r in got)
         columns[side] = col
@@ -269,7 +275,7 @@ def main(argv=None) -> int:
         "columns": columns,
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
-    for name in columns["parent"]:
+    for name in names:
         print(f"{name:32s} {columns['parent'][name]:>10} {columns['change'][name]:>10}")
     return 0
 
