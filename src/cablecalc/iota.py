@@ -24,12 +24,13 @@ the target grading, and U^m, which sends U^k x to U^(k+m) x, leaves the
 mask as it is.  The integer view (D, the generator index, the scaled
 gradings, d's columns with the result of its checks, and the homology
 below) is built on first use and kept on the complex; it holds no
-reference back to it.  Other calls build iota's columns once per call,
-but a tensor product keeps them, so neither a GradedComplex nor the iota
-of an IotaComplex may be mutated after construction.  tensor builds a
-product of well-graded factors on columns: its view and iota's columns
-come straight from the factors', and its name-keyed diff and iota are
-made only when something reads them.
+reference back to it.  An IotaComplex keeps its (d, d_lower, d_upper) once
+they are computed, but not iota's columns, which other calls build once
+per call: only a tensor product keeps them.  So neither a GradedComplex
+nor the iota of an IotaComplex may be mutated after construction.  tensor
+builds a product of well-graded factors on columns: its view and iota's
+columns come straight from the factors', and its name-keyed diff and iota
+are made only when something reads them.
 
 validate checks d, iota and their composites on the columns.  Unless
 iota^2 = id exactly, it decides whether iota^2 is homotopic to id from the
@@ -48,13 +49,15 @@ Heegaard Floer homology, 2017): generators x at gr(x) and Qx at gr(x) - 1,
 with x -> dx + Q(1+iota)x and Qx -> Q dx, built by the _cone_homology
 that validate's homotopy test shares.  Localized at U it has rank 2,
 so H(cone) has exactly two free generators, in the two classes of d mod 2:
-the one in d's class is at d_lower, the other at d_upper - 1.  d_results
-reads all three values from one reduction of the cone.
+the one in d's class is at d_lower, the other at d_upper - 1.  All three
+values come from one reduction of the cone per IotaComplex, which keeps
+them, so d_results, d_lower and d_upper on one complex share it.
 brute_oracle re-derives all three invariants without these reductions, to
 cross-check them: d_lower is the top grading of a non-torsion cycle x with
-(id+iota)x = dy, one linear system over F2 per candidate grading, and
-d_upper comes from the same system on the transposed columns.  A cycle is
-non-torsion when it lies outside the span of d over its whole other class.
+(id+iota)x = dy, found by one elimination per grading class over F2,
+extended as the generators enter in descending grading, and d_upper comes
+from the same systems on the transposed columns.  A cycle is non-torsion
+when it lies outside the span of d over its whole other class.
 """
 
 from __future__ import annotations
@@ -139,7 +142,9 @@ def _clean_map(generators: Sequence[str], raw: Mapping[str, Iterable[Term]], wha
     for src, terms in raw.items():
         if src not in known:
             raise ValidationError(f"{what} defined on unknown generator {src!r}")
-        val = terms if type(terms) is frozenset else element(terms)
+        val = terms if type(terms) is frozenset else frozenset(terms := [tuple(t) for t in terms])
+        if len(val) != len(terms):
+            val = element(terms)  # repeated terms cancel in pairs
         for g, e in val:
             if g not in known:
                 raise ValidationError(f"{what}[{src!r}] hits unknown generator {g!r}")
@@ -196,17 +201,18 @@ class GradedComplex:
 
 
 class IotaComplex:
-    """A graded complex together with a candidate homotopy involution.  A
-    tensor product keeps iota's columns, so iota must not be mutated, and
-    its iota is made when it is first read."""
+    """A graded complex with a candidate homotopy involution.  It keeps its
+    (d, d_lower, d_upper), and a tensor product iota's columns, so iota must
+    not be mutated; a product's iota is made when it is first read."""
 
-    __slots__ = ("complex", "_iota", "_icols", "_pending")
+    __slots__ = ("complex", "_iota", "_icols", "_pending", "_values")
 
     def __init__(self, complex: GradedComplex, iota: Mapping[str, Iterable[Term]]):
         self.complex = complex
         self._iota: Optional[dict[str, Element]] = _clean_map(complex.generators, iota, "iota")
         self._icols = None  # a product's iota columns, set by tensor
         self._pending = None
+        self._values = None  # (d, d_lower, d_upper), set once by _invariants
 
     @property
     def iota(self) -> dict[str, Element]:
@@ -534,11 +540,16 @@ def homology_summary(ic: IotaComplex | GradedComplex, check: bool = True) -> Hom
     cx = ic.complex if isinstance(ic, IotaComplex) else ic
     if check and isinstance(ic, IotaComplex):
         require_valid(ic)
-    free, torsion = _homology(cx)
-    if len(free) != 1:
-        raise ValidationError(f"localized homology has rank {len(free)}, expected 1")
-    n = max((e for _, e in torsion), default=0)
-    return HomologySummary(free[0], torsion, n)
+    free, torsion = _rank_one(cx)
+    return HomologySummary(free[0], torsion, max((e for _, e in torsion), default=0))
+
+
+def _rank_one(cx: GradedComplex) -> _Homology:
+    """_homology(cx), refused unless its free part has rank 1."""
+    hom = _homology(cx)
+    if len(hom[0]) != 1:
+        raise ValidationError(f"localized homology has rank {len(hom[0])}, expected 1")
+    return hom
 
 
 # ---------------------------------------------------------------------------
@@ -559,23 +570,29 @@ def d_invariant(ic: IotaComplex | GradedComplex, check: bool = True) -> Fraction
 
 def _invariants(ic: IotaComplex, check: bool) -> tuple[Fraction, Fraction, Fraction]:
     """(d, d_lower, d_upper), the last two read off the two free generators
-    of the homology of the cone of Q(1+iota)."""
-    view, iota_cols = _checked(ic, check)
-    d = homology_summary(ic.complex, check=False).free_grading
-    free, _ = _cone_homology(view, _id_plus_iota(iota_cols))
-    sd, D = view.scaled(d), view.D
-    lower = [g for g in free if (g - sd) % (2 * D) == 0]
-    upper = [g + D for g in free if (g + D - sd) % (2 * D) == 0]
-    if len(free) != 2 or len(lower) != 1 or len(upper) != 1:
-        found = ", ".join(str(view.unscaled(g)) for g in free)
-        raise InternalCheckError(f"cone of Q(1+iota) has free gradings [{found}], "
-                                 "expected one in each class of d mod 2")
-    return d, view.unscaled(lower[0]), view.unscaled(upper[0])
+    of the homology of the cone of Q(1+iota), and kept on ic.  Unless check
+    is set, kept values are returned before iota's columns are built."""
+    if ic._values is None or check:
+        view, iota_cols = _checked(ic, check)
+    if ic._values is None:
+        d = _rank_one(ic.complex)[0][0]
+        free, _ = _cone_homology(view, _id_plus_iota(iota_cols))
+        sd, D = view.scaled(d), view.D
+        lower = [g for g in free if (g - sd) % (2 * D) == 0]
+        upper = [g + D for g in free if (g + D - sd) % (2 * D) == 0]
+        if len(free) != 2 or len(lower) != 1 or len(upper) != 1:
+            found = ", ".join(str(view.unscaled(g)) for g in free)
+            raise InternalCheckError(f"cone of Q(1+iota) has free gradings [{found}], "
+                                     "expected one in each class of d mod 2")
+        # a value equal to d shares its Fraction: every complex keeps them
+        ic._values = (d, *(d if g == sd else view.unscaled(g) for g in lower + upper))
+    return ic._values
 
 
 def d_lower(ic: IotaComplex, check: bool = True) -> Fraction:
     """Maximal grading of a non-U-torsion cycle a with (id+iota)a a boundary:
-    the free generator of H(cone of Q(1+iota)) in d's class mod 2."""
+    the free generator of H(cone of Q(1+iota)) in d's class mod 2.  Kept
+    on ic with d and d_upper, as d_results says."""
     return _invariants(ic, check)[1]
 
 
@@ -584,7 +601,7 @@ def d_upper(ic: IotaComplex, check: bool = True) -> Fraction:
     d z = U^m x and U^m y + (id+iota) z of non-torsion class, m >= 0;
     the value is gr(x)+1 when x is nonzero and gr(y) when x = 0.  It is 1
     above the free generator of H(cone of Q(1+iota)) outside d's class
-    mod 2.
+    mod 2.  Kept on ic with d and d_lower, as d_results says.
     """
     return _invariants(ic, check)[2]
 
@@ -607,7 +624,9 @@ def d_results(
     window_slack: int = 0,
 ) -> DResults:
     """All three correction terms from one cone, asserting d_lower <= d <=
-    d_upper.  m_max and window_slack are checked but change no result."""
+    d_upper.  They are kept on ic, so its iota must not be mutated, and a
+    later call on ic reads them, after every check when check is set.
+    m_max and window_slack are checked but change no result."""
     _check_search(m_max, window_slack)
     return DResults(*_invariants(ic, check))
 
@@ -676,7 +695,7 @@ def tensor(a: IotaComplex, b: IotaComplex, sep: str = "|") -> IotaComplex:
     cx._view = _View(names, D // k, sums if k == 1 else [g // k for g in sums], None, dcols)
     ic = IotaComplex.__new__(IotaComplex)
     ic.complex, ic._icols = cx, (icols, None)
-    cx._diff = ic._iota = None
+    cx._diff = ic._iota = ic._values = None
     cx._pending = ic._pending = cache(lambda: _product_terms(a, b, names))
     return ic
 
@@ -712,50 +731,56 @@ def _product_terms(a: IotaComplex, b: IotaComplex, names: list[str]) -> tuple[di
 # cycle/cocycle oracle
 
 
-def _reduce(pivots: dict[int, tuple[int, int]], img: int, x: int) -> tuple[int, int]:
-    """img reduced by an echelon basis of (image, x-part) pairs keyed by
-    each image's lowest bit, with the x-parts of the pairs used added to x."""
-    while p := pivots.get(img & -img):  # 0, the low bit of img = 0, keys no pivot
-        img, x = img ^ p[0], x ^ p[1]
-    return img, x
-
-
-def _echelon(cols: list[tuple[int, int]], span: dict) -> Optional[dict[int, tuple[int, int]]]:
-    """An echelon basis of the (image, x-part) columns, or None as soon as
-    a combination of them with image 0 has its x-part outside span."""
-    pivots: dict[int, tuple[int, int]] = {}
-    for img, x in cols:
-        img, x = _reduce(pivots, img, x)
-        if img:
+def _enter(pivots: dict[int, tuple[int, int]], span: dict, img: int, x: int) -> bool:
+    """Add (img, x) to an echelon basis of (image, x-part) pairs keyed by each
+    image's lowest bit; True when it makes an image 0 with x outside span."""
+    while img:
+        p = pivots.get(img & -img)
+        if p is None:
             pivots[img & -img] = img, x
-        elif _reduce(span, x, 0)[0]:
-            return None
-    return pivots
+            return False
+        img, x = img ^ p[0], x ^ p[1]
+    while x:
+        p = span.get(x & -x)
+        if p is None:
+            return True
+        x ^= p[0]
+    return False
 
 
 def _tops(gr: Sequence[int], dcols: Sequence[int], id_iota: Sequence[int], D: int) -> tuple[int, int]:
     """Scaled (d, d_lower) of the complex with these columns: the top
     candidate r with a cycle x in V_r that is not torsion, and the top one
-    where also (id+iota)x = dy for a y in V_(r+D).  A new witness appears
-    only where V_r or V_(r+D) gains a generator, at a candidate gr(x) or
-    gr(x) - D.  U^N x is a boundary far below every generator, where the
-    piece of the other class is whole, just when x is in the span of d's
-    columns over that whole class: that is the tower test."""
-    step = 2 * D
-    classes: dict[int, list[int]] = {}
-    for i in sorted(range(len(gr)), key=gr.__getitem__, reverse=True):
-        classes.setdefault(gr[i] % step, []).append(i)
-    spans = {c: _echelon([(dcols[i], 0) for i in gens], {}) for c, gens in classes.items()}
+    where also (id+iota)x = dy for a y in V_(r+D).  U^N x is a boundary far
+    below every generator, where the piece of the other class is whole, just
+    when x is in the span of d's columns over that whole class: that is the
+    tower test.  Candidates come in descending order, as x enters V_r at
+    r = gr(x) or y enters V_(r+D) at r = gr(y) - D, and each class mod 2D
+    extends one elimination: of cycles until d, then of witnesses, which
+    start there (none lies above d) as one solve of the x, then y, met."""
+    step, n = 2 * D, len(gr)
+    events = sorted([(g, i) for i, g in enumerate(gr)] + [(g - D, n + j) for j, g in enumerate(gr)], reverse=True)
+    spans: dict[int, dict] = {r % step: {} for r, _ in events}
+    for g, col in zip(gr, dcols):
+        _enter(spans[g % step], {}, col, 0)
+    systems: dict[int, dict] = {}
+    met = {c: ([], []) for c in spans}
     d = None
-    for r in sorted({g - k for g in gr for k in (0, D)}, reverse=True):
-        xs = [i for i in classes.get(r % step, ()) if gr[i] >= r]
-        ys = [j for j in classes.get((r + D) % step, ()) if gr[j] >= r + D]
-        span = spans.get((r + D) % step, {})
-        if d is None and _echelon([(dcols[i], 1 << i) for i in xs], span) is None:
-            d = r
+    for r, k in events:
+        c, span = r % step, spans[(r + D) % step]
+        xs, ys = met[c]
+        (xs if k < n else ys).append(k % n)
+        if d is None:
+            if k >= n or not _enter(systems.setdefault(c, {}), span, dcols[k], 1 << k):
+                continue
+            d, systems = r, {}
+        if c in systems:
+            cols = [(dcols[k] ^ id_iota[k], 1 << k) if k < n else (dcols[k - n], 0)]
+        else:
+            systems[c] = {}
+            cols = [(dcols[i] ^ id_iota[i], 1 << i) for i in xs] + [(dcols[j], 0) for j in ys]
         # a y adds nothing to the x-part of a combination
-        if d is not None and _echelon([(dcols[i] ^ id_iota[i], 1 << i) for i in xs]
-                                      + [(dcols[j], 0) for j in ys], span) is None:
+        if any(_enter(systems[c], span, img, x) for img, x in cols):
             return d, r
     raise InternalCheckError("cycle oracle found no " + ("non-torsion cycle" if d is None else "d_lower witness"))
 
@@ -774,16 +799,17 @@ def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResul
 
     d_lower is the top grading r of a non-torsion cycle x with (id+iota)x =
     dy (Hendricks-Manolescu, Involutive Heegaard Floer homology, 2017), a
-    local map T_r -> C; each candidate r is one linear system over F2.
-    d_upper is the least r with a local map C -> T_r (Hendricks-Manolescu-
-    Zemke, 2018): the same system on the transposed columns at negated
-    gradings.  ``truncation`` bounds nothing, but must be at least the
-    torsion exponent of the homology plus the number of generators.
+    local map T_r -> C, found by one elimination over F2 per grading class
+    (see _tops).  d_upper is the least r with a local map C -> T_r
+    (Hendricks-Manolescu-Zemke, 2018): the same systems on the transposed
+    columns at negated gradings.  It neither reads nor keeps ic's values.
+    ``truncation`` bounds nothing, but must be an int, at least the torsion
+    exponent of the homology plus the number of generators.
     """
     view, iota_cols = _checked(ic, check)
-    min_trunc = homology_summary(ic.complex, check=False).torsion_exponent + len(ic.complex.generators)
-    if truncation < min_trunc:
-        raise ValidationError(f"truncation {truncation} too small; need at least {min_trunc}")
+    min_trunc = max((e for _, e in _rank_one(ic.complex)[1]), default=0) + len(view.gr)
+    if not isinstance(truncation, int) or isinstance(truncation, bool) or truncation < min_trunc:
+        raise ValidationError(f"truncation must be an integer >= {min_trunc}, got {truncation!r}")
     id_iota = _id_plus_iota(iota_cols)
     d, lower = _tops(view.gr, view.dcols, id_iota, view.D)
     co_d, co_lower = _tops([-g for g in view.gr], _transpose(view.dcols), _transpose(id_iota), view.D)

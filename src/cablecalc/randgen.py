@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, ValidationError
 from .iota import Element, GradedComplex, IotaComplex, ZERO, apply_map, elt_shift, validate
 
 __all__ = ["random_iota_complex"]
@@ -140,6 +140,10 @@ def random_iota_complex(
     n_transvections: int = 6,
 ) -> IotaComplex:
     """A random valid iota-complex; the same seed always gives the same one."""
+    args = {"seed": seed, "max_pairs": max_pairs, "max_order": max_order, "n_transvections": n_transvections}
+    for name, value in args.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
     rng = random.Random(seed)
     n_pairs = rng.randint(0, max_pairs)
     gens, diff, pieces = _split_model(rng, n_pairs, max_order)

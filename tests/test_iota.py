@@ -718,6 +718,37 @@ def test_homology_computed_once_per_complex(monkeypatch):
     assert torsion and all(isinstance(t, tuple) for t in torsion)
 
 
+def test_invariants_are_kept_on_each_iota_complex(monkeypatch):
+    # d_results, d_lower and d_upper on one complex share one cone, and a
+    # complex on the same GradedComplex with another iota gets its own
+    cones = []
+    cone_homology = iota._cone_homology
+
+    def counted(view, fcols):
+        cones.append(len(view.gr))
+        return cone_homology(view, fcols)
+
+    monkeypatch.setattr(iota, "_cone_homology", counted)
+    ic = torsion_model(2)
+    identity = IotaComplex(ic.complex, {g: [(g, 0)] for g in ic.complex.generators})
+    assert (d_results(ic), d_lower(ic), d_upper(ic)) == (DResults(0, -4, 0), -4, 0)
+    assert d_results(identity) == DResults(0, 0, 0) and ic._values == (0, -4, 0)
+    assert cones == [3, 3]
+    # an unchecked call that finds the values builds no iota columns
+    monkeypatch.setattr(iota, "_columns", lambda *args: pytest.fail("iota's columns were built"))
+    assert d_results(ic, check=False) == DResults(0, -4, 0) and d_lower(identity, check=False) == 0
+    monkeypatch.undo()
+    # a product starts with none
+    prod = tensor(ic, identity)
+    assert prod._values is None and d_results(prod, check=False) == DResults(0, -4, 0)
+    # an invalid complex still fails a checked call after an unchecked one
+    bad = IotaComplex(swap_model().complex, {"e1": [("e1", 0)], "e2": [("e1", 0)], "f": [("f", 0)]})
+    assert d_results(bad, check=False) == DResults(0, 0, 0)
+    for call in (d_results, d_lower, d_upper):
+        with pytest.raises(ValidationError, match="iota-chain-map"):
+            call(bad)
+
+
 def _reachable(root) -> set[int]:
     """The ids of every object reachable from root through
     gc.get_referents, types left out."""
@@ -746,9 +777,12 @@ def test_oracle_reduces_nothing_and_keeps_nothing(monkeypatch):
     for ic, res in zip(cases, expected):
         view = ic.complex._view
         before = _reachable(view)
+        # nor does it read or write the values d_results kept
+        wrong = (res.d + 2, res.lower + 2, res.upper + 2)
+        ic._values = wrong
         span = homology_summary(ic, check=False).torsion_exponent + len(ic.complex.generators)
         assert brute_oracle(ic, truncation=span, check=False) == res
-        assert _reachable(view) == before and ic.complex._view is view
+        assert _reachable(view) == before and ic.complex._view is view and ic._values is wrong
 
 
 def test_d_results_builds_iota_columns_once(monkeypatch):
@@ -1056,8 +1090,13 @@ def test_brute_oracle_matches_engine_on_large_complexes():
     products = [tensor(a, b) for a, b in zip(fives[0::2], fives[1::2])]
     products += [tensor(tensor(c, d), c) for c, d in zip(threes[0::2], threes[1::2])]
     cases += products + [dual(ic) for ic in products]
+    # wide grading ranges, where every candidate grading once cost a solve
+    wide = [tensor(staircase_a0(torus_vs(17, 19)), strict_model()),
+            tensor(staircase_a0(torus_vs(11, 13)), figure_eight_complex())]
+    assert d_results(wide[0], check=False) == DResults(-80, -82, -80)
+    cases += wide
     sizes = [len(ic.complex.generators) for ic in cases]
-    assert (sizes[4], len(cases), sorted(set(sizes[-8:]))) == (729, 32, [25, 27])
+    assert (sizes[4], len(cases), sorted(set(sizes[-10:-2])), sizes[-2]) == (729, 34, [25, 27], 1449)
     for ic in cases:
         span = homology_summary(ic, check=False).torsion_exponent + len(ic.complex.generators)
         assert brute_oracle(ic, truncation=span, check=False) == d_results(ic, check=False), len(ic.complex.generators)
@@ -1068,6 +1107,10 @@ def test_brute_oracle_rejects_small_truncation():
     with pytest.raises(ValidationError):
         brute_oracle(ic, truncation=4, check=False)
     assert brute_oracle(ic, truncation=5, check=False) == d_results(ic, check=False)
+    # a float passed the bare comparison, and a string raised TypeError
+    for bad in (4.5, 5.0, "9", True, None):
+        with pytest.raises(ValidationError, match="truncation must be an integer >= 5"):
+            brute_oracle(ic, truncation=bad, check=False)
 
 
 def test_brute_oracle_reaches_high_u_powers_at_the_least_truncation():

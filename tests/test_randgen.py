@@ -6,7 +6,7 @@ import json
 import pytest
 
 from cablecalc import randgen
-from cablecalc.errors import InternalCheckError
+from cablecalc.errors import InternalCheckError, ValidationError
 from cablecalc.iota import (
     ValidationCheck,
     ValidationReport,
@@ -61,6 +61,15 @@ def test_output_is_pinned():
             text = json.dumps(complex_to_dict(random_iota_complex(seed, **kw)), sort_keys=True)
             digest.update((text + "\n").encode())
     assert digest.hexdigest() == PINNED_OUTPUT_SHA256
+
+
+def test_arguments_must_be_ints():
+    # random.Random took 1.5 as a seed, and True acted as 1
+    for kw in ({"seed": 1.5}, {"seed": True}, {"seed": "3"}, {"seed": None}, {"seed": 3, "max_pairs": 2.0},
+               {"seed": 3, "max_order": True}, {"seed": 3, "n_transvections": False}, {"seed": 3, "max_order": "4"}):
+        name = next(k for k, v in kw.items() if type(v) is not int)
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            random_iota_complex(**kw)
 
 
 def test_invalid_output_raises_with_the_seed(monkeypatch):

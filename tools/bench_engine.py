@@ -32,6 +32,13 @@ cached on them (cold):
 - brute_oracle, warm and unchecked, on that same complex, seconds; a side
   whose oracle still enumerates the subsets of graded pieces (it has
   iota._class_tables) cannot reach it, and reads n/a;
+- a second d_results(check=False) on each 5-generator single, the call
+  engine-sweep makes for its doubled-windows check, microseconds per
+  complex (single5.d_results_repeat_us);
+- brute_oracle, warm and unchecked, on the staircase of T(17,19) (from
+  tests/test_staircase.py) tensored with the strict model: 1449 generators
+  over a wide grading range (stair17_19_strict.brute_oracle_s, at most 3
+  repeats), seconds;
 - random_iota_complex(seed, max_order=4) itself, over all the single
   seeds above, microseconds per complex (randgen_us);
 - lens_d_vector(5001, 701) in milliseconds and lens_d_vector(200003, 7919)
@@ -121,8 +128,13 @@ def traced_peak(call) -> int:
 def measure() -> dict:
     from cablecalc import iota
     from cablecalc.randgen import random_iota_complex
+    from cablecalc.torus import torus_vs
     from cablecalc.verify import figure_eight_complex
 
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_staircase import staircase_a0
+
+    vs1719 = torus_vs(17, 19)
     seeds = {n: _seeds_of_size(random_iota_complex, n, SINGLES) for n in SIZES}
 
     def singles(n):
@@ -154,13 +166,15 @@ def measure() -> dict:
             ic = iota.tensor(ic, f8)
         return [ic]
 
-    def strict_pow4():
+    def strict():
         # a at 0, c at 0 and b at -1 with d b = U c; iota: a -> a + c
         torsion = iota.IotaComplex(iota.GradedComplex([("a", 0), ("c", 0), ("b", -1)], {"b": [("c", 1)]}),
                                    {"a": [("a", 0), ("c", 0)], "c": [("c", 0)], "b": [("b", 0)]})
         sq = iota.tensor(torsion, torsion, sep=".")
-        ic = iota.IotaComplex(sq.complex, {**sq.iota, "b.b": sq.iota["b.b"] ^ {("a.c", 1)}})
-        f8 = figure_eight_complex()
+        return iota.IotaComplex(sq.complex, {**sq.iota, "b.b": sq.iota["b.b"] ^ {("a.c", 1)}})
+
+    def strict_pow4():
+        ic, f8 = strict(), figure_eight_complex()
         for _ in range(4):
             ic = iota.tensor(ic, f8)
         return [ic]
@@ -192,6 +206,9 @@ def measure() -> dict:
     cases.append(("strict_fig8_pow4.validate_s", strict_pow4, iota.validate, 1))
     if not hasattr(iota, "_class_tables"):
         cases.append(("strict_fig8_pow4.brute_oracle_s", warm(strict_pow4), lambda ic: oracle(ic, False), 1))
+        cases.append(("stair17_19_strict.brute_oracle_s", warm(lambda: [iota.tensor(staircase_a0(vs1719), strict())]),
+                      lambda ic: oracle(ic, False), 1))
+    cases.append(("single5.d_results_repeat_us", warm(singles(5)), lambda ic: iota.d_results(ic, check=False), 1e6))
     all_seeds = [s for n in SIZES for s in seeds[n]]
     cases.append(("randgen_us", lambda: all_seeds, lambda s: random_iota_complex(s, max_order=4), 1e6))
     knot, probes = knot_cases()
