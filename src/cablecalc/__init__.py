@@ -12,108 +12,19 @@ The package computes, in exact rational arithmetic:
 * d, d_lower, d_upper of finite iota-complexes over F2[U] (`iota`),
 
 plus self-checking sweeps that cross-validate the pieces against each
-other (`verify`) and a command-line front end (`cli`).
+other (`verify`) and a command-line front end (`cli`).  The package
+exports each module's `__all__`; other names are importable from their
+module.
 """
 
-from .concordance import (
-    BoundsReport,
-    CableStage,
-    KnotInvariants,
-    KnotSpec,
-    cable_inv_v0,
-    genus_bounds,
-    invariants_to_dict,
-    involutive_surgery_d,
-    iterated_cable,
-    knot_spec_from_dict,
-    load_knot_spec,
-    niwu_d,
-    slice_obstruction,
-    spinc_projection_zero,
-    torus_knot_invariants,
-    unknotting_bounds,
-)
-from .errors import (
-    CablecalcError,
-    InsufficientDataError,
-    InternalCheckError,
-    UsageError,
-    ValidationError,
-)
-from .iota import (
-    DResults,
-    GradedComplex,
-    IotaComplex,
-    brute_oracle,
-    d_invariant,
-    d_lower,
-    d_results,
-    d_upper,
-    dual,
-    dump_complex,
-    homology_summary,
-    load_complex,
-    shift,
-    tensor,
-    validate,
-)
-from .lens import conj_spinc, lens_d, lens_d_vector, selfconj_spinc
-from .torus import gap_vs, lspace_cable_check, torus_vs
-from .verify import (
-    VerifyReport,
-    run_verify_engine,
-    run_verify_identity13,
-    run_verify_moser,
-)
+from . import concordance, errors, iota, lens, torus, verify
+from .concordance import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .iota import *  # noqa: F403
+from .lens import *  # noqa: F403
+from .torus import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundsReport",
-    "CableStage",
-    "CablecalcError",
-    "DResults",
-    "GradedComplex",
-    "InsufficientDataError",
-    "InternalCheckError",
-    "IotaComplex",
-    "KnotInvariants",
-    "KnotSpec",
-    "UsageError",
-    "ValidationError",
-    "VerifyReport",
-    "brute_oracle",
-    "cable_inv_v0",
-    "conj_spinc",
-    "d_invariant",
-    "d_lower",
-    "d_results",
-    "d_upper",
-    "dual",
-    "dump_complex",
-    "gap_vs",
-    "genus_bounds",
-    "homology_summary",
-    "invariants_to_dict",
-    "involutive_surgery_d",
-    "iterated_cable",
-    "knot_spec_from_dict",
-    "lens_d",
-    "lens_d_vector",
-    "load_complex",
-    "load_knot_spec",
-    "lspace_cable_check",
-    "niwu_d",
-    "run_verify_engine",
-    "run_verify_identity13",
-    "run_verify_moser",
-    "selfconj_spinc",
-    "shift",
-    "slice_obstruction",
-    "spinc_projection_zero",
-    "tensor",
-    "torus_knot_invariants",
-    "torus_vs",
-    "unknotting_bounds",
-    "validate",
-]
+__all__ = [name for mod in (concordance, errors, iota, lens, torus, verify) for name in mod.__all__]

@@ -39,7 +39,6 @@ import traceback
 from math import gcd
 from typing import Iterable
 
-from .algebra import format_rational
 from .concordance import (
     _niwu_halves,
     invariants_to_dict,
@@ -108,7 +107,7 @@ def _label_strings(p: int, q: int, lo: list[int], hi: list[int], den: int) -> li
 def _cmd_lens(args) -> int:
     p, q = args.p, args.q
     if args.spinc is not None:
-        d = format_rational(lens_d(p, q, args.spinc))
+        d = str(lens_d(p, q, args.spinc))
         lines = [f"d(L({p},{q}), [{args.spinc}]) = {d}"]
         payload = {"schema": "cablecalc/lens-d/v1", "p": p, "q": q, "spinc": args.spinc, "d": d}
     else:
@@ -173,7 +172,7 @@ def _cmd_surgery(args) -> int:
     p, q = args.pq
     if args.involutive:
         labels = {
-            str(s): {"d_lower": format_rational(lo), "d_upper": format_rational(hi)}
+            str(s): {"d_lower": str(lo), "d_upper": str(hi)}
             for s, (lo, hi) in sorted(involutive_surgery_d(p, q, inv).items())
         }
         lines = (
@@ -219,15 +218,15 @@ def _cmd_complex(args) -> int:
         return 0 if report.ok else 2
     results = d_results(ic)
     lines = [
-        f"d       = {format_rational(results.d)}",
-        f"d_lower = {format_rational(results.lower)}",
-        f"d_upper = {format_rational(results.upper)}",
+        f"d       = {results.d}",
+        f"d_lower = {results.lower}",
+        f"d_upper = {results.upper}",
     ]
     payload = {
         "schema": "cablecalc/complex-d/v1",
-        "d": format_rational(results.d),
-        "d_lower": format_rational(results.lower),
-        "d_upper": format_rational(results.upper),
+        "d": str(results.d),
+        "d_lower": str(results.lower),
+        "d_upper": str(results.upper),
     }
     _emit(args, lines, payload)
     return 0

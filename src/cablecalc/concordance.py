@@ -20,17 +20,15 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import sub
 
-from .errors import InsufficientDataError, InternalCheckError, ValidationError, check_coprime
-from .lens import _check_vector_size, _label_vector, _lens_halves, conj_spinc, lens_d, selfconj_spinc
+from .errors import InsufficientDataError, InternalCheckError, ValidationError, check_coprime, check_int
+from .lens import _check_vector_size, _label_vector, _lens_halves, lens_d, selfconj_spinc
 from .torus import cable_vs, torus_genus, torus_vs
 
 __all__ = [
     "KnotInvariants",
     "CableStage",
     "KnotSpec",
-    "BoundEntry",
     "BoundsReport",
-    "ProjectionPair",
     "torus_knot_invariants",
     "niwu_d",
     "involutive_surgery_d",
@@ -43,14 +41,7 @@ __all__ = [
     "knot_spec_from_dict",
     "load_knot_spec",
     "invariants_to_dict",
-    "conj_spinc",
 ]
-
-
-def _as_int(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _check_vseq(vs, what: str = "v_seq") -> tuple[int, ...]:
@@ -68,7 +59,7 @@ def _check_vseq(vs, what: str = "v_seq") -> tuple[int, ...]:
     if set(map(type, out)) == {int} and out[-1] == 0 and set(map(sub, out, out[1:])) <= {0, 1}:
         return out
     for v in out:
-        _as_int(v, f"{what} entry")
+        check_int(v, f"{what} entry")
     for v in out:
         if v < 0:
             raise ValidationError(f"{what} entries must be non-negative, got {v}")
@@ -111,8 +102,8 @@ class KnotInvariants:
     lspace: bool = False
 
     def __post_init__(self):
-        _as_int(self.v_lower, "v_lower")
-        _as_int(self.v_upper, "v_upper")
+        check_int(self.v_lower, "v_lower")
+        check_int(self.v_upper, "v_upper")
         if self.v_upper > self.v_lower:
             raise ValidationError(
                 f"v_upper must not exceed v_lower, got ({self.v_lower}, {self.v_upper})")
@@ -127,7 +118,7 @@ class KnotInvariants:
                     f"and v_lower = {self.v_lower}")
         for name in ("genus3", "genus4"):
             g = getattr(self, name)
-            if g is not None and (_as_int(g, name) < 0):
+            if g is not None and check_int(g, name) < 0:
                 raise ValidationError(f"{name} must be non-negative, got {g}")
         if not isinstance(self.lspace, bool):
             raise ValidationError(f"lspace must be a boolean, got {self.lspace!r}")
@@ -160,7 +151,7 @@ def _as_stage(stage) -> CableStage:
         p, q = stage
     except (TypeError, ValueError):
         raise ValidationError(f"not a cable stage: {stage!r}") from None
-    return CableStage(_as_int(p, "cable parameter p"), _as_int(q, "cable parameter q"))
+    return CableStage(check_int(p, "cable parameter p"), check_int(q, "cable parameter q"))
 
 
 @dataclass(frozen=True)
@@ -197,10 +188,6 @@ class BoundEntry:
     name: str
     value: int | None
     note: str = ""
-
-    @property
-    def applicable(self) -> bool:
-        return self.value is not None
 
 
 @dataclass(frozen=True)
@@ -387,7 +374,7 @@ def unknotting_bounds(stage, inv_companion: KnotInvariants,
     stage = _as_stage(stage)
     if g4_parity not in (None, "odd", "even"):
         raise ValidationError(f"g4_parity must be 'odd' or 'even', got {g4_parity!r}")
-    if v0_companion is not None and _as_int(v0_companion, "v0_companion") < 0:
+    if v0_companion is not None and check_int(v0_companion, "v0_companion") < 0:
         raise ValidationError(f"v0_companion must be non-negative, got {v0_companion}")
     p, q = stage.p, stage.q
     v0t = torus_vs(p, q)[0]
@@ -458,8 +445,8 @@ def knot_spec_from_dict(data) -> KnotSpec:
         extra = set(base_d) - {"type", "p", "q"}
         if extra:
             raise ValidationError(f"unknown torus base keys: {sorted(extra)}")
-        base = torus_knot_invariants(_as_int(base_d.get("p"), "base.p"),
-                                     _as_int(base_d.get("q"), "base.q"))
+        base = torus_knot_invariants(check_int(base_d.get("p"), "base.p"),
+                                     check_int(base_d.get("q"), "base.q"))
     elif kind == "custom":
         extra = set(base_d) - {"type", "v_lower", "v_upper", "v_seq",
                                "genus3", "genus4", "lspace"}
@@ -469,8 +456,8 @@ def knot_spec_from_dict(data) -> KnotSpec:
         if vs is not None and not isinstance(vs, (list, tuple)):
             raise ValidationError(f"base.v_seq must be a list, got {vs!r}")
         base = KnotInvariants(
-            v_lower=_as_int(base_d.get("v_lower"), "base.v_lower"),
-            v_upper=_as_int(base_d.get("v_upper"), "base.v_upper"),
+            v_lower=check_int(base_d.get("v_lower"), "base.v_lower"),
+            v_upper=check_int(base_d.get("v_upper"), "base.v_upper"),
             v_seq=None if vs is None else tuple(vs),
             genus3=base_d.get("genus3"),
             genus4=base_d.get("genus4"),
@@ -485,8 +472,8 @@ def knot_spec_from_dict(data) -> KnotSpec:
     for i, item in enumerate(stages_d, start=1):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise ValidationError(f"stage {i} must be a [p, q] pair, got {item!r}")
-        stages.append(CableStage(_as_int(item[0], f"stage {i} p"),
-                                 _as_int(item[1], f"stage {i} q")))
+        stages.append(CableStage(check_int(item[0], f"stage {i} p"),
+                                 check_int(item[1], f"stage {i} q")))
     return KnotSpec(base, tuple(stages))
 
 

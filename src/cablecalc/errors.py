@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and the one parameter
-check every layer uses.
+"""Exception hierarchy shared across the package, and the two parameter
+checks every layer uses: check_int for one integer argument and
+check_coprime for a (p, q) pair.
 
 The CLI maps these onto exit codes: UsageError -> 1, ValidationError (and
 its subclasses) -> 2, InternalCheckError and any exception outside this
@@ -10,8 +11,7 @@ from __future__ import annotations
 
 from math import gcd
 
-__all__ = ["CablecalcError", "UsageError", "ValidationError", "InsufficientDataError",
-           "InternalCheckError", "check_coprime"]
+__all__ = ["CablecalcError", "UsageError", "ValidationError", "InsufficientDataError", "InternalCheckError"]
 
 
 class CablecalcError(Exception):
@@ -32,6 +32,15 @@ class InsufficientDataError(ValidationError):
 
 class InternalCheckError(CablecalcError):
     """An internal consistency assertion failed; indicates a bug."""
+
+
+def check_int(value, what: str, low: int | None = None) -> int:
+    """Return value if it is an int (not a bool) and at least low when low
+    is given; otherwise raise ValidationError naming it as `what`."""
+    if not isinstance(value, int) or isinstance(value, bool) or low is not None and value < low:
+        bound = "" if low is None else f" >= {low}"
+        raise ValidationError(f"{what} must be an integer{bound}, got {value!r}")
+    return value
 
 
 def check_coprime(p, q, what: str = "p and q") -> None:

@@ -69,23 +69,12 @@ from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .algebra import format_rational, parse_rational
-from .errors import InternalCheckError, ValidationError
+from .errors import InternalCheckError, ValidationError, check_int
 
 __all__ = [
-    "Term",
-    "Element",
-    "ZERO",
-    "element",
-    "apply_map",
-    "elt_shift",
     "GradedComplex",
     "IotaComplex",
-    "ValidationCheck",
-    "ValidationReport",
     "validate",
-    "require_valid",
-    "HomologySummary",
     "homology_summary",
     "d_invariant",
     "d_lower",
@@ -96,11 +85,8 @@ __all__ = [
     "shift",
     "dual",
     "brute_oracle",
-    "complex_to_dict",
-    "complex_from_dict",
     "load_complex",
     "dump_complex",
-    "MAX_GENERATORS",
 ]
 
 # complex_from_dict refuses more generators: memory grows as their square
@@ -156,12 +142,12 @@ def _clean_map(generators: Sequence[str], raw: Mapping[str, Iterable[Term]], wha
 
 
 def _read_grading(name, g) -> Fraction:
-    """A grading that is neither an int nor a Fraction, read the way a
-    complex file's is; a bool is refused."""
+    """A grading read from its text form ("p/q", an integer or a decimal),
+    as every complex file's is; a bool is refused."""
     if not isinstance(g, bool):
         try:
-            return parse_rational(g)
-        except ValueError:
+            return Fraction(str(g))
+        except (ValueError, ZeroDivisionError):
             pass
     raise ValidationError(f"bad grading {g!r} of generator {name!r}")
 
@@ -170,7 +156,7 @@ class GradedComplex:
     """Free F2[U]-complex: ordered generators, exact rational gradings,
     differential stored as generator -> element (missing means zero).  A
     Fraction grading and a frozenset image are kept as given, not copied;
-    a grading that is not an int is read by parse_rational, as a complex
+    a grading that is not an int is read by _read_grading, as a complex
     file's is.  A complex keeps its integer view, so it must not be mutated.
     The diff of a tensor product is made when it is first read."""
 
@@ -402,10 +388,6 @@ def validate(ic: IotaComplex) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
-def require_valid(ic: IotaComplex) -> None:
-    _checked(ic, True)
-
-
 def _checked(ic: IotaComplex, check: bool) -> tuple[_View, _Columns]:
     """ic's view and iota's columns; with check set, an ic that fails
     validate raises ValidationError."""
@@ -539,7 +521,7 @@ def homology_summary(ic: IotaComplex | GradedComplex, check: bool = True) -> Hom
     """Free-part grading, torsion classes and the maximal torsion U-order."""
     cx = ic.complex if isinstance(ic, IotaComplex) else ic
     if check and isinstance(ic, IotaComplex):
-        require_valid(ic)
+        _checked(ic, True)
     free, torsion = _rank_one(cx)
     return HomologySummary(free[0], torsion, max((e for _, e in torsion), default=0))
 
@@ -554,13 +536,6 @@ def _rank_one(cx: GradedComplex) -> _Homology:
 
 # ---------------------------------------------------------------------------
 # the three correction terms
-
-
-def _check_search(m_max: Optional[int], window_slack: int) -> None:
-    """Both must be ints >= 0 (m_max None asks for the default)."""
-    for name, value in (("m_max", 0 if m_max is None else m_max), ("window_slack", window_slack)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 def d_invariant(ic: IotaComplex | GradedComplex, check: bool = True) -> Fraction:
@@ -626,8 +601,11 @@ def d_results(
     """All three correction terms from one cone, asserting d_lower <= d <=
     d_upper.  They are kept on ic, so its iota must not be mutated, and a
     later call on ic reads them, after every check when check is set.
-    m_max and window_slack are checked but change no result."""
-    _check_search(m_max, window_slack)
+    m_max (None asks for the default) and window_slack must be integers
+    >= 0, but change no result."""
+    if m_max is not None:
+        check_int(m_max, "m_max", 0)
+    check_int(window_slack, "window_slack", 0)
     return DResults(*_invariants(ic, check))
 
 
@@ -808,8 +786,7 @@ def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResul
     """
     view, iota_cols = _checked(ic, check)
     min_trunc = max((e for _, e in _rank_one(ic.complex)[1]), default=0) + len(view.gr)
-    if not isinstance(truncation, int) or isinstance(truncation, bool) or truncation < min_trunc:
-        raise ValidationError(f"truncation must be an integer >= {min_trunc}, got {truncation!r}")
+    check_int(truncation, "truncation", min_trunc)
     id_iota = _id_plus_iota(iota_cols)
     d, lower = _tops(view.gr, view.dcols, id_iota, view.D)
     co_d, co_lower = _tops([-g for g in view.gr], _transpose(view.dcols), _transpose(id_iota), view.D)
@@ -838,7 +815,7 @@ def complex_to_dict(ic: IotaComplex) -> dict:
 
     return {
         "generators": [
-            {"name": g, "grading": format_rational(cx.grading[g])} for g in cx.generators
+            {"name": g, "grading": str(cx.grading[g])} for g in cx.generators
         ],
         "differential": map_out(cx.diff),
         "iota": map_out(ic.iota),
@@ -857,8 +834,8 @@ def complex_from_dict(data: Mapping) -> IotaComplex:
     for entry in gens_raw:
         try:
             name = entry["name"]
-            grading = parse_rational(entry["grading"])
-        except (KeyError, TypeError, ValueError) as exc:
+            grading = _read_grading(name, entry["grading"])
+        except (KeyError, TypeError, ValidationError) as exc:
             raise ValidationError(f"bad generator entry {entry!r}") from exc
         if not isinstance(name, str):
             raise ValidationError(f"bad generator entry {entry!r}")

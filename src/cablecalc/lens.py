@@ -18,9 +18,9 @@ from fractions import Fraction
 from itertools import cycle
 from math import gcd, lcm
 
-from .errors import ValidationError, check_coprime
+from .errors import ValidationError, check_coprime, check_int
 
-__all__ = ["MAX_VECTOR_LABELS", "lens_d", "lens_d_vector", "conj_spinc", "selfconj_spinc"]
+__all__ = ["lens_d", "lens_d_vector", "conj_spinc", "selfconj_spinc"]
 
 # Largest p for which a whole label vector is built.  Building one takes
 # about 55 bytes per label: L(999983, 7919) peaks at 71 MB RSS in 1.0-1.2 s
@@ -30,9 +30,7 @@ MAX_VECTOR_LABELS = 10**6
 
 
 def _check_label(p: int, i: int) -> None:
-    if not isinstance(i, int) or isinstance(i, bool):
-        raise ValidationError(f"spin-c label must be an integer, got {i!r}")
-    if not 0 <= i < p:
+    if not 0 <= check_int(i, "spin-c label") < p:
         raise ValidationError(f"spin-c label {i} out of range 0..{p - 1}")
 
 

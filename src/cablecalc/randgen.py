@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import InternalCheckError, ValidationError
+from .errors import InternalCheckError, check_int
 from .iota import Element, GradedComplex, IotaComplex, ZERO, apply_map, elt_shift, validate
 
 __all__ = ["random_iota_complex"]
@@ -139,11 +139,12 @@ def random_iota_complex(
     max_order: int = 3,
     n_transvections: int = 6,
 ) -> IotaComplex:
-    """A random valid iota-complex; the same seed always gives the same one."""
-    args = {"seed": seed, "max_pairs": max_pairs, "max_order": max_order, "n_transvections": n_transvections}
-    for name, value in args.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    """A random valid iota-complex; the same seed always gives the same one.
+    The three counts must be integers >= 0."""
+    check_int(seed, "seed")
+    check_int(max_pairs, "max_pairs", 0)
+    check_int(max_order, "max_order", 0)
+    check_int(n_transvections, "n_transvections", 0)
     rng = random.Random(seed)
     n_pairs = rng.randint(0, max_pairs)
     gens, diff, pieces = _split_model(rng, n_pairs, max_order)

@@ -16,13 +16,7 @@ from itertools import accumulate
 
 from .errors import InternalCheckError, ValidationError, check_coprime
 
-__all__ = [
-    "torus_vs",
-    "gap_vs",
-    "cable_vs",
-    "lspace_cable_check",
-    "torus_genus",
-]
+__all__ = ["torus_vs", "gap_vs", "lspace_cable_check"]
 
 
 def torus_genus(p: int, q: int) -> int:

@@ -22,7 +22,7 @@ from .concordance import (
     spinc_projection_zero,
     torus_knot_invariants,
 )
-from .errors import InternalCheckError, ValidationError
+from .errors import InternalCheckError, check_int
 from .iota import (
     DResults,
     GradedComplex,
@@ -38,15 +38,7 @@ from .lens import lens_d
 from .randgen import random_iota_complex
 from .torus import lspace_cable_check, torus_vs
 
-__all__ = [
-    "VerifyReport",
-    "run_verify_identity13",
-    "run_verify_moser",
-    "run_verify_engine",
-    "moser_case",
-    "figure_eight_complex",
-    "swap_complex",
-]
+__all__ = ["VerifyReport", "run_verify_identity13", "run_verify_moser", "run_verify_engine"]
 
 
 @dataclass(frozen=True)
@@ -108,8 +100,7 @@ def run_verify_identity13(max_q: int) -> VerifyReport:
     torus knot is a cable of the unknot.  The sweep pins the spin-c
     labeling conventions of the lens recursion against the V-sequence.
     """
-    if not isinstance(max_q, int) or max_q < 3:
-        raise ValidationError(f"sweep bound must be an integer >= 3, got {max_q!r}")
+    check_int(max_q, "sweep bound", 3)
     pairs = [(p, q)
              for p in range(3, max_q + 1, 2)
              for q in range(p + 2, max_q + 1, 2)
@@ -159,8 +150,7 @@ def moser_case(a: int, b: int, p: int, q: int,
 def run_verify_moser(max_param: int) -> VerifyReport:
     """Sweep moser_case over torus companions T(a, b) with a < b <= max_param
     and all coprime stages (p, q) with p, q <= max_param."""
-    if not isinstance(max_param, int) or max_param < 2:
-        raise ValidationError(f"sweep bound must be an integer >= 2, got {max_param!r}")
+    check_int(max_param, "sweep bound", 2)
     companions = [(1, 2)] + [(a, b)
                              for a in range(2, max_param + 1)
                              for b in range(a + 1, max_param + 1)
@@ -270,10 +260,8 @@ def run_verify_engine(n_random: int, seed: int = 0) -> VerifyReport:
     invariants under the identity involution, and satisfy additivity plus
     the inequality chain under tensor products in consecutive pairs.
     """
-    if not isinstance(n_random, int) or isinstance(n_random, bool) or n_random < 1:
-        raise ValidationError(f"n_random must be a positive integer, got {n_random!r}")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
+    check_int(n_random, "n_random", 1)
+    check_int(seed, "seed")
 
     failures: list[str] = []
     for name, builder, expect in (

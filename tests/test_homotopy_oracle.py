@@ -1,40 +1,8 @@
+"""The GF(2) span eliminator that the test oracles use."""
+
 import random
-from fractions import Fraction
 
-import pytest
-
-from cablecalc.algebra import (
-    format_rational,
-    parse_rational,
-)
-from homotopy_oracle import Echelon  # the span eliminator the test oracles use
-
-
-def test_parse_rational():
-    assert parse_rational("3/4") == Fraction(3, 4)
-    assert parse_rational("-1/2") == Fraction(-1, 2)
-    assert parse_rational("0") == 0
-    assert parse_rational("  7 ") == 7
-    with pytest.raises(ValueError):
-        parse_rational("x")
-    with pytest.raises(ValueError):
-        parse_rational("1/0")
-
-
-def test_format_rational_roundtrip():
-    rng = random.Random(7)
-    for _ in range(200):
-        r = Fraction(rng.randint(-40, 40), rng.randint(1, 24))
-        assert parse_rational(format_rational(r)) == r
-        assert parse_rational(format_rational(r)).denominator > 0
-
-
-def test_format_rational_of_int_and_fraction():
-    # every caller passes a Fraction or an int; both print as Fraction(r) does
-    for r in (0, 3, -7, Fraction(0), Fraction(-4, 6), Fraction(10, 5), Fraction(1, 3)):
-        assert format_rational(r) == str(Fraction(r))
-    assert format_rational(Fraction(-4, 6)) == "-2/3"
-    assert format_rational(Fraction(10, 5)) == "2"
+from homotopy_oracle import Echelon
 
 
 def test_solve_identity():

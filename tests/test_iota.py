@@ -29,7 +29,7 @@ from cablecalc.iota import (
 )
 from cablecalc.randgen import random_iota_complex
 from cablecalc.torus import torus_vs
-from cablecalc.verify import figure_eight_complex
+from cablecalc.verify import figure_eight_complex, swap_complex
 from test_staircase import TORUS_KNOTS, staircase_a0
 import homotopy_oracle
 from homotopy_oracle import Echelon, candidate_gradings, piece
@@ -38,12 +38,6 @@ from homotopy_oracle import Echelon, candidate_gradings, piece
 def sphere_model() -> IotaComplex:
     """One free generator, trivial involution."""
     return IotaComplex(GradedComplex([("x0", 0)], {}), {"x0": [("x0", 0)]})
-
-
-def swap_model() -> IotaComplex:
-    """Two grading-0 cycles identified in homology; iota exchanges them."""
-    cx = GradedComplex([("e1", 0), ("e2", 0), ("f", 1)], {"f": [("e1", 0), ("e2", 0)]})
-    return IotaComplex(cx, {"e1": [("e2", 0)], "e2": [("e1", 0)], "f": [("f", 0)]})
 
 
 def torsion_model(t: int = 1) -> IotaComplex:
@@ -76,7 +70,7 @@ def dual_model() -> IotaComplex:
 
 
 def all_fixtures():
-    return [sphere_model(), swap_model(), torsion_model(1), torsion_model(2), dual_model()]
+    return [sphere_model(), swap_complex(), torsion_model(1), torsion_model(2), dual_model()]
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +302,16 @@ def test_bool_u_exponents_are_refused_so_every_complex_loads_back(tmp_path):
         assert back.complex.diff == ic.complex.diff and back.iota == ic.iota
 
 
+def _one_generator_file(grading) -> dict:
+    return {"generators": [{"name": "x", "grading": grading}], "iota": {"x": [{"gen": "x", "upow": 0}]}}
+
+
 def test_library_and_file_read_gradings_alike():
     # a float grading used to be kept at its binary value (0.1 as
     # 3602879701896397/2^55), and True as 1, where the file route reads 0.1
     # as 1/10 and refuses True
     for raw, want in ((0.1, Fraction(1, 10)), (2.5, Fraction(5, 2)), ("1/3", Fraction(1, 3)), (True, None)):
-        data = {"generators": [{"name": "x", "grading": raw}], "iota": {"x": [{"gen": "x", "upow": 0}]}}
+        data = _one_generator_file(raw)
         if want is None:
             with pytest.raises(ValidationError, match="bad generator entry"):
                 complex_from_dict(data)
@@ -329,6 +327,39 @@ def test_library_and_file_read_gradings_alike():
             GradedComplex([("x", bad)], {})
 
 
+def test_grading_reader_parses_text():
+    # both routes read a grading's text the same way, spaces around it included
+    for text, want in (("3/4", Fraction(3, 4)), ("-1/2", Fraction(-1, 2)), ("0", 0), ("  7 ", 7)):
+        assert GradedComplex([("x", text)], {}).grading == {"x": want}
+        assert complex_from_dict(_one_generator_file(text)).complex.grading == {"x": want}
+    for bad in ("x", "1/0", True, False):
+        with pytest.raises(ValidationError, match="bad grading"):
+            GradedComplex([("x", bad)], {})
+        with pytest.raises(ValidationError, match="bad generator entry"):
+            complex_from_dict(_one_generator_file(bad))
+
+
+def test_grading_text_reads_back():
+    rng = random.Random(7)
+    for _ in range(200):
+        r = Fraction(rng.randint(-40, 40), rng.randint(1, 24))
+        back = complex_from_dict(_one_generator_file(str(r))).complex.grading["x"]
+        assert back == r and back.denominator > 0
+        assert GradedComplex([("x", str(r))], {}).grading["x"] == r
+
+
+def test_complex_file_writes_gradings_as_str():
+    # an int grading and a Fraction one are both written as str(Fraction(r))
+    def written(r) -> str:
+        ic = IotaComplex(GradedComplex([("x", r)], {}), {"x": [("x", 0)]})
+        return complex_to_dict(ic)["generators"][0]["grading"]
+
+    for r in (0, 3, -7, Fraction(0), Fraction(-4, 6), Fraction(10, 5), Fraction(1, 3)):
+        assert written(r) == str(Fraction(r))
+    assert written(Fraction(-4, 6)) == "-2/3"
+    assert written(Fraction(10, 5)) == "2"
+
+
 # ---------------------------------------------------------------------------
 # homology
 
@@ -341,7 +372,7 @@ def test_homology_sphere():
 
 
 def test_homology_swap_has_no_torsion():
-    s = homology_summary(swap_model())
+    s = homology_summary(swap_complex())
     assert s.free_grading == 0
     assert s.torsion == ()
 
@@ -474,7 +505,7 @@ def test_sphere_invariants():
 
 
 def test_swap_invariants():
-    res = d_results(swap_model())
+    res = d_results(swap_complex())
     assert (res.d, res.lower, res.upper) == (0, 0, 0)
 
 
@@ -742,7 +773,7 @@ def test_invariants_are_kept_on_each_iota_complex(monkeypatch):
     prod = tensor(ic, identity)
     assert prod._values is None and d_results(prod, check=False) == DResults(0, -4, 0)
     # an invalid complex still fails a checked call after an unchecked one
-    bad = IotaComplex(swap_model().complex, {"e1": [("e1", 0)], "e2": [("e1", 0)], "f": [("f", 0)]})
+    bad = IotaComplex(swap_complex().complex, {"e1": [("e1", 0)], "e2": [("e1", 0)], "f": [("f", 0)]})
     assert d_results(bad, check=False) == DResults(0, 0, 0)
     for call in (d_results, d_lower, d_upper):
         with pytest.raises(ValidationError, match="iota-chain-map"):
@@ -978,7 +1009,7 @@ def test_shift_covariance():
 
 def test_tensor_unit():
     unit = sphere_model()
-    for ic in (swap_model(), torsion_model(2), dual_model()):
+    for ic in (swap_complex(), torsion_model(2), dual_model()):
         prod = tensor(ic, unit)
         assert validate(prod).ok
         assert d_results(prod) == d_results(ic)
@@ -998,7 +1029,7 @@ def test_tensor_inequalities():
     #                       <= d_upper(A@B) <= d_upper(A)+d_upper(B)
     pairs = [
         (torsion_model(1), dual_model()),
-        (torsion_model(2), swap_model()),
+        (torsion_model(2), swap_complex()),
         (dual_model(), dual_model()),
     ]
     for a, b in pairs:

@@ -64,10 +64,13 @@ def test_output_is_pinned():
 
 
 def test_arguments_must_be_ints():
-    # random.Random took 1.5 as a seed, and True acted as 1
+    # random.Random took 1.5 as a seed, and True acted as 1; a negative
+    # max_pairs raised a bare ValueError, and a negative max_order or
+    # n_transvections returned a complex
     for kw in ({"seed": 1.5}, {"seed": True}, {"seed": "3"}, {"seed": None}, {"seed": 3, "max_pairs": 2.0},
-               {"seed": 3, "max_order": True}, {"seed": 3, "n_transvections": False}, {"seed": 3, "max_order": "4"}):
-        name = next(k for k, v in kw.items() if type(v) is not int)
+               {"seed": 3, "max_order": True}, {"seed": 3, "n_transvections": False}, {"seed": 3, "max_order": "4"},
+               {"seed": 3, "max_pairs": -1}, {"seed": 3, "max_order": -1}, {"seed": 3, "n_transvections": -3}):
+        name = next(k for k, v in kw.items() if type(v) is not int or v < 0)
         with pytest.raises(ValidationError, match=f"{name} must be an integer"):
             random_iota_complex(**kw)
 
