@@ -24,13 +24,14 @@ the target grading, and U^m, which sends U^k x to U^(k+m) x, leaves the
 mask as it is.  The integer view (D, the generator index, the scaled
 gradings, d's columns with the result of its checks, and the homology
 below) is built on first use and kept on the complex; it holds no
-reference back to it.  An IotaComplex keeps its (d, d_lower, d_upper) once
-they are computed, but not iota's columns, which other calls build once
-per call: only a tensor product keeps them.  So neither a GradedComplex
-nor the iota of an IotaComplex may be mutated after construction.  tensor
-builds a product of well-graded factors on columns: its view and iota's
-columns come straight from the factors', and its name-keyed diff and iota
-are made only when something reads them.
+reference back to it.  An IotaComplex keeps iota's columns, with the result
+of their check, once built, and its (d, d_lower, d_upper) once computed.
+A map is held once: when its columns pass the degree check its name-keyed
+terms are dropped, and diff or iota remakes them from the columns, with
+the U-exponents the gradings force, when first read after that.  So
+neither a GradedComplex nor the iota of an IotaComplex may be mutated after
+construction.  tensor builds a product of well-graded factors on columns:
+its view and iota's columns come straight from the factors'.
 
 validate checks d, iota and their composites on the columns.  Unless
 iota^2 = id exactly, it decides whether iota^2 is homotopic to id from the
@@ -65,7 +66,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -158,9 +158,10 @@ class GradedComplex:
     Fraction grading and a frozenset image are kept as given, not copied;
     a grading that is not an int is read by _read_grading, as a complex
     file's is.  A complex keeps its integer view, so it must not be mutated.
-    The diff of a tensor product is made when it is first read."""
+    Once the view's columns pass the degree check they stand for diff,
+    which is dropped and remade from them when next read."""
 
-    __slots__ = ("generators", "grading", "_diff", "_view", "_pending")
+    __slots__ = ("generators", "grading", "_diff", "_view")
 
     def __init__(self, generators: Sequence[tuple[str, Fraction]], diff: Mapping[str, Iterable[Term]]):
         names = [str(n) for n, _ in generators]
@@ -174,12 +175,11 @@ class GradedComplex:
             for n, g in generators}
         self._diff: Optional[dict[str, Element]] = _clean_map(self.generators, diff, "differential")
         self._view = None  # set once by _view, or by tensor
-        self._pending = None  # a product's deferred (diff, iota), until diff is read
 
     @property
     def diff(self) -> dict[str, Element]:
         if self._diff is None:
-            self._diff, self._pending = self._pending()[0], None
+            self._diff = _terms(self.generators, self._view, self._view.dcols, -1)
         return self._diff
 
     def __repr__(self) -> str:
@@ -187,23 +187,23 @@ class GradedComplex:
 
 
 class IotaComplex:
-    """A graded complex with a candidate homotopy involution.  It keeps its
-    (d, d_lower, d_upper), and a tensor product iota's columns, so iota must
-    not be mutated; a product's iota is made when it is first read."""
+    """A graded complex with a candidate homotopy involution.  It keeps
+    iota's columns and its (d, d_lower, d_upper), so iota must not be
+    mutated.  Once the columns pass the degree check they stand for iota,
+    which is dropped and remade from them when next read."""
 
-    __slots__ = ("complex", "_iota", "_icols", "_pending", "_values")
+    __slots__ = ("complex", "_iota", "_icols", "_values")
 
     def __init__(self, complex: GradedComplex, iota: Mapping[str, Iterable[Term]]):
         self.complex = complex
         self._iota: Optional[dict[str, Element]] = _clean_map(complex.generators, iota, "iota")
-        self._icols = None  # a product's iota columns, set by tensor
-        self._pending = None
+        self._icols = None  # set once by _iota_columns, or by tensor
         self._values = None  # (d, d_lower, d_upper), set once by _invariants
 
     @property
     def iota(self) -> dict[str, Element]:
         if self._iota is None:
-            self._iota, self._pending = self._pending()[1], None
+            self._iota = _terms(self.complex.generators, self.complex._view, self._icols[0], 0)
         return self._iota
 
     def __repr__(self) -> str:
@@ -251,6 +251,8 @@ def _view(cx: GradedComplex) -> _View:
         grading = [cx.grading[g] for g in cx.generators]
         D = lcm(*{q.denominator for q in grading})
         cx._view = _View(cx.generators, D, [q.numerator * (D // q.denominator) for q in grading], cx.diff)
+        if cx._view.d_degree is None:
+            cx._diff = None  # the columns stand for it
     return cx._view
 
 
@@ -258,9 +260,22 @@ _Columns = tuple[list[int], Optional[str]]
 
 
 def _iota_columns(ic: IotaComplex) -> _Columns:
-    """iota's columns and the detail of its degree check: the ones tensor
-    gave a product, or else built for the call."""
-    return ic._icols if ic._icols is not None else _columns(_view(ic.complex), ic.iota, 0)
+    """iota's columns and the detail of its degree check, built on first
+    use (or given by tensor) and kept on ic, whose iota terms they stand
+    for once the check passes."""
+    if ic._icols is None:
+        ic._icols = _columns(_view(ic.complex), ic.iota, 0)
+        if ic._icols[1] is None:
+            ic._iota = None
+    return ic._icols
+
+
+def _terms(names: Sequence[str], view: _View, cols: Sequence[int], degree: int) -> dict[str, Element]:
+    """The name-keyed map whose columns passed the degree check: the
+    gradings force each U-exponent, (gr_i - gr_j - degree * D) / 2D."""
+    gr, D = view.gr, view.D
+    return {names[j]: frozenset((names[i], (gr[i] - gr[j] - degree * D) // (2 * D)) for i in _bits(c))
+            for j, c in enumerate(cols) if c}
 
 
 def _columns(view: _View, mp: Mapping[str, Element], degree: int) -> _Columns:
@@ -642,8 +657,8 @@ def tensor(a: IotaComplex, b: IotaComplex, sep: str = "|") -> IotaComplex:
     iota acts diagonally.  The gradings are added on the factors' integer
     views, which are built if they are not there yet.  When both factors
     pass their degree checks, the product's view and iota's columns are
-    built from the factors' columns, and its diff and iota are made when
-    first read; otherwise they are made at once."""
+    built from the factors' columns, and its diff and iota are remade from
+    them when read; otherwise they are made as terms at once."""
     ca, cb = a.complex, b.complex
     va, vb = _view(ca), _view(cb)
     D = lcm(va.D, vb.D)
@@ -674,7 +689,6 @@ def tensor(a: IotaComplex, b: IotaComplex, sep: str = "|") -> IotaComplex:
     ic = IotaComplex.__new__(IotaComplex)
     ic.complex, ic._icols = cx, (icols, None)
     cx._diff = ic._iota = ic._values = None
-    cx._pending = ic._pending = cache(lambda: _product_terms(a, b, names))
     return ic
 
 

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -614,10 +615,12 @@ def test_class_search_matches_brute_oracle_on_fractional_gradings():
 def _check_columns_against_terms(ic) -> int:
     """In every piece down to 2N + 4 below the lowest generator, the column
     images of each element U^k x under d, id+iota and U^m are the
-    (generator, U-exponent) images that apply_map and elt_shift give.  A
-    product's columns are built from its factors' and its maps of terms on
-    first read, so the two are compared."""
+    (generator, U-exponent) images that apply_map and elt_shift give.  The
+    maps are read before the columns are built, so a complex built from
+    terms is checked on the terms it was given; a product's, which has
+    columns from the start, are remade from them."""
     cx = ic.complex
+    diff, iota_map = cx.diff, ic.iota
     view = iota._view(cx)
     id_iota = iota._id_plus_iota(iota._iota_columns(ic))
     step = 2 * view.D
@@ -637,8 +640,8 @@ def _check_columns_against_terms(ic) -> int:
     for g in candidate_gradings(view, min(view.gr) - step * (n_exp + 2)):
         for j in piece(view, g):
             x = element_at(1 << j, g)
-            assert iota.apply_map(cx.diff, x) == element_at(view.dcols[j], g - view.D), (ic, g, x)
-            assert iota.apply_map(ic.iota, x) ^ x == element_at(id_iota[j], g), (ic, g, x)
+            assert iota.apply_map(diff, x) == element_at(view.dcols[j], g - view.D), (ic, g, x)
+            assert iota.apply_map(iota_map, x) ^ x == element_at(id_iota[j], g), (ic, g, x)
             for m in range(4):
                 assert iota.elt_shift(x, m) == element_at(1 << j, g - m * step), (ic, g, x)
             checked += 1
@@ -816,13 +819,16 @@ def test_oracle_reduces_nothing_and_keeps_nothing(monkeypatch):
         assert _reachable(view) == before and ic.complex._view is view and ic._values is wrong
 
 
-def test_d_results_builds_iota_columns_once(monkeypatch):
-    # each call builds iota's columns once, from ic.iota; tensor gives a
-    # product its columns, so no call builds them, nor the product's maps
-    # of terms
-    plain = [torsion_model(2), dual_model()]
-    products = [tensor(dual_model(), random_iota_complex(3)),
-                tensor(random_iota_complex(5, max_order=4), random_iota_complex(6, max_order=4))]
+def test_each_complex_holds_its_maps_once(monkeypatch):
+    # iota's columns are built once per complex, whichever calls come first;
+    # tensor gives a product its columns.  Once a map's columns pass their
+    # degree check they stand for it: its terms are dropped, and the first
+    # read remakes them equal to the ones given
+    plain = [torsion_model(2), dual_model(), shift(figure_eight_complex(), Fraction(1, 3))]
+    given = [(ic.complex.diff, ic.iota) for ic in plain]
+    pairs = [(dual_model(), random_iota_complex(3)),
+             (random_iota_complex(5, max_order=4), random_iota_complex(6, max_order=4))]
+    products = [tensor(a, b) for a, b in pairs]
     iota_builds = []
     columns = iota._columns
 
@@ -832,19 +838,91 @@ def test_d_results_builds_iota_columns_once(monkeypatch):
 
     monkeypatch.setattr(iota, "_columns", counted)
     for ic in plain + products:
+        iota_builds.clear()
         span = homology_summary(ic, check=False).torsion_exponent + len(ic.complex.generators)
-        calls = [lambda: d_results(ic), lambda: d_lower(ic), lambda: d_upper(ic), lambda: validate(ic),
-                 lambda: brute_oracle(ic, truncation=span)]
-        builds = []
-        for call in calls:
-            iota_builds.clear()
-            call()
-            builds.append(list(iota_builds))
-        if any(ic is p for p in products):
-            assert builds == [[]] * len(calls) and ic._iota is None and ic.complex._diff is None
-        else:
-            assert all(len(b) == 1 and b[0] is ic.iota for b in builds)
-    assert [len(p.complex.generators) for p in products] == [3, 25]
+        for call in (d_results, d_lower, d_upper, validate, lambda ic: brute_oracle(ic, truncation=span)):
+            call(ic)
+            assert ic.complex._diff is None and ic._iota is None
+        assert len(iota_builds) == (0 if any(ic is p for p in products) else 1)
+    monkeypatch.undo()
+    assert iota._view(plain[2].complex).D == 3 and [len(p.complex.generators) for p in products] == [3, 25]
+    for ic, (diff, iota_map) in zip(plain, given):
+        assert (ic.complex.diff, ic.iota) == (diff, iota_map)
+        assert ic.complex.diff is ic.complex.diff and ic.iota is ic.iota
+    for prod, (a, b) in zip(products, pairs):
+        assert (prod.complex.diff, prod.iota) == iota._product_terms(a, b, list(prod.complex.generators))
+    # a map that fails its degree check keeps its terms, which validate reads
+    for ic, kept in ((next(_invalid_models()), "diff"), (list(_invalid_models())[4], "iota")):
+        diff, iota_map = ic.complex.diff, ic.iota
+        report = validate(ic)
+        assert not report.ok and report.checks[0 if kept == "diff" else 2].ok is False
+        assert (ic.complex._diff is diff) == (kept == "diff") and (ic._iota is iota_map) == (kept == "iota")
+        assert (ic.complex.diff, ic.iota) == (diff, iota_map)
+
+
+def _randgen_products(count: int):
+    """(a, b, a x b, (a x b) x a) over consecutive randgen seed pairs."""
+    for j in range(count):
+        a, b = random_iota_complex(2 * j, max_order=4), random_iota_complex(2 * j + 1, max_order=4)
+        p = tensor(a, b)
+        yield a, b, p, tensor(p, a)
+
+
+def test_product_maps_match_product_terms():
+    # a product's maps, remade from its columns, are the ones _product_terms
+    # builds from the factors' terms
+    for a, b, p, t in _randgen_products(60):
+        for prod, (x, y) in ((p, (a, b)), (t, (p, a))):
+            d_results(prod)
+            assert (prod.complex.diff, prod.iota) == iota._product_terms(x, y, list(prod.complex.generators))
+
+
+# sha256 of _serialized_maps(), recorded with the engine that kept every
+# complex's maps of terms as given
+PINNED_MAPS_SHA256 = "5f18b5a29f17c9e5d7b2517aba3a095f949f3474ef229aa440c84571d1765158"
+
+
+def _serialized_maps() -> list[str]:
+    """complex_to_dict of each complex and of its dual, after a checked
+    d_results: randgen seeds plain and shifted by 1/3 and by -5/7, products
+    and triples of consecutive seed pairs, and the two verify fixtures."""
+    cases = []
+    for seed in range(400):
+        ic = random_iota_complex(seed, max_order=4)
+        cases += [ic, shift(ic, Fraction(1, 3)), shift(ic, Fraction(-5, 7))]
+    for _, _, p, t in _randgen_products(60):
+        cases += [p, t]
+    cases += [figure_eight_complex(), swap_complex()]
+    records = []
+    for ic in cases:
+        d_results(ic, check=True)
+        records += [json.dumps(complex_to_dict(x), sort_keys=True) for x in (ic, dual(ic))]
+    return records
+
+
+def test_serialized_maps_match_pinned_digest():
+    records = _serialized_maps()
+    assert len(records) == 2644
+    assert hashlib.sha256("\n".join(records).encode()).hexdigest() == PINNED_MAPS_SHA256
+
+
+def test_randgen_complex_memory_after_d_results():
+    # d's and iota's columns stand for their maps of terms, so a solved
+    # randgen complex holds each map once
+    random_iota_complex(0, max_order=4)  # one-time allocations stay out of the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        held = []
+        for seed in range(2000):
+            held.append(random_iota_complex(seed, max_order=4))
+            d_results(held[-1], check=False)
+        gc.collect()
+        per_complex = (tracemalloc.get_traced_memory()[0] - base) / len(held)
+    finally:
+        tracemalloc.stop()
+    assert per_complex <= 2000, per_complex
 
 
 def test_view_is_kept_and_holds_no_reference_to_its_complex():
@@ -857,8 +935,8 @@ def test_view_is_kept_and_holds_no_reference_to_its_complex():
     res = d_results(ic)
     brute_oracle(ic, truncation=homology_summary(ic).torsion_exponent + len(cx.generators))
     assert d_results(ic) == res and cx._view is view
-    # nothing reachable from the view, or from the iota columns tensor kept
-    # on ic, leads back to the complex, so a dropped complex is freed at
+    # nothing reachable from the view, or from the iota columns kept on
+    # ic, leads back to the complex, so a dropped complex is freed at
     # once rather than by the cyclic GC
     seen = _reachable(view) | _reachable(ic._icols)
     assert id(cx) not in seen and id(ic) not in seen

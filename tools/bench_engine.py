@@ -21,8 +21,8 @@ cached on them (cold):
   (C x D) x C of two 3-generator complexes, built the way the engine-sweep
   workload builds it: every factor has been through d_results first, so
   its integer view is there; microseconds per product;
-- the first read of a 25-generator product's diff and iota, which a
-  product of well-graded factors makes only then (product25.read_maps_us);
+- the first read of a 25-generator product's diff and iota, which are
+  remade from its columns then (product25.read_maps_us);
 - d_results on the seventh tensor power of the figure-eight complex (2187
   generators, at most 3 repeats), seconds;
 - validate on a complex whose iota squares to the identity only up to
@@ -49,7 +49,14 @@ cached on them (cold):
   1297-entry V-sequence of T(2, 2593), microseconds;
 - the tracemalloc peak of lens_d_vector(20011, 797) and of niwu_d(20011,
   3) on the V-sequence of T(2, 401), in bytes per label, once per worker
-  after the timings (*.traced_b_per_label).
+  after the timings (*.traced_b_per_label);
+- the traced memory still held, after a garbage collection, by
+  random_iota_complex(seed, max_order=4) for seeds 0-1999, each solved by
+  d_results(check=False), in bytes per complex (randgen2000.held_b), and by
+  the 729-generator plain complex that complex_from_dict reads from the
+  fifth tensor power of the figure-eight complex, solved by
+  d_results(check=True), in KB (fig8_pow6_plain.held_kb); both once per
+  worker, and exact.
 
 A side's figure for a layer is the minimum over all its repeats in all its
 workers; its peak RSS is the largest of its workers' (ru_maxrss), and it
@@ -64,6 +71,7 @@ root).  Numbers vary with the machine: quote them with its CPU and Python.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -123,6 +131,41 @@ def traced_peak(call) -> int:
     peak = tracemalloc.get_traced_memory()[1] - base
     tracemalloc.stop()
     return peak
+
+
+def traced_held(build) -> int:
+    """Bytes of traced memory still held, after a garbage collection, by
+    what build() returns."""
+    gc.collect()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    kept = build()
+    gc.collect()
+    held = tracemalloc.get_traced_memory()[0] - base
+    tracemalloc.stop()
+    del kept
+    return held
+
+
+def held_probes() -> list:
+    """(name, build, scale) of the traced-held probes."""
+    from cablecalc import iota
+    from cablecalc.randgen import random_iota_complex
+    from cablecalc.verify import figure_eight_complex
+
+    def solved(ics, check):
+        for ic in ics:
+            iota.d_results(ic, check=check)
+        return ics
+
+    f8 = figure_eight_complex()
+    power = f8
+    for _ in range(5):
+        power = iota.tensor(power, f8)
+    data = iota.complex_to_dict(power)  # names and text gradings, made outside the trace
+    return [("randgen2000.held_b", lambda: solved([random_iota_complex(s, max_order=4) for s in range(2000)], False),
+             1 / 2000),
+            ("fig8_pow6_plain.held_kb", lambda: solved([iota.complex_from_dict(data)], True), 1 / 1024)]
 
 
 def measure() -> dict:
@@ -230,6 +273,8 @@ def measure() -> dict:
     for name, call, labels in probes:
         call()  # warm, as the timed repeats have warmed every other layer
         out[name] = round(traced_peak(call) / labels, 1)
+    for name, build, scale in held_probes():
+        out[name] = round(traced_held(build) * scale, 1)
     out["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     pkg = Path(iota.__file__).resolve().parent
     out["src_nonblank_lines"] = sum(1 for f in sorted(pkg.glob("*.py"))
@@ -283,7 +328,8 @@ def main(argv=None) -> int:
                        "fixed randgen seeds (max_order=4), and the knot side's label-vector layers: "
                        "the minimum over every repeat of every worker, *_us per complex, product, "
                        "label or sequence, *_ms and *_s per call; *.traced_b_per_label the "
-                       "tracemalloc peak per label; peak_rss_mb the largest worker's; "
+                       "tracemalloc peak per label; *.held_b and *.held_kb the traced memory "
+                       "a solved complex holds; peak_rss_mb the largest worker's; "
                        "iota_compile_peak_mb the largest ru_maxrss growth of compiling iota.py "
                        "in a fresh interpreter; non-blank lines of src/cablecalc",
         "settings": {"processes": PROCESSES, "repeats": REPEATS,
