@@ -484,7 +484,7 @@ def load_knot_spec(path) -> KnotSpec:
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read knot spec: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # a JSONDecodeError, a UnicodeDecodeError or an over-long integer
         raise ValidationError(f"knot spec {path} is not valid JSON: {exc}") from None
     return knot_spec_from_dict(data)
 

@@ -12,26 +12,27 @@ Inside the engine gradings are integers: the complex's gradings are scaled
 by D, the lcm of their denominators, so d has degree -D and U degree -2D,
 and only generators in one class mod 2D meet in a graded piece.  Fractions
 are made only for the values returned and for the gradings of a tensor
-product, which are added as integers on the factors' views.  The engine
-works in generator coordinates.  A map is one bitmask column per generator
-(bit i: generator i occurs in the image), and its U-exponents are checked
+product, which are added as integers on the factors'.  The engine works
+in generator coordinates.  A map is one bitmask column per generator (bit
+i: generator i occurs in the image), and its U-exponents are checked
 once, where the columns are built; a column stands for the map only when
 that check passes.  A graded piece V_g is the list of generators x of its
 class with gr(x) >= g, standing for the elements U^k x with
 k = (gr(x) - g)/2D, and an element of it is a mask over the generators.
 The image of U^k x under a map is then the generator's column, read at
 the target grading, and U^m, which sends U^k x to U^(k+m) x, leaves the
-mask as it is.  The integer view (D, the generator index, the scaled
-gradings, d's columns with the result of its checks, and the homology
-below) is built on first use and kept on the complex; it holds no
-reference back to it.  An IotaComplex keeps iota's columns, with the result
-of their check, once built, and its (d, d_lower, d_upper) once computed.
-A map is held once: when its columns pass the degree check its name-keyed
-terms are dropped, and diff or iota remakes them from the columns, with
-the U-exponents the gradings force, when first read after that.  So
-neither a GradedComplex nor the iota of an IotaComplex may be mutated after
-construction.  tensor builds a product of well-graded factors on columns:
-its view and iota's columns come straight from the factors'.
+mask as it is.  A complex holds its coordinates from construction on: a
+GradedComplex its D, generator index, scaled gradings and d's columns,
+with the results of its degree and d^2 checks, and once computed its
+homology; an IotaComplex iota's columns, with the result of their check,
+and once computed its (d, d_lower, d_upper).  None of these refers back to
+the complex.  A map is held once: when its columns pass the degree check
+its name-keyed terms are dropped at construction, and diff or iota
+remakes them from the columns, with the U-exponents the gradings force,
+on first read and keeps them.  So neither a GradedComplex nor the iota of
+an IotaComplex may be mutated after construction.  tensor builds a
+product of well-graded factors on columns: its d's and iota's columns
+come straight from the factors'.
 
 validate checks d, iota and their composites on the columns.  Unless
 iota^2 = id exactly, it decides whether iota^2 is homotopic to id from the
@@ -143,25 +144,30 @@ def _clean_map(generators: Sequence[str], raw: Mapping[str, Iterable[Term]], wha
 
 def _read_grading(name, g) -> Fraction:
     """A grading read from its text form ("p/q", an integer or a decimal),
-    as every complex file's is; a bool is refused."""
+    as every complex file's is; a bool is refused, and so is a value whose
+    text form str cannot write (past the interpreter's digit limit)."""
     if not isinstance(g, bool):
         try:
-            return Fraction(str(g))
+            q = Fraction(str(g))
+            str(q)
+            return q
         except (ValueError, ZeroDivisionError):
             pass
     raise ValidationError(f"bad grading {g!r} of generator {name!r}")
 
 
 class GradedComplex:
-    """Free F2[U]-complex: ordered generators, exact rational gradings,
-    differential stored as generator -> element (missing means zero).  A
-    Fraction grading and a frozenset image are kept as given, not copied;
-    a grading that is not an int is read by _read_grading, as a complex
-    file's is.  A complex keeps its integer view, so it must not be mutated.
-    Once the view's columns pass the degree check they stand for diff,
-    which is dropped and remade from them when next read."""
+    """Free F2[U]-complex: ordered generators, exact rational gradings and
+    the differential, held in generator coordinates: D, the generator
+    index, the scaled gradings gr, d's columns, the details of its degree
+    and d^2 checks (None when they pass) and, once _homology has run, its
+    homology.  A Fraction grading is kept as given and a frozenset image is
+    read without copying; a grading that is not an int is read by
+    _read_grading, as a complex file's is.  A complex must not be mutated.
+    When d's columns pass the degree check they stand for diff, which is
+    remade from them on first read."""
 
-    __slots__ = ("generators", "grading", "_diff", "_view")
+    __slots__ = ("generators", "grading", "D", "index", "gr", "dcols", "d_degree", "d_square", "hom", "_diff")
 
     def __init__(self, generators: Sequence[tuple[str, Fraction]], diff: Mapping[str, Iterable[Term]]):
         names = [str(n) for n, _ in generators]
@@ -173,70 +179,32 @@ class GradedComplex:
         self.grading: dict[str, Fraction] = {
             str(n): g if type(g) is Fraction else Fraction(g) if type(g) is int else _read_grading(n, g)
             for n, g in generators}
-        self._diff: Optional[dict[str, Element]] = _clean_map(self.generators, diff, "differential")
-        self._view = None  # set once by _view, or by tensor
+        D = lcm(*{q.denominator for q in self.grading.values()})
+        self._coords(D, [q.numerator * (D // q.denominator) for q in self.grading.values()],
+                     _clean_map(self.generators, diff, "differential"))
 
-    @property
-    def diff(self) -> dict[str, Element]:
-        if self._diff is None:
-            self._diff = _terms(self.generators, self._view, self._view.dcols, -1)
-        return self._diff
-
-    def __repr__(self) -> str:
-        return f"GradedComplex({len(self.generators)} generators)"
-
-
-class IotaComplex:
-    """A graded complex with a candidate homotopy involution.  It keeps
-    iota's columns and its (d, d_lower, d_upper), so iota must not be
-    mutated.  Once the columns pass the degree check they stand for iota,
-    which is dropped and remade from them when next read."""
-
-    __slots__ = ("complex", "_iota", "_icols", "_values")
-
-    def __init__(self, complex: GradedComplex, iota: Mapping[str, Iterable[Term]]):
-        self.complex = complex
-        self._iota: Optional[dict[str, Element]] = _clean_map(complex.generators, iota, "iota")
-        self._icols = None  # set once by _iota_columns, or by tensor
-        self._values = None  # (d, d_lower, d_upper), set once by _invariants
-
-    @property
-    def iota(self) -> dict[str, Element]:
-        if self._iota is None:
-            self._iota = _terms(self.complex.generators, self.complex._view, self._icols[0], 0)
-        return self._iota
-
-    def __repr__(self) -> str:
-        return f"IotaComplex({len(self.complex.generators)} generators)"
-
-
-# ---------------------------------------------------------------------------
-# the integer view of a complex
-
-
-class _View:
-    """One complex in generator coordinates, on its scaled-integer gradings:
-    the generator index, d's columns, the details of its degree and d^2
-    checks (None when they pass) and, once _homology has run, its homology.
-    It is built once per complex and holds no reference back to it.  d's
-    columns are built from diff, or given, by tensor, with no degree fault."""
-
-    __slots__ = ("D", "index", "gr", "dcols", "d_degree", "d_square", "hom")
-
-    def __init__(self, names: Sequence[str], D: int, gr: list[int], diff: Optional[Mapping[str, Element]],
-                 dcols: Optional[list[int]] = None):
-        self.D, self.gr = D, gr
-        self.index: dict[str, int] = {g: i for i, g in enumerate(names)}
+    def _coords(self, D: int, gr: list[int], diff: Optional[dict[str, Element]], dcols: Optional[list[int]] = None):
+        """Set the coordinates on the scaled gradings gr, d's columns built
+        from diff, or given, by tensor, with no degree fault."""
+        self.D, self.gr, self.hom = D, gr, None
+        self.index: dict[str, int] = {g: i for i, g in enumerate(self.generators)}
         self.dcols, self.d_degree = _columns(self, diff, -1) if dcols is None else (dcols, None)
         if self.d_degree is None:
-            self.d_square = next((f"d(d({g})) != 0" for g, c in zip(names, self.dcols)
+            self._diff = None  # the columns stand for it
+            self.d_square = next((f"d(d({g})) != 0" for g, c in zip(self.generators, self.dcols)
                                   if _image(self.dcols, c)), None)
         else:
             # the columns drop U-exponents, which only the degree check
             # ties to the gradings, so d^2 is taken on the terms
-            self.d_square = next((f"d(d({g})) != 0" for g in names
+            self._diff = diff
+            self.d_square = next((f"d(d({g})) != 0" for g in self.generators
                                   if apply_map(diff, diff.get(g, ZERO))), None)
-        self.hom = None  # set once by _homology, and only when both checks pass
+
+    @property
+    def diff(self) -> dict[str, Element]:
+        if self._diff is None:
+            self._diff = _terms(self, self.dcols, -1)
+        return self._diff
 
     def scaled(self, q: Fraction) -> int:
         return q.numerator * (self.D // q.denominator)
@@ -244,49 +212,64 @@ class _View:
     def unscaled(self, g: int) -> Fraction:
         return Fraction(g, self.D)
 
-
-def _view(cx: GradedComplex) -> _View:
-    """cx's integer view, built on first use and kept on the complex."""
-    if cx._view is None:
-        grading = [cx.grading[g] for g in cx.generators]
-        D = lcm(*{q.denominator for q in grading})
-        cx._view = _View(cx.generators, D, [q.numerator * (D // q.denominator) for q in grading], cx.diff)
-        if cx._view.d_degree is None:
-            cx._diff = None  # the columns stand for it
-    return cx._view
+    def __repr__(self) -> str:
+        return f"GradedComplex({len(self.generators)} generators)"
 
 
-_Columns = tuple[list[int], Optional[str]]
+class IotaComplex:
+    """A graded complex with a candidate homotopy involution, held as its
+    columns, with the detail of their degree check (None when it passes),
+    and its (d, d_lower, d_upper) once computed.  iota must not be mutated.
+    When the columns pass the check they stand for iota, which is remade
+    from them on first read."""
+
+    __slots__ = ("complex", "icols", "i_degree", "_iota", "_values")
+
+    def __init__(self, complex: GradedComplex, iota: Mapping[str, Iterable[Term]]):
+        self.complex = complex
+        terms = _clean_map(complex.generators, iota, "iota")
+        self.icols, self.i_degree = _columns(complex, terms, 0)
+        self._iota: Optional[dict[str, Element]] = None if self.i_degree is None else terms
+        self._values = None  # (d, d_lower, d_upper), set once by _invariants
+
+    @property
+    def iota(self) -> dict[str, Element]:
+        if self._iota is None:
+            self._iota = _terms(self.complex, self.icols, 0)
+        return self._iota
+
+    def __repr__(self) -> str:
+        return f"IotaComplex({len(self.complex.generators)} generators)"
 
 
-def _iota_columns(ic: IotaComplex) -> _Columns:
-    """iota's columns and the detail of its degree check, built on first
-    use (or given by tensor) and kept on ic, whose iota terms they stand
-    for once the check passes."""
-    if ic._icols is None:
-        ic._icols = _columns(_view(ic.complex), ic.iota, 0)
-        if ic._icols[1] is None:
-            ic._iota = None
-    return ic._icols
+# ---------------------------------------------------------------------------
+# generator coordinates
 
 
-def _terms(names: Sequence[str], view: _View, cols: Sequence[int], degree: int) -> dict[str, Element]:
+def _terms(cx: GradedComplex, cols: Sequence[int], degree: int) -> dict[str, Element]:
     """The name-keyed map whose columns passed the degree check: the
     gradings force each U-exponent, (gr_i - gr_j - degree * D) / 2D."""
-    gr, D = view.gr, view.D
+    names, gr, D = cx.generators, cx.gr, cx.D
     return {names[j]: frozenset((names[i], (gr[i] - gr[j] - degree * D) // (2 * D)) for i in _bits(c))
             for j, c in enumerate(cols) if c}
 
 
-def _columns(view: _View, mp: Mapping[str, Element], degree: int) -> _Columns:
-    """mp as one column per generator, and the first term (by source, then
-    term order) whose U-exponent breaks the degree, or None."""
-    index, gr, step = view.index, view.gr, 2 * view.D
+def _held_maps(ic: IotaComplex) -> tuple[dict[str, Element], dict[str, Element]]:
+    """ic's diff and iota as terms, read without keeping remade ones on ic."""
+    cx = ic.complex
+    return (_terms(cx, cx.dcols, -1) if cx._diff is None else cx._diff,
+            _terms(cx, ic.icols, 0) if ic._iota is None else ic._iota)
+
+
+def _columns(cx: GradedComplex, mp: Mapping[str, Element], degree: int) -> tuple[list[int], Optional[str]]:
+    """mp as one column per generator of cx, and the first term (by
+    source, then term order) whose U-exponent breaks the degree, or None."""
+    index, gr, step = cx.index, cx.gr, 2 * cx.D
     cols = [0] * len(gr)
     detail = None
     for src, val in mp.items():
         j = index[src]
-        want = gr[j] + degree * view.D
+        want = gr[j] + degree * cx.D
         col = 0
         for g, e in val:
             i = index[g]
@@ -316,13 +299,12 @@ def _image(cols: Sequence[int], mask: int) -> int:
     return acc
 
 
-def _id_plus_iota(iota_cols: _Columns) -> list[int]:
-    """Columns of id+iota from iota's; an iota term of the wrong degree,
-    which no column can stand for, raises."""
-    cols, detail = iota_cols
-    if detail is not None:
-        raise InternalCheckError(f"iota is not a degree-0 map: {detail}")
-    return [c ^ 1 << j for j, c in enumerate(cols)]
+def _id_plus_iota(ic: IotaComplex) -> list[int]:
+    """Columns of id+iota; an iota term of the wrong degree, which no
+    column can stand for, raises."""
+    if ic.i_degree is not None:
+        raise InternalCheckError(f"iota is not a degree-0 map: {ic.i_degree}")
+    return [c ^ 1 << j for j, c in enumerate(ic.icols)]
 
 
 # ---------------------------------------------------------------------------
@@ -359,35 +341,34 @@ def _null_homotopic(cx: GradedComplex, fcols: list[int]) -> bool:
     coefficients over the graded PID F2[U]), and one whose middle term is
     the sum of its ends splits (Miyata, Note on direct summands of modules,
     1967).  The modules are compared by their (grading, U-order) classes,
-    free ones of order 0; C's come from its view.
+    free ones of order 0.
     """
-    view = _view(cx)
-    if any(_image(view.dcols, fc) != _image(fcols, dc) for fc, dc in zip(fcols, view.dcols)):
+    if any(_image(cx.dcols, fc) != _image(fcols, dc) for fc, dc in zip(fcols, cx.dcols)):
         return False
     free, torsion = _homology(cx)
-    ours = [(view.scaled(g), 0) for g in free] + [(view.scaled(g), e) for g, e in torsion]
-    got_free, got_torsion = _cone_homology(view, fcols)
-    return (sorted(ours + [(g - view.D, e) for g, e in ours])
+    ours = [(cx.scaled(g), 0) for g in free] + [(cx.scaled(g), e) for g, e in torsion]
+    got_free, got_torsion = _cone_homology(cx, fcols)
+    return (sorted(ours + [(g - cx.D, e) for g, e in ours])
             == sorted([(g, 0) for g in got_free] + got_torsion))
 
 
-def _validate(ic: IotaComplex, view: _View, iota_cols: _Columns) -> list[tuple[str, Optional[str]]]:
+def _validate(ic: IotaComplex) -> list[tuple[str, Optional[str]]]:
     """(name, failure detail or None) of every check."""
-    icols, i_degree = iota_cols
-    details = [("differential-degree", view.d_degree), ("differential-squared", view.d_square),
-               ("iota-degree", i_degree)]
+    cx = ic.complex
+    details = [("differential-degree", cx.d_degree), ("differential-squared", cx.d_square),
+               ("iota-degree", ic.i_degree)]
     if any(detail is not None for _, detail in details):
         skipped = ("iota-chain-map", "iota-squared-homotopic-identity", "localized-rank-one")
         details += [(name, "not checked: structural failure") for name in skipped]
     else:
         # every exponent is now forced by the gradings, so the columns
         # stand for the maps and their composites
-        dcols = view.dcols
-        chain = next((f"iota fails to commute with d on {g}" for j, g in enumerate(ic.complex.generators)
+        dcols, icols = cx.dcols, ic.icols
+        chain = next((f"iota fails to commute with d on {g}" for j, g in enumerate(cx.generators)
                       if _image(dcols, icols[j]) != _image(icols, dcols[j])), None)
         square_plus_id = [_image(icols, c) ^ 1 << j for j, c in enumerate(icols)]
-        homotopic = not any(square_plus_id) or _null_homotopic(ic.complex, square_plus_id)
-        rank = len(_homology(ic.complex)[0])
+        homotopic = not any(square_plus_id) or _null_homotopic(cx, square_plus_id)
+        rank = len(_homology(cx)[0])
         details += [
             ("iota-chain-map", chain),
             ("iota-squared-homotopic-identity", None if homotopic else "no homotopy from iota^2 to id"),
@@ -398,19 +379,15 @@ def _validate(ic: IotaComplex, view: _View, iota_cols: _Columns) -> list[tuple[s
 
 def validate(ic: IotaComplex) -> ValidationReport:
     """Check all defining properties; later checks are skipped once one fails."""
-    details = _validate(ic, _view(ic.complex), _iota_columns(ic))
-    checks = (ValidationCheck(name, detail is None, detail or "") for name, detail in details)
+    checks = (ValidationCheck(name, detail is None, detail or "") for name, detail in _validate(ic))
     return ValidationReport(tuple(checks))
 
 
-def _checked(ic: IotaComplex, check: bool) -> tuple[_View, _Columns]:
-    """ic's view and iota's columns; with check set, an ic that fails
-    validate raises ValidationError."""
-    view, iota_cols = _view(ic.complex), _iota_columns(ic)
-    bad = [(name, detail) for name, detail in _validate(ic, view, iota_cols) if detail] if check else []
+def _check(ic: IotaComplex) -> None:
+    """Raise ValidationError when ic fails validate."""
+    bad = [(name, detail) for name, detail in _validate(ic) if detail]
     if bad:
         raise ValidationError(f"invalid iota-complex: {bad[0][0]}: {bad[0][1]}")
-    return view, iota_cols
 
 
 # ---------------------------------------------------------------------------
@@ -422,16 +399,15 @@ _Homology = tuple[tuple[Fraction, ...], tuple[tuple[Fraction, int], ...]]
 
 def _homology(cx: GradedComplex) -> _Homology:
     """(free part gradings, torsion (grading, U-order) pairs) of H_*(C),
-    computed on first use and kept on the complex's view."""
-    view = _view(cx)
-    if view.hom is None:
-        for detail in (view.d_degree, view.d_square):
+    computed on first use and kept on the complex."""
+    if cx.hom is None:
+        for detail in (cx.d_degree, cx.d_square):
             if detail is not None:
                 raise InternalCheckError(f"homology of a non-complex: {detail}")
-        free, torsion = _reduce_homology(view.dcols, view.gr, view.D)
-        view.hom = (tuple(view.unscaled(g) for g in free),
-                    tuple((view.unscaled(g), e) for g, e in sorted(torsion, reverse=True)))
-    return view.hom
+        free, torsion = _reduce_homology(cx.dcols, cx.gr, cx.D)
+        cx.hom = (tuple(cx.unscaled(g) for g in free),
+                  tuple((cx.unscaled(g), e) for g, e in sorted(torsion, reverse=True)))
+    return cx.hom
 
 
 def _reduce_homology(cols: Sequence[int], gr: Sequence[int], D: int) -> tuple[list[int], list[tuple[int, int]]]:
@@ -516,11 +492,11 @@ def _reduce_homology(cols: Sequence[int], gr: Sequence[int], D: int) -> tuple[li
     return [gr[j] for j in _bits(live)], torsion
 
 
-def _cone_homology(view: _View, fcols: Sequence[int]) -> tuple[list[int], list[tuple[int, int]]]:
-    """_reduce_homology of the cone of the degree-0 chain map f with columns
-    fcols: x at gr(x) with column dx + Q f(x), and Qx at gr(x) - D with
-    column Q dx, Q's bits above C's."""
-    n, D, gr, dcols = len(view.gr), view.D, view.gr, view.dcols
+def _cone_homology(cx: GradedComplex, fcols: Sequence[int]) -> tuple[list[int], list[tuple[int, int]]]:
+    """_reduce_homology of the cone of the degree-0 chain map f on cx with
+    columns fcols: x at gr(x) with column dx + Q f(x), and Qx at gr(x) - D
+    with column Q dx, Q's bits above C's."""
+    n, D, gr, dcols = len(cx.gr), cx.D, cx.gr, cx.dcols
     cols = [c | t << n for c, t in zip(dcols, fcols)] + [c << n for c in dcols]
     return _reduce_homology(cols, gr + [g - D for g in gr], D)
 
@@ -536,7 +512,7 @@ def homology_summary(ic: IotaComplex | GradedComplex, check: bool = True) -> Hom
     """Free-part grading, torsion classes and the maximal torsion U-order."""
     cx = ic.complex if isinstance(ic, IotaComplex) else ic
     if check and isinstance(ic, IotaComplex):
-        _checked(ic, True)
+        _check(ic)
     free, torsion = _rank_one(cx)
     return HomologySummary(free[0], torsion, max((e for _, e in torsion), default=0))
 
@@ -560,22 +536,22 @@ def d_invariant(ic: IotaComplex | GradedComplex, check: bool = True) -> Fraction
 
 def _invariants(ic: IotaComplex, check: bool) -> tuple[Fraction, Fraction, Fraction]:
     """(d, d_lower, d_upper), the last two read off the two free generators
-    of the homology of the cone of Q(1+iota), and kept on ic.  Unless check
-    is set, kept values are returned before iota's columns are built."""
-    if ic._values is None or check:
-        view, iota_cols = _checked(ic, check)
+    of the homology of the cone of Q(1+iota), and kept on ic."""
+    if check:
+        _check(ic)
     if ic._values is None:
-        d = _rank_one(ic.complex)[0][0]
-        free, _ = _cone_homology(view, _id_plus_iota(iota_cols))
-        sd, D = view.scaled(d), view.D
+        cx = ic.complex
+        d = _rank_one(cx)[0][0]
+        free, _ = _cone_homology(cx, _id_plus_iota(ic))
+        sd, D = cx.scaled(d), cx.D
         lower = [g for g in free if (g - sd) % (2 * D) == 0]
         upper = [g + D for g in free if (g + D - sd) % (2 * D) == 0]
         if len(free) != 2 or len(lower) != 1 or len(upper) != 1:
-            found = ", ".join(str(view.unscaled(g)) for g in free)
+            found = ", ".join(str(cx.unscaled(g)) for g in free)
             raise InternalCheckError(f"cone of Q(1+iota) has free gradings [{found}], "
                                      "expected one in each class of d mod 2")
         # a value equal to d shares its Fraction: every complex keeps them
-        ic._values = (d, *(d if g == sd else view.unscaled(g) for g in lower + upper))
+        ic._values = (d, *(d if g == sd else cx.unscaled(g) for g in lower + upper))
     return ic._values
 
 
@@ -631,8 +607,8 @@ def d_results(
 def shift(ic: IotaComplex, r: Fraction) -> IotaComplex:
     """Shift all gradings by the exact rational r."""
     cx = ic.complex
-    out = GradedComplex([(g, cx.grading[g] + Fraction(r)) for g in cx.generators], cx.diff)
-    return IotaComplex(out, ic.iota)
+    diff, iota = _held_maps(ic)
+    return IotaComplex(GradedComplex([(g, cx.grading[g] + Fraction(r)) for g in cx.generators], diff), iota)
 
 
 def dual(ic: IotaComplex) -> IotaComplex:
@@ -648,28 +624,26 @@ def dual(ic: IotaComplex) -> IotaComplex:
                 out.setdefault(g, []).append((src, e))
         return out
 
-    out = GradedComplex([(g, -cx.grading[g]) for g in cx.generators], transpose(cx.diff))
-    return IotaComplex(out, transpose(ic.iota))
+    diff, iota = _held_maps(ic)
+    return IotaComplex(GradedComplex([(g, -cx.grading[g]) for g in cx.generators], transpose(diff)), transpose(iota))
 
 
 def tensor(a: IotaComplex, b: IotaComplex, sep: str = "|") -> IotaComplex:
     """Tensor product over F2[U]: gradings add, d is the Leibniz map and
-    iota acts diagonally.  The gradings are added on the factors' integer
-    views, which are built if they are not there yet.  When both factors
-    pass their degree checks, the product's view and iota's columns are
-    built from the factors' columns, and its diff and iota are remade from
-    them when read; otherwise they are made as terms at once."""
+    iota acts diagonally.  The gradings are added as the factors' scaled
+    integers.  When both factors pass their degree checks, the product's
+    columns of d and iota are built from the factors' columns, and its diff
+    and iota are remade from them when read; otherwise they are made as
+    terms at once."""
     ca, cb = a.complex, b.complex
-    va, vb = _view(ca), _view(cb)
-    D = lcm(va.D, vb.D)
-    sa, sb, nb = D // va.D, D // vb.D, len(vb.gr)
+    D = lcm(ca.D, cb.D)
+    sa, sb, nb = D // ca.D, D // cb.D, len(cb.gr)
     names = [f"{ga}{sep}{gb}" for ga in ca.generators for gb in cb.generators]
     if len(set(names)) != len(names):
         names = [f"t{i}" for i in range(len(names))]
-    sums = [x * sa + y * sb for x in va.gr for y in vb.gr]
+    sums = [x * sa + y * sb for x in ca.gr for y in cb.gr]
     fracs = {g: Fraction(g, D) for g in set(sums)}  # one per grading
-    (ia, ia_degree), (ib, ib_degree) = _iota_columns(a), _iota_columns(b)
-    if va.d_degree or vb.d_degree or ia_degree or ib_degree:
+    if ca.d_degree or cb.d_degree or a.i_degree or b.i_degree:
         diff, iota = _product_terms(a, b, names)
         return IotaComplex(GradedComplex([(nm, fracs[g]) for nm, g in zip(names, sums)], diff), iota)
 
@@ -680,15 +654,14 @@ def tensor(a: IotaComplex, b: IotaComplex, sep: str = "|") -> IotaComplex:
     # entry (x, y) is bit x * nb + y.  d(x|y) = dx|y + x|dy, and iota(x|y) =
     # iota(x)|iota(y) holds a copy of iota(y) in the nb-bit block of each bit
     # of iota(x): the product with spread(iota(x)), as the blocks are disjoint
-    dcols = [s << y ^ c << x * nb for x, s in enumerate(map(spread, va.dcols)) for y, c in enumerate(vb.dcols)]
-    icols = [c * s for s in map(spread, ia) for c in ib]
-    k = gcd(D, *sums)  # the view scales by the lcm of the product's denominators
+    dcols = [s << y ^ c << x * nb for x, s in enumerate(map(spread, ca.dcols)) for y, c in enumerate(cb.dcols)]
+    k = gcd(D, *sums)  # the coordinates scale by the lcm of the product's denominators
     cx = GradedComplex.__new__(GradedComplex)
     cx.generators, cx.grading = tuple(names), {nm: fracs[g] for nm, g in zip(names, sums)}
-    cx._view = _View(names, D // k, sums if k == 1 else [g // k for g in sums], None, dcols)
+    cx._coords(D // k, sums if k == 1 else [g // k for g in sums], None, dcols)
     ic = IotaComplex.__new__(IotaComplex)
-    ic.complex, ic._icols = cx, (icols, None)
-    cx._diff = ic._iota = ic._values = None
+    ic.complex, ic.icols, ic.i_degree = cx, [c * s for s in map(spread, a.icols) for c in b.icols], None
+    ic._iota = ic._values = None
     return ic
 
 
@@ -696,16 +669,16 @@ def _product_terms(a: IotaComplex, b: IotaComplex, names: list[str]) -> tuple[di
     """The product's diff and iota as name-keyed maps of terms, names[x *
     nb + y] standing for the generator (x, y)."""
     ca, cb = a.complex, b.complex
-    va, vb = _view(ca), _view(cb)
-    nb = len(vb.gr)
+    (diff_a, iota_a), (diff_b, iota_b) = _held_maps(a), _held_maps(b)
+    nb = len(cb.gr)
     # b's maps as index terms
-    db = [[(vb.index[h], m) for h, m in cb.diff.get(gb, ZERO)] for gb in cb.generators]
-    ib = [[(vb.index[h], m) for h, m in b.iota.get(gb, ZERO)] for gb in cb.generators]
+    db = [[(cb.index[h], m) for h, m in diff_b.get(gb, ZERO)] for gb in cb.generators]
+    ib = [[(cb.index[h], m) for h, m in iota_b.get(gb, ZERO)] for gb in cb.generators]
     diff: dict[str, Element] = {}
     iota: dict[str, Element] = {}
     for x, ga in enumerate(ca.generators):
-        da = [(va.index[g] * nb, k) for g, k in ca.diff.get(ga, ZERO)]
-        ia = [(va.index[g] * nb, k) for g, k in a.iota.get(ga, ZERO)]
+        da = [(ca.index[g] * nb, k) for g, k in diff_a.get(ga, ZERO)]
+        ia = [(ca.index[g] * nb, k) for g, k in iota_a.get(ga, ZERO)]
         row = x * nb
         for y in range(nb):
             d_terms = [(names[p + y], k) for p, k in da] + [(names[row + q], m) for q, m in db[y]]
@@ -798,15 +771,17 @@ def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResul
     ``truncation`` bounds nothing, but must be an int, at least the torsion
     exponent of the homology plus the number of generators.
     """
-    view, iota_cols = _checked(ic, check)
-    min_trunc = max((e for _, e in _rank_one(ic.complex)[1]), default=0) + len(view.gr)
+    if check:
+        _check(ic)
+    cx = ic.complex
+    min_trunc = max((e for _, e in _rank_one(cx)[1]), default=0) + len(cx.gr)
     check_int(truncation, "truncation", min_trunc)
-    id_iota = _id_plus_iota(iota_cols)
-    d, lower = _tops(view.gr, view.dcols, id_iota, view.D)
-    co_d, co_lower = _tops([-g for g in view.gr], _transpose(view.dcols), _transpose(id_iota), view.D)
+    id_iota = _id_plus_iota(ic)
+    d, lower = _tops(cx.gr, cx.dcols, id_iota, cx.D)
+    co_d, co_lower = _tops([-g for g in cx.gr], _transpose(cx.dcols), _transpose(id_iota), cx.D)
     if co_d != -d:
         raise InternalCheckError(f"cycle oracle: d of the cocycle system is {-co_d}, of the cycle system {d}")
-    return DResults(view.unscaled(d), view.unscaled(lower), view.unscaled(-co_lower))
+    return DResults(cx.unscaled(d), cx.unscaled(lower), cx.unscaled(-co_lower))
 
 
 # ---------------------------------------------------------------------------
@@ -886,7 +861,7 @@ def load_complex(path: str) -> IotaComplex:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # a JSONDecodeError, a UnicodeDecodeError or an over-long integer
             raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     return complex_from_dict(data)
 

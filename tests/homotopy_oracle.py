@@ -58,30 +58,31 @@ class Echelon:
         return len(self.pivots)
 
 
-def piece(view, grading: int) -> list[int]:
-    """The graded piece V_grading of an engine view: the generators x of
-    grading's class mod 2D with gr(x) >= grading, in generator order."""
-    step = 2 * view.D
-    return [i for i, g in enumerate(view.gr) if g >= grading and (g - grading) % step == 0]
+def piece(cx, grading: int) -> list[int]:
+    """The graded piece V_grading of a complex, at its scaled gradings: the
+    generators x of grading's class mod 2D with gr(x) >= grading, in
+    generator order."""
+    step = 2 * cx.D
+    return [i for i, g in enumerate(cx.gr) if g >= grading and (g - grading) % step == 0]
 
 
-def candidate_gradings(view, floor: int) -> list[int]:
+def candidate_gradings(cx, floor: int) -> list[int]:
     """Every grading G - 2kD >= floor of a generator, from the top down."""
-    return sorted({h for g in view.gr for h in range(g, floor - 1, -2 * view.D)}, reverse=True)
+    return sorted({h for g in cx.gr for h in range(g, floor - 1, -2 * cx.D)}, reverse=True)
 
 
-def _commutator_columns(view, degree: int, order: dict[int, int]) -> Iterator[tuple[int, int, int]]:
+def _commutator_columns(cx, degree: int, order: dict[int, int]) -> Iterator[tuple[int, int, int]]:
     """(x, y, column) for each admissible entry y in X(x) of a map X of
     degree `degree` (in units of D): the entries of dX + Xd it reaches, the
     entry (w, g) numbered by order, in order of first use."""
-    gr, D, dcols = view.gr, view.D, view.dcols
+    gr, D, dcols = cx.gr, cx.D, cx.dcols
     n = len(gr)
     preds: list[list[int]] = [[] for _ in range(n)]  # x -> the w with x in d(w)
     for w in range(n):
         for x in iota._bits(dcols[w]):
             preds[x].append(w)
     for x in range(n):
-        for y in piece(view, gr[x] + degree * D):
+        for y in piece(cx, gr[x] + degree * D):
             # (x, y) puts d(y) into dX(x), and y into Xd(w) for each w
             # with x in d(w)
             col = 0
@@ -92,10 +93,9 @@ def _commutator_columns(view, degree: int, order: dict[int, int]) -> Iterator[tu
 
 def null_homotopic(cx: iota.GradedComplex, fcols: Sequence[int]) -> bool:
     """Whether some H of degree +1 has dH + Hd = f."""
-    view = iota._view(cx)
-    n = len(view.gr)
+    n = len(cx.gr)
     order: dict[int, int] = {}
-    span = Echelon(col for _, _, col in _commutator_columns(view, 1, order))
+    span = Echelon(col for _, _, col in _commutator_columns(cx, 1, order))
     rhs = 0
     for w in range(n):
         for g in iota._bits(fcols[w]):
@@ -109,14 +109,13 @@ def chain_maps(cx: iota.GradedComplex) -> list[list[int]]:
     """A basis of the degree-0 chain maps of cx over F2, each as columns:
     the kernel of f -> df + fd on the admissible entries of f, read off an
     echelon basis of the rows (df + fd) << m | f."""
-    view = iota._view(cx)
-    entries = list(_commutator_columns(view, 0, {}))
+    entries = list(_commutator_columns(cx, 0, {}))
     m = len(entries)
     ech = Echelon(col << m | 1 << k for k, (_, _, col) in enumerate(entries))
     basis = []
     for row in ech.pivots.values():
         if row >> m == 0:
-            cols = [0] * len(view.gr)
+            cols = [0] * len(cx.gr)
             for k in iota._bits(row):
                 x, y, _ = entries[k]
                 cols[x] ^= 1 << y
@@ -126,17 +125,16 @@ def chain_maps(cx: iota.GradedComplex) -> list[list[int]]:
 
 def homotopy_image(cx: iota.GradedComplex, hcols: Sequence[int]) -> list[int]:
     """The columns of dH + Hd, for H given by its columns."""
-    dcols = iota._view(cx).dcols
+    dcols = cx.dcols
     return [iota._image(dcols, h) ^ iota._image(hcols, dc) for h, dc in zip(hcols, dcols)]
 
 
 def random_map(cx: iota.GradedComplex, degree: int, rng) -> list[int]:
     """Columns of a random map of degree `degree` (in units of D), each
     admissible entry kept with probability 1/2."""
-    view = iota._view(cx)
-    cols = [0] * len(view.gr)
-    for x, g in enumerate(view.gr):
-        for y in piece(view, g + degree * view.D):
+    cols = [0] * len(cx.gr)
+    for x, g in enumerate(cx.gr):
+        for y in piece(cx, g + degree * cx.D):
             if rng.random() < 0.5:
                 cols[x] |= 1 << y
     return cols

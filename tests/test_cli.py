@@ -265,13 +265,36 @@ def test_complex_past_the_generator_limit_is_refused_before_any_reduction(capsys
     path = tmp_path / "big.json"
     dump_complex(figure_eight_complex(), str(path))  # 3 generators
     monkeypatch.setattr(iota, "MAX_GENERATORS", 2)
-    monkeypatch.setattr(iota, "_View", None)  # no view, so no reduction, may be built
+    monkeypatch.setattr(iota, "_columns", None)  # no columns, so no complex, may be built
     for sub in ("d", "validate"):
         code, out, err = run(capsys, "complex", sub, str(path))
         assert code == 2 and out == ""
         assert err.strip() == "error: 3 generators exceed the complex-file limit of 2"
+    monkeypatch.undo()
     monkeypatch.setattr(iota, "MAX_GENERATORS", 3)
     assert len(iota.load_complex(str(path)).complex.generators) == 3
+
+
+def test_numbers_too_long_to_read_or_write_are_data_errors(capsys, tmp_path):
+    # json.load refuses an integer of more than 4300 digits with a plain
+    # ValueError, and a grading of 1e5000 loads but cannot be written back
+    # by str: each once escaped as an internal error (exit 3) with a traceback
+    long = "9" * 5000
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"base": {"type": "custom", "v_lower": %s, "v_upper": 0}, "stages": []}' % long)
+    cx = tmp_path / "cx.json"
+    cx.write_text('{"generators": [{"name": "x", "grading": "0"}], "iota": {"x": [{"gen": "x", "upow": %s}]}}'
+                  % long)
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"generators": [{"name": "x", "grading": "1e5000"}],
+                                "iota": {"x": [{"gen": "x", "upow": 0}]}}))
+    cases = [(("cable", "v0", "--spec", str(spec)), "not valid JSON"),
+             (("complex", "d", str(cx)), "not valid JSON"), (("complex", "validate", str(cx)), "not valid JSON"),
+             (("complex", "d", str(huge)), "bad generator entry")]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert message in err and "Traceback" not in err, argv
 
 
 def test_verify_identity13_cli(capsys):

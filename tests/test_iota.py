@@ -188,8 +188,8 @@ def test_validate_rejects_an_inconsistent_homotopy_system(monkeypatch):
         answers.append(null_homotopic(cx, fcols))
         return answers[-1]
 
-    def spy_cone(view, fcols):
-        cones.append(cone_homology(view, fcols))
+    def spy_cone(cx, fcols):
+        cones.append(cone_homology(cx, fcols))
         return cones[-1]
 
     monkeypatch.setattr(iota, "_null_homotopic", spy_null)
@@ -227,7 +227,7 @@ def _homotopy_sweep():
     ics += [tensor(strict_model(), random_iota_complex(seed, max_order=4)) for seed in range(4)]
     for ic in ics:
         cx = ic.complex
-        icols = iota._columns(iota._view(cx), ic.iota, 0)[0]
+        icols = iota._columns(cx, ic.iota, 0)[0]
         maps = {"iota^2+id": [iota._image(icols, c) ^ 1 << j for j, c in enumerate(icols)],
                 "id+iota": [c ^ 1 << j for j, c in enumerate(icols)], "iota": icols,
                 "dG+Gd": homotopy_oracle.homotopy_image(cx, homotopy_oracle.random_map(cx, 1, rng)),
@@ -272,9 +272,9 @@ def test_constructor_rejects_bad_input():
 def test_constructors_keep_normalized_inputs_and_still_check_them():
     q, img = Fraction(1, 3), frozenset({("x", 0)})
     ic = IotaComplex(GradedComplex([("x", q), ("y", Fraction(4, 3))], {"y": img}), {"x": img})
-    assert ic.complex.grading["x"] is q and ic.complex.diff["y"] is img and ic.iota["x"] is img
+    assert ic.complex.grading["x"] is q and ic.complex.diff["y"] == img and ic.iota["x"] == img
     assert type(GradedComplex([("x", 2)], {}).grading["x"]) is Fraction
-    # a frozenset image is kept, but each of its terms is still checked
+    # a frozenset image is read as given, but each of its terms is still checked
     for bad, detail in ((("z", 0), "unknown generator 'z'"), (("x", -1), "bad U-exponent -1"),
                         (("x", 1.0), "bad U-exponent 1.0")):
         with pytest.raises(ValidationError, match=detail):
@@ -407,7 +407,7 @@ def test_homology_refuses_non_complexes():
         with pytest.raises(InternalCheckError) as exc:
             homology_summary(cx)
         assert detail in str(exc.value)
-        assert cx._view.hom is None
+        assert cx.hom is None
 
 
 def test_reduction_refuses_entries_off_its_levels():
@@ -423,10 +423,10 @@ def test_reduction_refuses_entries_off_its_levels():
             iota._reduce_homology(cols, gr, 1)
 
 
-def _predicted_dims(view, free, torsion, gradings):
+def _predicted_dims(cx, free, torsion, gradings):
     """dim H_g for each scaled grading g, from free gradings and torsion pairs."""
-    step = 2 * view.D
-    towers = [(view.scaled(f), None) for f in free] + [(view.scaled(s), e) for s, e in torsion]
+    step = 2 * cx.D
+    towers = [(cx.scaled(f), None) for f in free] + [(cx.scaled(s), e) for s, e in torsion]
     dims = dict.fromkeys(gradings, 0)
     for top, order in towers:
         for g in gradings:
@@ -461,13 +461,12 @@ def _cone(ic):
 def _check_homology_by_ranks(cx):
     free, torsion = iota._homology(cx)
     n_exp = max((e for _, e in torsion), default=0)
-    view = iota._view(cx)
-    gradings = candidate_gradings(view, min(view.gr) - 2 * view.D * (n_exp + 2))
-    predicted = _predicted_dims(view, free, torsion, gradings)
+    gradings = candidate_gradings(cx, min(cx.gr) - 2 * cx.D * (n_exp + 2))
+    predicted = _predicted_dims(cx, free, torsion, gradings)
     for g in gradings:
-        cycles = len(piece(view, g)) - Echelon(view.dcols[j] for j in piece(view, g)).rank
-        boundaries = Echelon(view.dcols[j] for j in piece(view, g + view.D)).rank
-        assert cycles - boundaries == predicted[g], (cx, view.unscaled(g))
+        cycles = len(piece(cx, g)) - Echelon(cx.dcols[j] for j in piece(cx, g)).rank
+        boundaries = Echelon(cx.dcols[j] for j in piece(cx, g + cx.D)).rank
+        assert cycles - boundaries == predicted[g], (cx, cx.unscaled(g))
 
 
 def test_homology_matches_piece_ranks():
@@ -557,7 +556,7 @@ def test_d_upper_needs_a_positive_u_power_on_dual_model():
     # 1/3 the engine works in thirds (D = 3)
     for r, scale in ((Fraction(0), 1), (Fraction(1, 3), 3)):
         ic = shift(dual_model(), r)
-        assert iota._view(ic.complex).D == scale
+        assert ic.complex.D == scale
         assert d_upper(ic) == 2 + r
         assert brute_oracle(ic, truncation=4) == d_results(ic) == DResults(r, r, 2 + r)
 
@@ -604,7 +603,7 @@ def test_class_search_matches_brute_oracle_on_fractional_gradings():
     for a, b in zip(small[0:24:2], small[1:24:2]):
         prod = tensor(shift(random_iota_complex(a, max_order=4), Fraction(1, 2)),
                       shift(random_iota_complex(b, max_order=4), Fraction(1, 3)))
-        assert iota._view(prod.complex).D == 6
+        assert prod.complex.D == 6
         cases.append(prod)
     for ic in cases:
         n = homology_summary(ic, check=False).torsion_exponent
@@ -612,18 +611,14 @@ def test_class_search_matches_brute_oracle_on_fractional_gradings():
         assert d_results(ic, check=False) == slow, complex_to_dict(ic)
 
 
-def _check_columns_against_terms(ic) -> int:
+def _check_columns_against_terms(ic, diff, iota_map) -> int:
     """In every piece down to 2N + 4 below the lowest generator, the column
     images of each element U^k x under d, id+iota and U^m are the
-    (generator, U-exponent) images that apply_map and elt_shift give.  The
-    maps are read before the columns are built, so a complex built from
-    terms is checked on the terms it was given; a product's, which has
-    columns from the start, are remade from them."""
+    (generator, U-exponent) images that apply_map and elt_shift give on the
+    maps of terms diff and iota_map."""
     cx = ic.complex
-    diff, iota_map = cx.diff, ic.iota
-    view = iota._view(cx)
-    id_iota = iota._id_plus_iota(iota._iota_columns(ic))
-    step = 2 * view.D
+    id_iota = iota._id_plus_iota(ic)
+    step = 2 * cx.D
     n_exp = homology_summary(ic, check=False).torsion_exponent
 
     def element_at(mask, grading):
@@ -631,16 +626,16 @@ def _check_columns_against_terms(ic) -> int:
         terms = []
         for i, g in enumerate(cx.generators):
             if mask >> i & 1:
-                k, r = divmod(view.gr[i] - grading, step)
+                k, r = divmod(cx.gr[i] - grading, step)
                 assert r == 0 and k >= 0, (g, grading)
                 terms.append((g, k))
         return frozenset(terms)
 
     checked = 0
-    for g in candidate_gradings(view, min(view.gr) - step * (n_exp + 2)):
-        for j in piece(view, g):
+    for g in candidate_gradings(cx, min(cx.gr) - step * (n_exp + 2)):
+        for j in piece(cx, g):
             x = element_at(1 << j, g)
-            assert iota.apply_map(diff, x) == element_at(view.dcols[j], g - view.D), (ic, g, x)
+            assert iota.apply_map(diff, x) == element_at(cx.dcols[j], g - cx.D), (ic, g, x)
             assert iota.apply_map(iota_map, x) ^ x == element_at(id_iota[j], g), (ic, g, x)
             for m in range(4):
                 assert iota.elt_shift(x, m) == element_at(1 << j, g - m * step), (ic, g, x)
@@ -648,16 +643,31 @@ def _check_columns_against_terms(ic) -> int:
     return checked
 
 
-def test_columns_match_term_images():
+def test_columns_match_term_images(monkeypatch):
+    # a randgen complex, and its shift, which has the same maps, are checked
+    # on the maps its constructors were given, as _clean_map returned them
+    # before the columns stood for them; a product, which has columns from
+    # the start, on _product_terms
+    given = []
+    clean_map = iota._clean_map
+
+    def recorded(generators, raw, what):
+        given.append(clean_map(generators, raw, what))
+        return given[-1]
+
+    monkeypatch.setattr(iota, "_clean_map", recorded)
     cases = []
     for seed in range(200):
         ic = random_iota_complex(seed)
-        cases += [ic, shift(ic, Fraction(1, 3))]
-    for j in range(40):
-        cases.append(tensor(random_iota_complex(2 * j, max_order=4), random_iota_complex(2 * j + 1, max_order=4)))
-    cases += [tensor(dual_model(), random_iota_complex(seed)) for seed in range(20)]
-    cases.append(tensor(dual_model(), dual_model()))
-    assert sum(_check_columns_against_terms(ic) for ic in cases) > 5000
+        maps = given[-2:]
+        cases += [(ic, *maps), (shift(ic, Fraction(1, 3)), *maps)]
+    monkeypatch.undo()
+    pairs = [(random_iota_complex(2 * j, max_order=4), random_iota_complex(2 * j + 1, max_order=4)) for j in range(40)]
+    pairs += [(dual_model(), random_iota_complex(seed)) for seed in range(20)] + [(dual_model(), dual_model())]
+    for a, b in pairs:
+        prod = tensor(a, b)
+        cases.append((prod, *iota._product_terms(a, b, list(prod.complex.generators))))
+    assert sum(_check_columns_against_terms(*case) for case in cases) > 5000
 
 
 # sha256 of _pinned_results(), recorded with the engine that searched for
@@ -746,7 +756,7 @@ def test_homology_computed_once_per_complex(monkeypatch):
     d_results(identity)
     # C once, then one cone of 2 x 3 generators per d_results call
     assert [len(gr) for _, gr, _ in calls] == [3, 6, 6]
-    assert calls[0][1] == cx._view.gr
+    assert calls[0][1] == cx.gr
     free, torsion = iota._homology(cx)
     assert isinstance(free, tuple) and isinstance(torsion, tuple)
     assert torsion and all(isinstance(t, tuple) for t in torsion)
@@ -758,9 +768,9 @@ def test_invariants_are_kept_on_each_iota_complex(monkeypatch):
     cones = []
     cone_homology = iota._cone_homology
 
-    def counted(view, fcols):
-        cones.append(len(view.gr))
-        return cone_homology(view, fcols)
+    def counted(cx, fcols):
+        cones.append(len(cx.gr))
+        return cone_homology(cx, fcols)
 
     monkeypatch.setattr(iota, "_cone_homology", counted)
     ic = torsion_model(2)
@@ -768,7 +778,7 @@ def test_invariants_are_kept_on_each_iota_complex(monkeypatch):
     assert (d_results(ic), d_lower(ic), d_upper(ic)) == (DResults(0, -4, 0), -4, 0)
     assert d_results(identity) == DResults(0, 0, 0) and ic._values == (0, -4, 0)
     assert cones == [3, 3]
-    # an unchecked call that finds the values builds no iota columns
+    # an unchecked call that finds the values builds no columns
     monkeypatch.setattr(iota, "_columns", lambda *args: pytest.fail("iota's columns were built"))
     assert d_results(ic, check=False) == DResults(0, -4, 0) and d_lower(identity, check=False) == 0
     monkeypatch.undo()
@@ -798,7 +808,7 @@ def _reachable(root) -> set[int]:
 def test_oracle_reduces_nothing_and_keeps_nothing(monkeypatch):
     # once a complex's homology is there (the truncation check reads its
     # torsion exponent), the oracle solves its own systems on the columns:
-    # it reduces neither C nor a cone, and leaves nothing on the view
+    # it reduces neither C nor a cone, and leaves nothing on the complex
     cases = [strict_model(), tensor(dual_model(), random_iota_complex(3)), shift(torsion_model(2), Fraction(1, 3)),
              dual(figure_eight_complex())]
     expected = [d_results(ic) for ic in cases]
@@ -809,55 +819,74 @@ def test_oracle_reduces_nothing_and_keeps_nothing(monkeypatch):
     monkeypatch.setattr(iota, "_reduce_homology", refuse)
     monkeypatch.setattr(iota, "_cone_homology", refuse)
     for ic, res in zip(cases, expected):
-        view = ic.complex._view
-        before = _reachable(view)
+        cx = ic.complex
+        before = _reachable(cx)
         # nor does it read or write the values d_results kept
         wrong = (res.d + 2, res.lower + 2, res.upper + 2)
         ic._values = wrong
         span = homology_summary(ic, check=False).torsion_exponent + len(ic.complex.generators)
         assert brute_oracle(ic, truncation=span, check=False) == res
-        assert _reachable(view) == before and ic.complex._view is view and ic._values is wrong
+        assert _reachable(cx) == before and ic._values is wrong
+
+
+def _terms_of(data: dict, key: str) -> dict:
+    """The map under key of a complex file's dict, as name-keyed terms."""
+    return {src: frozenset((t["gen"], t["upow"]) for t in terms) for src, terms in data[key].items()}
 
 
 def test_each_complex_holds_its_maps_once(monkeypatch):
-    # iota's columns are built once per complex, whichever calls come first;
-    # tensor gives a product its columns.  Once a map's columns pass their
-    # degree check they stand for it: its terms are dropped, and the first
-    # read remakes them equal to the ones given
-    plain = [torsion_model(2), dual_model(), shift(figure_eight_complex(), Fraction(1, 3))]
-    given = [(ic.complex.diff, ic.iota) for ic in plain]
+    # iota's columns are built once per complex, when it is made, and none
+    # for a product, which tensor gives its columns.  A map whose columns
+    # pass their degree check is held as them alone: the first read remakes
+    # the maps given, and keeps them
+    files = [complex_to_dict(ic) for ic in (torsion_model(2), dual_model(),
+                                            shift(figure_eight_complex(), Fraction(1, 3)))]
     pairs = [(dual_model(), random_iota_complex(3)),
              (random_iota_complex(5, max_order=4), random_iota_complex(6, max_order=4))]
-    products = [tensor(a, b) for a, b in pairs]
-    iota_builds = []
+    builds = []
     columns = iota._columns
 
-    def counted(view, mp, degree):
-        iota_builds.extend([mp] if degree == 0 else [])
-        return columns(view, mp, degree)
+    def counted(cx, mp, degree):
+        builds.append(degree)
+        return columns(cx, mp, degree)
 
     monkeypatch.setattr(iota, "_columns", counted)
+    plain = []
+    for data in files:
+        builds.clear()
+        plain.append(complex_from_dict(data))
+        assert builds == [-1, 0]
+    builds.clear()
+    products = [tensor(a, b) for a, b in pairs]
+    assert builds == []
+    # no public call builds columns again, and none leaves terms behind
+    monkeypatch.setattr(iota, "_columns", lambda *args: pytest.fail("columns were built again"))
     for ic in plain + products:
-        iota_builds.clear()
         span = homology_summary(ic, check=False).torsion_exponent + len(ic.complex.generators)
-        for call in (d_results, d_lower, d_upper, validate, lambda ic: brute_oracle(ic, truncation=span)):
+        calls = (d_results, d_lower, d_upper, d_invariant, homology_summary, validate,
+                 lambda ic: brute_oracle(ic, truncation=span))
+        assert ic.complex._diff is None and ic._iota is None
+        for call in calls:
             call(ic)
             assert ic.complex._diff is None and ic._iota is None
-        assert len(iota_builds) == (0 if any(ic is p for p in products) else 1)
     monkeypatch.undo()
-    assert iota._view(plain[2].complex).D == 3 and [len(p.complex.generators) for p in products] == [3, 25]
-    for ic, (diff, iota_map) in zip(plain, given):
-        assert (ic.complex.diff, ic.iota) == (diff, iota_map)
+    assert plain[2].complex.D == 3 and [len(p.complex.generators) for p in products] == [3, 25]
+    for ic, data in zip(plain, files):
+        assert (ic.complex.diff, ic.iota) == (_terms_of(data, "differential"), _terms_of(data, "iota"))
         assert ic.complex.diff is ic.complex.diff and ic.iota is ic.iota
     for prod, (a, b) in zip(products, pairs):
         assert (prod.complex.diff, prod.iota) == iota._product_terms(a, b, list(prod.complex.generators))
     # a map that fails its degree check keeps its terms, which validate reads
-    for ic, kept in ((next(_invalid_models()), "diff"), (list(_invalid_models())[4], "iota")):
-        diff, iota_map = ic.complex.diff, ic.iota
+    models = ((([("x", 0), ("y", 1)], {"y": [("x", 1)]}), {"x": [("x", 0)], "y": [("y", 0)]}, "diff"),
+              (([("e1", 0), ("e2", 0), ("f", 1)], {"f": [("e1", 0), ("e2", 0)]}),
+               {"e1": [("e2", 1)], "e2": [("e1", 0)], "f": [("f", 0)]}, "iota"))
+    for (gens, diff), iota_map, kept in models:
+        ic = IotaComplex(GradedComplex(gens, diff), iota_map)
+        assert (ic.complex._diff is not None, ic._iota is not None) == (kept == "diff", kept == "iota")
         report = validate(ic)
         assert not report.ok and report.checks[0 if kept == "diff" else 2].ok is False
-        assert (ic.complex._diff is diff) == (kept == "diff") and (ic._iota is iota_map) == (kept == "iota")
-        assert (ic.complex.diff, ic.iota) == (diff, iota_map)
+        assert (ic.complex.diff, ic.iota) == tuple({src: frozenset(terms) for src, terms in mp.items()}
+                                                   for mp in (diff, iota_map))
 
 
 def _randgen_products(count: int):
@@ -908,7 +937,8 @@ def test_serialized_maps_match_pinned_digest():
 
 def test_randgen_complex_memory_after_d_results():
     # d's and iota's columns stand for their maps of terms, so a solved
-    # randgen complex holds each map once
+    # randgen complex holds each map once, and solving its dual leaves
+    # nothing on it
     random_iota_complex(0, max_order=4)  # one-time allocations stay out of the count
     gc.collect()
     tracemalloc.start()
@@ -918,6 +948,7 @@ def test_randgen_complex_memory_after_d_results():
         for seed in range(2000):
             held.append(random_iota_complex(seed, max_order=4))
             d_results(held[-1], check=False)
+            d_results(dual(held[-1]), check=False)
         gc.collect()
         per_complex = (tracemalloc.get_traced_memory()[0] - base) / len(held)
     finally:
@@ -925,22 +956,25 @@ def test_randgen_complex_memory_after_d_results():
     assert per_complex <= 2000, per_complex
 
 
-def test_view_is_kept_and_holds_no_reference_to_its_complex():
-    # a complex builds its view on first use; tensor gives a product its own
-    assert dual_model().complex._view is None
-    ic = tensor(dual_model(), random_iota_complex(3))
-    cx = ic.complex
-    view = cx._view
-    assert isinstance(view, iota._View) and not hasattr(view, "__dict__")
-    res = d_results(ic)
-    brute_oracle(ic, truncation=homology_summary(ic).torsion_exponent + len(cx.generators))
-    assert d_results(ic) == res and cx._view is view
-    # nothing reachable from the view, or from the iota columns kept on
-    # ic, leads back to the complex, so a dropped complex is freed at
-    # once rather than by the cyclic GC
-    seen = _reachable(view) | _reachable(ic._icols)
-    assert id(cx) not in seen and id(ic) not in seen
-    assert len(seen) > len(cx.generators)
+def test_coordinates_are_kept_and_hold_no_reference_to_their_complex():
+    # a complex holds its coordinates, and an iota-complex iota's columns,
+    # in slots from construction on, and every call reads them there
+    for ic in (dual_model(), tensor(dual_model(), random_iota_complex(3))):
+        cx = ic.complex
+        assert not hasattr(cx, "__dict__") and not hasattr(ic, "__dict__")
+        coords = (cx.gr, cx.dcols, cx.index, ic.icols)
+        res = d_results(ic)
+        brute_oracle(ic, truncation=homology_summary(ic).torsion_exponent + len(cx.generators))
+        assert d_results(ic) == res
+        assert all(a is b for a, b in zip((cx.gr, cx.dcols, cx.index, ic.icols), coords))
+        assert cx.diff and ic.iota  # the remade maps are kept, and searched too
+        # nothing reachable from the complex's slots, or from those of ic,
+        # leads back to either, so a dropped complex is freed at once rather
+        # than by the cyclic GC
+        seen = set().union(*(_reachable(getattr(cx, name)) for name in type(cx).__slots__),
+                           *(_reachable(getattr(ic, name)) for name in type(ic).__slots__ if name != "complex"))
+        assert id(cx) not in seen and id(ic) not in seen
+        assert len(seen) > len(cx.generators)
 
 
 def test_brute_oracle_does_not_depend_on_the_truncation():
@@ -1076,7 +1110,7 @@ def test_shift_covariance():
         base = tensor(a, b)
         prod = tensor(shift(a, Fraction(1, 2)), shift(b, Fraction(1, 3)))
         assert {q.denominator for q in prod.complex.grading.values()} == {6}
-        assert iota._view(prod.complex).D == 6
+        assert prod.complex.D == 6
         assert _report(prod) == _report(base)
         res, pres = d_results(base), d_results(prod)
         r = Fraction(5, 6)

@@ -13,14 +13,14 @@ cached on them (cold):
 - d_results, validate and brute_oracle (at its minimum truncation) on
   randgen singles of 1, 3 and 5 generators, microseconds per complex;
 - brute_oracle again on the same singles, warm (brute_oracle_warm_us):
-  d_results(check=False) has built each complex's view, homology and iota
-  columns first, and the oracle runs with check=False, which is the call
+  d_results(check=False) has computed each complex's homology and kept its
+  values first, and the oracle runs with check=False, which is the call
   that the engine-sweep workload and `verify engine` make;
 - tensor, and then d_results with its checks on the product, timed apart,
   on products of 9 and 25 generators and on the 27-generator triple
   (C x D) x C of two 3-generator complexes, built the way the engine-sweep
   workload builds it: every factor has been through d_results first, so
-  its integer view is there; microseconds per product;
+  its homology is there; microseconds per product;
 - the first read of a 25-generator product's diff and iota, which are
   remade from its columns then (product25.read_maps_us);
 - d_results on the seventh tensor power of the figure-eight complex (2187
@@ -52,10 +52,12 @@ cached on them (cold):
   after the timings (*.traced_b_per_label);
 - the traced memory still held, after a garbage collection, by
   random_iota_complex(seed, max_order=4) for seeds 0-1999, each solved by
-  d_results(check=False), in bytes per complex (randgen2000.held_b), and by
-  the 729-generator plain complex that complex_from_dict reads from the
-  fifth tensor power of the figure-eight complex, solved by
-  d_results(check=True), in KB (fig8_pow6_plain.held_kb); both once per
+  d_results(check=False), in bytes per complex (randgen2000.held_b), the
+  same when each is also solved through d_results(dual(ic), check=False)
+  (randgen2000_dual.held_b), and by the 729-generator plain complex that
+  complex_from_dict reads from the fifth tensor power of the figure-eight
+  complex, solved by
+  d_results(check=True), in KB (fig8_pow6_plain.held_kb); each once per
   worker, and exact.
 
 A side's figure for a layer is the minimum over all its repeats in all its
@@ -153,9 +155,11 @@ def held_probes() -> list:
     from cablecalc.randgen import random_iota_complex
     from cablecalc.verify import figure_eight_complex
 
-    def solved(ics, check):
+    def solved(ics, check, mirror=False):
         for ic in ics:
             iota.d_results(ic, check=check)
+            if mirror:
+                iota.d_results(iota.dual(ic), check=False)
         return ics
 
     f8 = figure_eight_complex()
@@ -165,6 +169,8 @@ def held_probes() -> list:
     data = iota.complex_to_dict(power)  # names and text gradings, made outside the trace
     return [("randgen2000.held_b", lambda: solved([random_iota_complex(s, max_order=4) for s in range(2000)], False),
              1 / 2000),
+            ("randgen2000_dual.held_b",
+             lambda: solved([random_iota_complex(s, max_order=4) for s in range(2000)], False, True), 1 / 2000),
             ("fig8_pow6_plain.held_kb", lambda: solved([iota.complex_from_dict(data)], True), 1 / 1024)]
 
 
