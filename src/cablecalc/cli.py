@@ -24,7 +24,8 @@ Exit codes: 0 success; 1 usage error; 2 invalid input, insufficient data,
 a label vector longer than lens.MAX_VECTOR_LABELS (lens d without --spinc,
 surgery d without --involutive), a complex file of more than
 iota.MAX_GENERATORS generators (20000; complex d and complex validate
-refuse it before any reduction), or input too large for available memory;
+refuse it before any reduction), a semigroup genus too large to index its
+gap marks, or input too large for available memory;
 3 failed internal check, failed verification sweep, or any other exception
 (a bug, reported with its traceback).
 """
@@ -32,6 +33,7 @@ refuse it before any reduction), or input too large for available memory;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -77,16 +79,15 @@ def _pair(text: str) -> tuple[int, int]:
 
 def _emit(args, lines: Iterable[str], payload: dict) -> None:
     """Render either the text lines or the JSON payload, to stdout or --out.
-    The lines may be a generator: they are consumed only in text mode."""
-    if args.json:
-        text = json.dumps(payload, indent=2, sort_keys=True)
-    else:
-        text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    The lines may be a generator: they are consumed only in text mode.  The
+    payload is written as json encodes it, piece by piece, so its whole
+    text is never held."""
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        if args.json:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+        else:
+            fh.write("\n".join(lines))
+        fh.write("\n")
 
 
 def _label_strings(p: int, q: int, lo: list[int], hi: list[int], den: int) -> list[str]:

@@ -11,28 +11,30 @@ lifting is bit-packed linear algebra.
 Inside the engine gradings are integers: the complex's gradings are scaled
 by D, the lcm of their denominators, so d has degree -D and U degree -2D,
 and only generators in one class mod 2D meet in a graded piece.  Fractions
-are made only for the values returned and for the gradings of a tensor
-product, which are added as integers on the factors'.  The engine works
-in generator coordinates.  A map is one bitmask column per generator (bit
-i: generator i occurs in the image), and its U-exponents are checked
-once, where the columns are built; a column stands for the map only when
-that check passes.  A graded piece V_g is the list of generators x of its
-class with gr(x) >= g, standing for the elements U^k x with
+are made only for the values returned and for the gradings of a derived
+complex; a tensor product's are added as integers on the factors'.  The
+engine works in generator coordinates.  A map is one bitmask column per
+generator (bit i: generator i occurs in the image), and its U-exponents are
+checked once, where the columns are built; a column stands for the map only
+when that check passes.  A graded piece V_g is the list of generators x of
+its class with gr(x) >= g, standing for the elements U^k x with
 k = (gr(x) - g)/2D, and an element of it is a mask over the generators.
-The image of U^k x under a map is then the generator's column, read at
-the target grading, and U^m, which sends U^k x to U^(k+m) x, leaves the
-mask as it is.  A complex holds its coordinates from construction on: a
+The image of U^k x under a map is then the generator's column, read at the
+target grading, and U^m, which sends U^k x to U^(k+m) x, leaves the mask as
+it is.  A complex holds its coordinates from construction on: a
 GradedComplex its D, generator index, scaled gradings and d's columns,
 with the results of its degree and d^2 checks, and once computed its
 homology; an IotaComplex iota's columns, with the result of their check,
 and once computed its (d, d_lower, d_upper).  None of these refers back to
 the complex.  A map is held once: when its columns pass the degree check
-its name-keyed terms are dropped at construction, and diff or iota
-remakes them from the columns, with the U-exponents the gradings force,
-on first read and keeps them.  So neither a GradedComplex nor the iota of
-an IotaComplex may be mutated after construction.  tensor builds a
-product of well-graded factors on columns: its d's and iota's columns
-come straight from the factors'.
+its name-keyed terms are dropped at construction, and diff or iota remakes
+them from the columns, with the U-exponents the gradings force, on first
+read and keeps them.  So neither a GradedComplex nor the iota of an
+IotaComplex may be mutated after construction.  tensor, dual and shift
+build a complex from their inputs' coordinates alone (a product's columns
+from the factors', a dual's transposed, a shift's as they are), and refuse
+an input whose d or iota fails its degree check, since no columns stand
+for that map.
 
 validate checks d, iota and their composites on the columns.  Unless
 iota^2 = id exactly, it decides whether iota^2 is homotopic to id from the
@@ -65,10 +67,12 @@ when it lies outside the span of d over its whole other class.
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import InternalCheckError, ValidationError, check_int
 
@@ -98,14 +102,6 @@ Element = frozenset
 ZERO: Element = frozenset()
 
 
-def element(terms: Iterable[Term]) -> Element:
-    """Build an element, cancelling repeated terms mod 2."""
-    acc: set[Term] = set()
-    for t in terms:
-        acc ^= {tuple(t)}
-    return frozenset(acc)
-
-
 def elt_shift(x: Element, k: int) -> Element:
     """Multiply an element by U**k."""
     if k == 0:
@@ -131,7 +127,7 @@ def _clean_map(generators: Sequence[str], raw: Mapping[str, Iterable[Term]], wha
             raise ValidationError(f"{what} defined on unknown generator {src!r}")
         val = terms if type(terms) is frozenset else frozenset(terms := [tuple(t) for t in terms])
         if len(val) != len(terms):
-            val = element(terms)  # repeated terms cancel in pairs
+            val = frozenset(t for t, k in Counter(terms).items() if k % 2)  # repeated terms cancel in pairs
         for g, e in val:
             if g not in known:
                 raise ValidationError(f"{what}[{src!r}] hits unknown generator {g!r}")
@@ -145,10 +141,15 @@ def _clean_map(generators: Sequence[str], raw: Mapping[str, Iterable[Term]], wha
 def _read_grading(name, g) -> Fraction:
     """A grading read from its text form ("p/q", an integer or a decimal),
     as every complex file's is; a bool is refused, and so is a value whose
-    text form str cannot write (past the interpreter's digit limit)."""
+    text form str cannot write (past the interpreter's digit limit), or
+    whose decimal exponent alone passes it, before the number is built."""
     if not isinstance(g, bool):
         try:
-            q = Fraction(str(g))
+            text, limit = str(g), sys.get_int_max_str_digits()
+            _, e, power = text.lower().partition("e")
+            if e and limit and abs(int(power)) >= limit:
+                raise ValueError(f"exponent {power} past the digit limit")
+            q = Fraction(text)
             str(q)
             return q
         except (ValueError, ZeroDivisionError):
@@ -179,13 +180,11 @@ class GradedComplex:
         self.grading: dict[str, Fraction] = {
             str(n): g if type(g) is Fraction else Fraction(g) if type(g) is int else _read_grading(n, g)
             for n, g in generators}
-        D = lcm(*{q.denominator for q in self.grading.values()})
-        self._coords(D, [q.numerator * (D // q.denominator) for q in self.grading.values()],
-                     _clean_map(self.generators, diff, "differential"))
+        self._coords(*_scale(self.grading.values()), _clean_map(self.generators, diff, "differential"))
 
     def _coords(self, D: int, gr: list[int], diff: Optional[dict[str, Element]], dcols: Optional[list[int]] = None):
         """Set the coordinates on the scaled gradings gr, d's columns built
-        from diff, or given, by tensor, with no degree fault."""
+        from diff, or given, by _built, with no degree fault."""
         self.D, self.gr, self.hom = D, gr, None
         self.index: dict[str, int] = {g: i for i, g in enumerate(self.generators)}
         self.dcols, self.d_degree = _columns(self, diff, -1) if dcols is None else (dcols, None)
@@ -254,11 +253,10 @@ def _terms(cx: GradedComplex, cols: Sequence[int], degree: int) -> dict[str, Ele
             for j, c in enumerate(cols) if c}
 
 
-def _held_maps(ic: IotaComplex) -> tuple[dict[str, Element], dict[str, Element]]:
-    """ic's diff and iota as terms, read without keeping remade ones on ic."""
-    cx = ic.complex
-    return (_terms(cx, cx.dcols, -1) if cx._diff is None else cx._diff,
-            _terms(cx, ic.icols, 0) if ic._iota is None else ic._iota)
+def _scale(grading: Collection[Fraction]) -> tuple[int, list[int]]:
+    """D, the lcm of the gradings' denominators, and the gradings scaled by it."""
+    D = lcm(*{q.denominator for q in grading})
+    return D, [q.numerator * (D // q.denominator) for q in grading]
 
 
 def _columns(cx: GradedComplex, mp: Mapping[str, Element], degree: int) -> tuple[list[int], Optional[str]]:
@@ -297,6 +295,14 @@ def _image(cols: Sequence[int], mask: int) -> int:
         acc ^= cols[low.bit_length() - 1]
         mask ^= low
     return acc
+
+
+def _transpose(cols: Sequence[int]) -> list[int]:
+    out = [0] * len(cols)
+    for j, c in enumerate(cols):
+        for i in _bits(c):
+            out[i] |= 1 << j
+    return out
 
 
 def _id_plus_iota(ic: IotaComplex) -> list[int]:
@@ -604,37 +610,51 @@ def d_results(
 # constructions
 
 
+def _graded(what: str, *ics: IotaComplex) -> None:
+    """Refuse an input whose d or iota fails its degree check: no columns stand for that map."""
+    for ic in ics:
+        for name, detail in (("differential", ic.complex.d_degree), ("iota", ic.i_degree)):
+            if detail is not None:
+                raise ValidationError(f"{what} needs well-graded maps: the {name} fails its degree check: {detail}")
+
+
+def _built(names: Sequence[str], grading: dict[str, Fraction], D: int, gr: list[int],
+           dcols: list[int], icols: list[int]) -> IotaComplex:
+    """The iota-complex on these generators, gradings and coordinates, whose
+    columns of d and iota pass their degree checks; d^2 is checked on them."""
+    cx = GradedComplex.__new__(GradedComplex)
+    cx.generators, cx.grading = tuple(names), grading
+    cx._coords(D, gr, None, dcols)
+    ic = IotaComplex.__new__(IotaComplex)
+    ic.complex, ic.icols, ic.i_degree, ic._iota, ic._values = cx, icols, None, None, None
+    return ic
+
+
 def shift(ic: IotaComplex, r: Fraction) -> IotaComplex:
-    """Shift all gradings by the exact rational r."""
-    cx = ic.complex
-    diff, iota = _held_maps(ic)
-    return IotaComplex(GradedComplex([(g, cx.grading[g] + Fraction(r)) for g in cx.generators], diff), iota)
+    """Shift all gradings by the exact rational r: the columns are kept,
+    and D and the scaled gradings are taken afresh."""
+    _graded("shift", ic)
+    cx, r = ic.complex, Fraction(r)
+    grading = {g: q + r for g, q in cx.grading.items()}
+    return _built(cx.generators, grading, *_scale(grading.values()), cx.dcols, ic.icols)
 
 
 def dual(ic: IotaComplex) -> IotaComplex:
     """The dual complex Hom(C, F2[U]), the mirror: gradings negated, d and
-    iota transposed with their U-exponents kept.  Its invariants are
-    (-d, -d_upper, -d_lower) of ic."""
+    iota transposed.  The U-exponents stay the ones the gradings force, so
+    they are kept.  Its invariants are (-d, -d_upper, -d_lower) of ic."""
+    _graded("dual", ic)
     cx = ic.complex
-
-    def transpose(mp: Mapping[str, Element]) -> dict[str, list[Term]]:
-        out: dict[str, list[Term]] = {}
-        for src, val in mp.items():
-            for g, e in val:
-                out.setdefault(g, []).append((src, e))
-        return out
-
-    diff, iota = _held_maps(ic)
-    return IotaComplex(GradedComplex([(g, -cx.grading[g]) for g in cx.generators], transpose(diff)), transpose(iota))
+    return _built(cx.generators, {g: -q for g, q in cx.grading.items()}, cx.D, [-g for g in cx.gr],
+                  _transpose(cx.dcols), _transpose(ic.icols))
 
 
 def tensor(a: IotaComplex, b: IotaComplex, sep: str = "|") -> IotaComplex:
     """Tensor product over F2[U]: gradings add, d is the Leibniz map and
     iota acts diagonally.  The gradings are added as the factors' scaled
-    integers.  When both factors pass their degree checks, the product's
-    columns of d and iota are built from the factors' columns, and its diff
-    and iota are remade from them when read; otherwise they are made as
-    terms at once."""
+    integers, and the product's columns of d and iota are built from the
+    factors' columns."""
+    _graded("tensor", a, b)
     ca, cb = a.complex, b.complex
     D = lcm(ca.D, cb.D)
     sa, sb, nb = D // ca.D, D // cb.D, len(cb.gr)
@@ -643,9 +663,6 @@ def tensor(a: IotaComplex, b: IotaComplex, sep: str = "|") -> IotaComplex:
         names = [f"t{i}" for i in range(len(names))]
     sums = [x * sa + y * sb for x in ca.gr for y in cb.gr]
     fracs = {g: Fraction(g, D) for g in set(sums)}  # one per grading
-    if ca.d_degree or cb.d_degree or a.i_degree or b.i_degree:
-        diff, iota = _product_terms(a, b, names)
-        return IotaComplex(GradedComplex([(nm, fracs[g]) for nm, g in zip(names, sums)], diff), iota)
 
     def spread(c: int) -> int:
         # the column c of a, moved to b's first generator: bit p to bit p * nb
@@ -655,41 +672,10 @@ def tensor(a: IotaComplex, b: IotaComplex, sep: str = "|") -> IotaComplex:
     # iota(x)|iota(y) holds a copy of iota(y) in the nb-bit block of each bit
     # of iota(x): the product with spread(iota(x)), as the blocks are disjoint
     dcols = [s << y ^ c << x * nb for x, s in enumerate(map(spread, ca.dcols)) for y, c in enumerate(cb.dcols)]
+    icols = [c * s for s in map(spread, a.icols) for c in b.icols]
     k = gcd(D, *sums)  # the coordinates scale by the lcm of the product's denominators
-    cx = GradedComplex.__new__(GradedComplex)
-    cx.generators, cx.grading = tuple(names), {nm: fracs[g] for nm, g in zip(names, sums)}
-    cx._coords(D // k, sums if k == 1 else [g // k for g in sums], None, dcols)
-    ic = IotaComplex.__new__(IotaComplex)
-    ic.complex, ic.icols, ic.i_degree = cx, [c * s for s in map(spread, a.icols) for c in b.icols], None
-    ic._iota = ic._values = None
-    return ic
-
-
-def _product_terms(a: IotaComplex, b: IotaComplex, names: list[str]) -> tuple[dict[str, Element], dict[str, Element]]:
-    """The product's diff and iota as name-keyed maps of terms, names[x *
-    nb + y] standing for the generator (x, y)."""
-    ca, cb = a.complex, b.complex
-    (diff_a, iota_a), (diff_b, iota_b) = _held_maps(a), _held_maps(b)
-    nb = len(cb.gr)
-    # b's maps as index terms
-    db = [[(cb.index[h], m) for h, m in diff_b.get(gb, ZERO)] for gb in cb.generators]
-    ib = [[(cb.index[h], m) for h, m in iota_b.get(gb, ZERO)] for gb in cb.generators]
-    diff: dict[str, Element] = {}
-    iota: dict[str, Element] = {}
-    for x, ga in enumerate(ca.generators):
-        da = [(ca.index[g] * nb, k) for g, k in diff_a.get(ga, ZERO)]
-        ia = [(ca.index[g] * nb, k) for g, k in iota_a.get(ga, ZERO)]
-        row = x * nb
-        for y in range(nb):
-            d_terms = [(names[p + y], k) for p, k in da] + [(names[row + q], m) for q, m in db[y]]
-            iota_terms = [(names[p + q], k + m) for p, k in ia for q, m in ib[y]]
-            for mp, terms in ((diff, d_terms), (iota, iota_terms)):
-                val = frozenset(terms)
-                if len(val) != len(terms):
-                    val = element(terms)  # colliding terms cancel in pairs
-                if val:
-                    mp[names[row + y]] = val
-    return diff, iota
+    return _built(names, {nm: fracs[g] for nm, g in zip(names, sums)}, D // k,
+                  sums if k == 1 else [g // k for g in sums], dcols, icols)
 
 
 # ---------------------------------------------------------------------------
@@ -748,14 +734,6 @@ def _tops(gr: Sequence[int], dcols: Sequence[int], id_iota: Sequence[int], D: in
         if any(_enter(systems[c], span, img, x) for img, x in cols):
             return d, r
     raise InternalCheckError("cycle oracle found no " + ("non-torsion cycle" if d is None else "d_lower witness"))
-
-
-def _transpose(cols: Sequence[int]) -> list[int]:
-    out = [0] * len(cols)
-    for j, c in enumerate(cols):
-        for i in _bits(c):
-            out[i] |= 1 << j
-    return out
 
 
 def brute_oracle(ic: IotaComplex, truncation: int, check: bool = True) -> DResults:

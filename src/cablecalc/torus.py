@@ -25,6 +25,15 @@ def torus_genus(p: int, q: int) -> int:
     return (p - 1) * (q - 1) // 2
 
 
+def _marks(g: int) -> bytearray:
+    """One zero byte for each of 0..2g-1, the gap array of a genus-g
+    semigroup; a genus whose array no index can reach is refused."""
+    try:
+        return bytearray(2 * g)
+    except OverflowError:
+        raise ValidationError(f"genus {g} is too large: its 2g gap marks cannot be held") from None
+
+
 def _vs_from_gaps(gap: bytearray, g: int) -> tuple[int, ...]:
     """(V_0, ..., V_g) from the gap marks of 0..2g-1: V_s counts the gaps
     above s + g - 1, a suffix count over gap[g:]."""
@@ -45,7 +54,7 @@ def _mark_torus_gaps(gap: bytearray, p: int, q: int) -> None:
 def torus_vs(p: int, q: int) -> tuple[int, ...]:
     """V-sequence (V_0, ..., V_g) of the (p, q) torus knot, V_g = 0."""
     g = torus_genus(p, q)
-    gap = bytearray(2 * g)
+    gap = _marks(g)
     _mark_torus_gaps(gap, p, q)
     return _vs_from_gaps(gap, g)
 
@@ -57,7 +66,7 @@ def gap_vs(p: int, q: int) -> tuple[int, ...]:
     """Whole V-sequence of T(p, q) by sieving the members of <p, q> below
     2g.  Same numbers as torus_vs, by an independent route."""
     g = torus_genus(p, q)
-    member = bytearray(2 * g)
+    member = _marks(g)
     for a in range(0, 2 * g, p):
         member[a::q] = b"\x01" * len(range(a, 2 * g, q))
     return _vs_from_gaps(member.translate(_FLIP), g)
@@ -80,7 +89,7 @@ def cable_vs(v_seq: tuple[int, ...], p: int, q: int) -> tuple[int, ...] | None:
     if not lspace_cable_check(g, p, q):
         return None
     g_new = p * g + (p - 1) * (q - 1) // 2
-    gap = bytearray(2 * g_new)
+    gap = _marks(g_new)
     _mark_torus_gaps(gap, p, q)
     ones = b"\x01" * p
     for s in range(g):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -385,6 +386,22 @@ def test_memory_error_is_a_data_error(capsys, monkeypatch):
     assert err.strip() == "error: input too large for available memory"
 
 
+def test_a_genus_too_large_to_index_is_a_data_error(capsys, tmp_path):
+    # 2g past sys.maxsize: bytearray(2 * g) raised OverflowError, an internal
+    # error (exit 3) with a traceback; the pattern's torus_vs of a cable
+    # stage makes the same array
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"base": {"type": "custom", "v_lower": 1, "v_upper": 0},
+                                "stages": [[3, 100000000000000000000001]]}))
+    cases = [("torus", "vs", "10000000019", "10000000033"), ("cable", "v0", "--spec", str(spec)),
+             ("bounds", "--spec", str(spec), "--stage", "3,5"),
+             ("surgery", "d", "--spec", str(spec), "--pq", "5,1", "--involutive")]
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and "is too large" in err and "Traceback" not in err, argv
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, err = run(capsys, "lens", "d", "3", "5", "--frobnicate")
     assert code == 1
@@ -414,6 +431,25 @@ def test_label_vector_over_limit_is_refused_before_allocating(capsys, trefoil_sp
         assert out == ""
         assert f"p = 100000007 exceeds the label-vector limit of {MAX_VECTOR_LABELS}" in err
         assert peak < 2**20, (argv, peak)
+
+
+def test_json_payload_is_written_without_holding_its_text(capsys, tmp_path):
+    # 100000 labels make 1.6 MB of JSON text, and json.dumps held a list of
+    # 200000 pieces besides; _emit writes the pieces as they are made, with
+    # the same bytes on stdout (which capsys keeps whole)
+    payload = {"schema": "test", "d": [f"-{i}/4" for i in range(100000)]}
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    path = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        cli._emit(argparse.Namespace(json=True, out=str(path)), iter(()), payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19, peak
+    assert path.read_text(encoding="utf-8") == expected
+    cli._emit(argparse.Namespace(json=True, out=None), iter(()), payload)
+    assert capsys.readouterr().out == expected
 
 
 def test_single_label_past_the_vector_limit(capsys):

@@ -150,3 +150,13 @@ def test_cable_vs_spots():
     assert cable_vs((0,), 3, 2) == torus_vs(3, 2)
     with pytest.raises(ValidationError):
         cable_vs(trefoil, 2, 4)
+
+
+def test_a_genus_whose_gap_array_cannot_be_indexed_is_refused():
+    # 2g past sys.maxsize: each route refuses it, naming the genus, where
+    # bytearray(2 * g) raised OverflowError
+    big = 10**20 + 1
+    calls = ((torus_vs, (2, big)), (gap_vs, (2, big)), (cable_vs, ((1, 0), 2, big)))
+    for call, args in calls:
+        with pytest.raises(ValidationError, match=r"genus \d+ is too large"):
+            call(*args)

@@ -23,6 +23,10 @@ cached on them (cold):
   its homology is there; microseconds per product;
 - the first read of a 25-generator product's diff and iota, which are
   remade from its columns then (product25.read_maps_us);
+- dual and shift(., 1/3), each built from its source's coordinates, on the
+  5-generator singles and the 25-generator products, microseconds per
+  complex (single5.dual_us, single5.shift_us, product25.dual_us,
+  product25.shift_us);
 - d_results on the seventh tensor power of the figure-eight complex (2187
   generators, at most 3 repeats), seconds;
 - validate on a complex whose iota squares to the identity only up to
@@ -82,6 +86,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -251,6 +256,9 @@ def measure() -> dict:
         cases += [(f"{name}.tensor_us", build, lambda ab: iota.tensor(*ab), 1e6),
                   (f"{name}.d_results_check_us", products(build), iota.d_results, 1e6)]
     cases.append(("product25.read_maps_us", products(pairs(5)), lambda p: (p.complex.diff, p.iota), 1e6))
+    for name, build in (("single5", singles(5)), ("product25", products(pairs(5)))):
+        cases += [(f"{name}.dual_us", build, iota.dual, 1e6),
+                  (f"{name}.shift_us", build, lambda ic: iota.shift(ic, Fraction(1, 3)), 1e6)]
     cases.append(("fig8_pow7.d_results_s", power7, iota.d_results, 1))
     cases.append(("strict_fig8_pow4.validate_s", strict_pow4, iota.validate, 1))
     if not hasattr(iota, "_class_tables"):
