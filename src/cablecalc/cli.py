@@ -25,7 +25,8 @@ a label vector longer than lens.MAX_VECTOR_LABELS (lens d without --spinc,
 surgery d without --involutive), a complex file of more than
 iota.MAX_GENERATORS generators (20000; complex d and complex validate
 refuse it before any reduction), a semigroup genus too large to index its
-gap marks, or input too large for available memory;
+gap marks, input too large for available memory, or an answer with an
+integer too long to write (past sys.get_int_max_str_digits() digits);
 3 failed internal check, failed verification sweep, or any other exception
 (a bug, reported with its traceback).
 """
@@ -350,8 +351,13 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
-    except Exception:  # any other exception is a bug, never bad input
-        traceback.print_exc()
+    except Exception as exc:
+        if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+            # str of an answer's integer past the interpreter's digit limit
+            print(f"error: the answer has an integer past the digit limit for writing it "
+                  f"({sys.get_int_max_str_digits()} digits)", file=sys.stderr)
+            return 2
+        traceback.print_exc()  # any other exception is a bug, never bad input
         return 3
 
 

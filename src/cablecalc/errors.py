@@ -4,7 +4,8 @@ check_coprime for a (p, q) pair.
 
 The CLI maps these onto exit codes: UsageError -> 1, ValidationError (and
 its subclasses) -> 2, InternalCheckError and any exception outside this
-hierarchy (a bug) -> 3, except MemoryError (input too large) -> 2.
+hierarchy (a bug) -> 3, except MemoryError (input too large) and the
+ValueError of an answer's integer past the digit limit of str -> 2.
 """
 
 from __future__ import annotations

@@ -34,7 +34,8 @@ IotaComplex may be mutated after construction.  tensor, dual and shift
 build a complex from their inputs' coordinates alone (a product's columns
 from the factors', a dual's transposed, a shift's as they are), and refuse
 an input whose d or iota fails its degree check, since no columns stand
-for that map.
+for that map; randgen builds its complexes from columns it draws, through
+the same constructor.
 
 validate checks d, iota and their composites on the columns.  Unless
 iota^2 = id exactly, it decides whether iota^2 is homotopic to id from the
@@ -102,20 +103,12 @@ Element = frozenset
 ZERO: Element = frozenset()
 
 
-def elt_shift(x: Element, k: int) -> Element:
-    """Multiply an element by U**k."""
-    if k == 0:
-        return x
-    return frozenset((g, e + k) for g, e in x)
-
-
 def apply_map(mp: Mapping[str, Element], x: Element) -> Element:
-    """Apply an F2[U]-linear map given on generators to an element."""
+    """Apply an F2[U]-linear map given on generators to an element: each
+    term (g, e) adds mp[g] times U**e."""
     acc: frozenset = frozenset()
     for g, e in x:
-        img = mp.get(g)
-        if img:
-            acc ^= elt_shift(img, e)
+        acc ^= frozenset((h, k + e) for h, k in mp.get(g, ()))
     return acc
 
 

@@ -402,6 +402,29 @@ def test_a_genus_too_large_to_index_is_a_data_error(capsys, tmp_path):
         assert err.startswith("error: ") and "is too large" in err and "Traceback" not in err, argv
 
 
+def test_an_answer_past_the_digit_limit_is_a_data_error(capsys, tmp_path, monkeypatch):
+    # a v_lower of 4300 nines is accepted, and the stage [3, 2] makes it
+    # 10^4300; L(P, 3) with P = 10^3000 + 1 parses, and its d-invariant's
+    # numerator passes the limit.  str of either raised ValueError, an
+    # internal error (exit 3) with a traceback
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"base": {"type": "custom", "v_lower": int("9" * 4300), "v_upper": 0},
+                                "stages": [[3, 2]]}))
+    cases = [("cable", "v0", "--spec", str(spec)), ("bounds", "--spec", str(spec), "--stage", "3,5"),
+             ("surgery", "d", "--spec", str(spec), "--pq", "5,1", "--involutive"),
+             ("lens", "d", "1" + "0" * 2999 + "1", "3", "--spinc", "0")]
+    for argv in cases:
+        for mode in ((), ("--json",)):
+            code, out, err = run(capsys, *argv, *mode)
+            assert code == 2 and out == "", (argv, mode)
+            assert err.count("\n") == 1 and err.startswith("error: ") and "digit limit" in err, (argv, mode)
+            assert f"({sys.get_int_max_str_digits()} digits)" in err and "Traceback" not in err, (argv, mode)
+    # any other ValueError is still a bug
+    monkeypatch.setattr(cli, "torus_vs", lambda p, q: int("seven"))
+    code, out, err = run(capsys, "torus", "vs", "2", "3")
+    assert code == 3 and out == "" and "Traceback" in err and "ValueError" in err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, err = run(capsys, "lens", "d", "3", "5", "--frobnicate")
     assert code == 1
