@@ -38,9 +38,8 @@ import contextlib
 import functools
 import json
 import sys
-import traceback
+from collections.abc import Iterable
 from math import gcd
-from typing import Iterable
 
 from .concordance import (
     _niwu_halves,
@@ -357,6 +356,8 @@ def main(argv=None) -> int:
             print(f"error: the answer has an integer past the digit limit for writing it "
                   f"({sys.get_int_max_str_digits()} digits)", file=sys.stderr)
             return 2
+        import traceback  # loaded only for a bug: no query needs it
+
         traceback.print_exc()  # any other exception is a bug, never bad input
         return 3
 

@@ -15,12 +15,12 @@ stage only when the cable is certified to be an L-space knot again.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import sub
 
-from .errors import InsufficientDataError, InternalCheckError, ValidationError, check_coprime, check_int
+from .errors import InsufficientDataError, InternalCheckError, ValidationError, _Record, check_coprime, check_int
 from .lens import _check_vector_size, _label_vector, _lens_halves, lens_d, selfconj_spinc
 from .torus import cable_vs, torus_genus, torus_vs
 
@@ -81,8 +81,7 @@ def _niwu_v(vs: tuple[int, ...], p: int, q: int, s: int) -> int:
     return vs[i] if i < len(vs) else 0
 
 
-@dataclass(frozen=True)
-class KnotInvariants:
+class KnotInvariants(_Record):
     """Concordance data of a knot.
 
     v_lower and v_upper are the involutive correction invariants of
@@ -94,47 +93,40 @@ class KnotInvariants:
     through a cabling stage.
     """
 
-    v_lower: int
-    v_upper: int
-    v_seq: tuple[int, ...] | None = None
-    genus3: int | None = None
-    genus4: int | None = None
-    lspace: bool = False
+    __slots__ = ("v_lower", "v_upper", "v_seq", "genus3", "genus4", "lspace")
 
-    def __post_init__(self):
-        check_int(self.v_lower, "v_lower")
-        check_int(self.v_upper, "v_upper")
-        if self.v_upper > self.v_lower:
-            raise ValidationError(
-                f"v_upper must not exceed v_lower, got ({self.v_lower}, {self.v_upper})")
-        if self.v_seq is not None:
-            vs = _check_vseq(self.v_seq)
-            if not vs:
+    def __init__(self, v_lower: int, v_upper: int, v_seq: tuple[int, ...] | None = None,
+                 genus3: int | None = None, genus4: int | None = None, lspace: bool = False):
+        check_int(v_lower, "v_lower")
+        check_int(v_upper, "v_upper")
+        if v_upper > v_lower:
+            raise ValidationError(f"v_upper must not exceed v_lower, got ({v_lower}, {v_upper})")
+        if v_seq is not None:
+            v_seq = _check_vseq(v_seq)
+            if not v_seq:
                 raise ValidationError("v_seq must be non-empty; use [0] for a trivial sequence")
-            object.__setattr__(self, "v_seq", vs)
-            if not self.v_upper <= vs[0] <= self.v_lower:
+            if not v_upper <= v_seq[0] <= v_lower:
                 raise ValidationError(
-                    f"v_seq[0] = {vs[0]} must lie between v_upper = {self.v_upper} "
-                    f"and v_lower = {self.v_lower}")
-        for name in ("genus3", "genus4"):
-            g = getattr(self, name)
+                    f"v_seq[0] = {v_seq[0]} must lie between v_upper = {v_upper} "
+                    f"and v_lower = {v_lower}")
+        for name, g in (("genus3", genus3), ("genus4", genus4)):
             if g is not None and check_int(g, name) < 0:
                 raise ValidationError(f"{name} must be non-negative, got {g}")
-        if not isinstance(self.lspace, bool):
-            raise ValidationError(f"lspace must be a boolean, got {self.lspace!r}")
-        if self.lspace and self.v_seq is None:
+        if not isinstance(lspace, bool):
+            raise ValidationError(f"lspace must be a boolean, got {lspace!r}")
+        if lspace and v_seq is None:
             raise ValidationError("an L-space record needs its v_seq")
+        super().__init__(v_lower, v_upper, v_seq, genus3, genus4, lspace)
 
 
-@dataclass(frozen=True)
-class CableStage:
+class CableStage(_Record):
     """One cabling stage: p is the longitudinal winding, q the meridional."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        check_coprime(self.p, self.q, "cable parameters")
+    def __init__(self, p: int, q: int):
+        check_coprime(p, q, "cable parameters")
+        super().__init__(p, q)
 
     @property
     def s_even_case(self) -> int:
@@ -154,47 +146,50 @@ def _as_stage(stage) -> CableStage:
     return CableStage(check_int(p, "cable parameter p"), check_int(q, "cable parameter q"))
 
 
-@dataclass(frozen=True)
-class KnotSpec:
+class KnotSpec(_Record):
     """A base knot plus an ordered list of cabling stages."""
 
-    base: KnotInvariants
-    stages: tuple[CableStage, ...] = ()
+    __slots__ = ("base", "stages")
 
-    def __post_init__(self):
-        if not isinstance(self.base, KnotInvariants):
-            raise ValidationError(f"base must be a KnotInvariants, got {self.base!r}")
-        object.__setattr__(self, "stages", tuple(_as_stage(st) for st in self.stages))
+    def __init__(self, base: KnotInvariants, stages: Iterable = ()):
+        if not isinstance(base, KnotInvariants):
+            raise ValidationError(f"base must be a KnotInvariants, got {base!r}")
+        if not hasattr(stages, "__iter__"):
+            raise ValidationError(f"stages must be an iterable of cable stages, got {stages!r}")
+        super().__init__(base, tuple(map(_as_stage, stages)))
 
 
-@dataclass(frozen=True)
-class ProjectionPair:
+class ProjectionPair(_Record):
     """Where the spin-c label [0] of pq-surgery on a cable lands in the two
     connected summands: pi1 is a label mod q for the q/p-surgery summand,
     pi2 a label mod p for the lens summand."""
 
-    pi1: int
-    pi2: int
+    __slots__ = ("pi1", "pi2")
+
+    def __init__(self, pi1: int, pi2: int):
+        super().__init__(pi1, pi2)
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(_Record):
     """One lower bound for the unknotting number, with its hypothesis note.
 
     value None means the bound does not apply to these inputs; the note
     says why.
     """
 
-    name: str
-    value: int | None
-    note: str = ""
+    __slots__ = ("name", "value", "note")
+
+    def __init__(self, name: str, value: int | None, note: str = ""):
+        super().__init__(name, value, note)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(_Record):
     """Every known lower bound, applicable or not, plus their maximum."""
 
-    entries: tuple[BoundEntry, ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[BoundEntry, ...]):
+        super().__init__(entries)
 
     @property
     def maximum(self) -> int:

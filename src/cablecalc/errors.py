@@ -1,6 +1,6 @@
-"""Exception hierarchy shared across the package, and the two parameter
-checks every layer uses: check_int for one integer argument and
-check_coprime for a (p, q) pair.
+"""Exception hierarchy shared across the package, the two parameter checks
+every layer uses (check_int for one integer argument, check_coprime for a
+(p, q) pair), and _Record, the base of the package's immutable records.
 
 The CLI maps these onto exit codes: UsageError -> 1, ValidationError (and
 its subclasses) -> 2, InternalCheckError and any exception outside this
@@ -33,6 +33,45 @@ class InsufficientDataError(ValidationError):
 
 class InternalCheckError(CablecalcError):
     """An internal consistency assertion failed; indicates a bug."""
+
+
+class _Record:
+    """An immutable record whose fields are its __slots__.  A subclass's
+    __init__ checks its arguments and passes them here in slot order, or,
+    for a record the engine builds on every call, sets each itself with
+    object.__setattr__.  Repr, equality (only within one class) and hash go
+    by the fields; assignment and deletion raise AttributeError; pickle and
+    copy rebuild a record through __init__, so it is checked again."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def check_int(value, what: str, low: int | None = None) -> int:

@@ -70,12 +70,11 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import InternalCheckError, ValidationError, check_int
+from .errors import InternalCheckError, ValidationError, _Record, check_int
 
 __all__ = [
     "GradedComplex",
@@ -175,7 +174,7 @@ class GradedComplex:
             for n, g in generators}
         self._coords(*_scale(self.grading.values()), _clean_map(self.generators, diff, "differential"))
 
-    def _coords(self, D: int, gr: list[int], diff: Optional[dict[str, Element]], dcols: Optional[list[int]] = None):
+    def _coords(self, D: int, gr: list[int], diff: dict[str, Element] | None, dcols: list[int] | None = None):
         """Set the coordinates on the scaled gradings gr, d's columns built
         from diff, or given, by _built, with no degree fault."""
         self.D, self.gr, self.hom = D, gr, None
@@ -221,7 +220,7 @@ class IotaComplex:
         self.complex = complex
         terms = _clean_map(complex.generators, iota, "iota")
         self.icols, self.i_degree = _columns(complex, terms, 0)
-        self._iota: Optional[dict[str, Element]] = None if self.i_degree is None else terms
+        self._iota: dict[str, Element] | None = None if self.i_degree is None else terms
         self._values = None  # (d, d_lower, d_upper), set once by _invariants
 
     @property
@@ -252,7 +251,7 @@ def _scale(grading: Collection[Fraction]) -> tuple[int, list[int]]:
     return D, [q.numerator * (D // q.denominator) for q in grading]
 
 
-def _columns(cx: GradedComplex, mp: Mapping[str, Element], degree: int) -> tuple[list[int], Optional[str]]:
+def _columns(cx: GradedComplex, mp: Mapping[str, Element], degree: int) -> tuple[list[int], str | None]:
     """mp as one column per generator of cx, and the first term (by
     source, then term order) whose U-exponent breaks the degree, or None."""
     index, gr, step = cx.index, cx.gr, 2 * cx.D
@@ -310,16 +309,20 @@ def _id_plus_iota(ic: IotaComplex) -> list[int]:
 # validation
 
 
-@dataclass(frozen=True)
-class ValidationCheck:
-    name: str
-    ok: bool
-    detail: str = ""
+class ValidationCheck(_Record):
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[ValidationCheck, ...]
+class ValidationReport(_Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[ValidationCheck, ...]):
+        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:
@@ -351,7 +354,7 @@ def _null_homotopic(cx: GradedComplex, fcols: list[int]) -> bool:
             == sorted([(g, 0) for g in got_free] + got_torsion))
 
 
-def _validate(ic: IotaComplex) -> list[tuple[str, Optional[str]]]:
+def _validate(ic: IotaComplex) -> list[tuple[str, str | None]]:
     """(name, failure detail or None) of every check."""
     cx = ic.complex
     details = [("differential-degree", cx.d_degree), ("differential-squared", cx.d_square),
@@ -500,11 +503,13 @@ def _cone_homology(cx: GradedComplex, fcols: Sequence[int]) -> tuple[list[int], 
     return _reduce_homology(cols, gr + [g - D for g in gr], D)
 
 
-@dataclass(frozen=True)
-class HomologySummary:
-    free_grading: Fraction
-    torsion: tuple[tuple[Fraction, int], ...]
-    torsion_exponent: int
+class HomologySummary(_Record):
+    __slots__ = ("free_grading", "torsion", "torsion_exponent")
+
+    def __init__(self, free_grading: Fraction, torsion: tuple[tuple[Fraction, int], ...], torsion_exponent: int):
+        object.__setattr__(self, "free_grading", free_grading)
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "torsion_exponent", torsion_exponent)
 
 
 def homology_summary(ic: IotaComplex | GradedComplex, check: bool = True) -> HomologySummary:
@@ -571,21 +576,21 @@ def d_upper(ic: IotaComplex, check: bool = True) -> Fraction:
     return _invariants(ic, check)[2]
 
 
-@dataclass(frozen=True)
-class DResults:
-    d: Fraction
-    lower: Fraction
-    upper: Fraction
+class DResults(_Record):
+    __slots__ = ("d", "lower", "upper")
 
-    def __post_init__(self):
-        if not self.lower <= self.d <= self.upper:
-            raise InternalCheckError(f"invariant chain violated: {self.lower} <= {self.d} <= {self.upper}")
+    def __init__(self, d: Fraction, lower: Fraction, upper: Fraction):
+        if not lower <= d <= upper:
+            raise InternalCheckError(f"invariant chain violated: {lower} <= {d} <= {upper}")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
 
 def d_results(
     ic: IotaComplex,
     check: bool = True,
-    m_max: Optional[int] = None,
+    m_max: int | None = None,
     window_slack: int = 0,
 ) -> DResults:
     """All three correction terms from one cone, asserting d_lower <= d <=

@@ -11,7 +11,6 @@ generated and solved once and its result reused by the products.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -22,7 +21,7 @@ from .concordance import (
     spinc_projection_zero,
     torus_knot_invariants,
 )
-from .errors import InternalCheckError, check_int
+from .errors import InternalCheckError, _Record, check_int
 from .iota import (
     DResults,
     GradedComplex,
@@ -41,15 +40,14 @@ from .torus import lspace_cable_check, torus_vs
 __all__ = ["VerifyReport", "run_verify_identity13", "run_verify_moser", "run_verify_engine"]
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(_Record):
     """Outcome of one verification sweep."""
 
-    name: str
-    checked: int
-    failures: tuple[str, ...] = ()
-    skipped: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
+    __slots__ = ("name", "checked", "failures", "skipped", "notes")
+
+    def __init__(self, name: str, checked: int, failures: tuple[str, ...] = (),
+                 skipped: tuple[str, ...] = (), notes: tuple[str, ...] = ()):
+        super().__init__(name, checked, failures, skipped, notes)
 
     @property
     def ok(self) -> bool:

@@ -103,6 +103,16 @@ def test_cable_stage_validation():
         CableStage(3, 2).s_even_case
 
 
+def test_knot_spec_refuses_non_iterable_stages():
+    base = KnotInvariants(1, 0)
+    for stages in (None, 5):
+        with pytest.raises(ValidationError, match=f"^stages must be an iterable of cable stages, got {stages}$"):
+            KnotSpec(base, stages)
+    with pytest.raises(ValidationError, match="base must be a KnotInvariants"):
+        KnotSpec(None, ())
+    assert KnotSpec(base, iter([(3, 2)])).stages == (CableStage(3, 2),)
+
+
 def test_torus_knot_invariants():
     inv = torus_knot_invariants(2, 3)
     assert (inv.v_lower, inv.v_upper) == (1, 1)

@@ -69,8 +69,14 @@ workers; its peak RSS is the largest of its workers' (ru_maxrss), and it
 also counts the non-blank lines of the src/cablecalc it imported.  Next to
 each worker, a fresh interpreter compiles the side's cablecalc/iota.py
 once, as an import that writes no bytecode does; iota_compile_peak_mb is
-the largest growth of its ru_maxrss over that compile.  The two
-columns go to --out (default: BENCH_engine_view.json at the checkout's
+the largest growth of its peak resident set over that compile, read as
+VmHWM (Linux only), since a spawned process inherits its parent's
+ru_maxrss.  Next to each worker, too, a fresh `python -S -B` imports
+cablecalc and cablecalc.cli from a copy of the side's src/cablecalc that
+holds no bytecode, as a checkout run with PYTHONDONTWRITEBYTECODE=1 does:
+import_ms is the quickest such import, import_peak_mb the largest growth
+of VmHWM over it, and import_modules the number of modules it loads.  The
+two columns go to --out (default: BENCH_engine_view.json at the checkout's
 root).  Numbers vary with the machine: quote them with its CPU and Python.
 """
 
@@ -82,8 +88,10 @@ import json
 import os
 import platform
 import resource
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
@@ -296,12 +304,20 @@ def measure() -> dict:
     return out
 
 
-# run in a fresh interpreter: the ru_maxrss growth, in MB, of compiling one file
-COMPILE_PEAK = """import resource, sys
+# The peak resident set of the running process in kB, read from VmHWM
+# (Linux): a spawned process starts its ru_maxrss at its parent's peak, so
+# a growth below that would read 0, but VmHWM starts afresh at exec.
+PEAK_KB = """def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+"""
+
+# run in a fresh interpreter: the peak growth, in MB, of compiling one file
+COMPILE_PEAK = PEAK_KB + """import sys
 source = open(sys.argv[1], encoding="utf-8").read()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kb()
 compile(source, sys.argv[1], "exec")
-print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+print((peak_kb() - before) / 1024)
 """
 
 
@@ -309,6 +325,30 @@ def compile_peak(src: str) -> float:
     path = Path(src) / "cablecalc" / "iota.py"
     done = subprocess.run([sys.executable, "-c", COMPILE_PEAK, str(path)], check=True, capture_output=True, text=True)
     return float(done.stdout)
+
+
+# run in a fresh `python -S -B`: the time, peak growth and modules of
+# importing the package from sys.argv[1]
+IMPORT_COST = PEAK_KB + """import sys, time
+before, loaded = peak_kb(), len(sys.modules)
+t0 = time.perf_counter()
+sys.path.insert(0, sys.argv[1])
+import cablecalc, cablecalc.cli
+ms = (time.perf_counter() - t0) * 1e3
+print(ms, (peak_kb() - before) / 1024, len(sys.modules) - loaded)
+"""
+
+
+def import_cost(src: str) -> dict:
+    """import_ms, import_peak_mb and import_modules of one import of the
+    package from a bytecode-free copy of src/cablecalc."""
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(Path(src) / "cablecalc", Path(tmp) / "cablecalc",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        done = subprocess.run([sys.executable, "-S", "-B", "-c", IMPORT_COST, tmp],
+                              check=True, capture_output=True, text=True)
+    ms, mb, modules = done.stdout.split()
+    return {"import_ms": round(float(ms), 1), "import_peak_mb": round(float(mb), 2), "import_modules": int(modules)}
 
 
 def main(argv=None) -> int:
@@ -330,11 +370,12 @@ def main(argv=None) -> int:
             runs[side].append(json.loads(subprocess.run(cmd, check=True, capture_output=True,
                                                         text=True).stdout))
             runs[side][-1]["iota_compile_peak_mb"] = compile_peak(sides[side])
+            runs[side][-1].update(import_cost(sides[side]))
     names = list(dict.fromkeys([*runs["change"][0], *runs["parent"][0]]))
     columns = {}
     for side, got in runs.items():
         col = {name: min(r[name] for r in got) if name in got[0] else "n/a" for name in names}
-        for name in ("peak_rss_mb", "iota_compile_peak_mb"):
+        for name in ("peak_rss_mb", "iota_compile_peak_mb", "import_peak_mb", "import_modules"):
             col[name] = max(r[name] for r in got)
         columns[side] = col
     doc = {
@@ -344,8 +385,11 @@ def main(argv=None) -> int:
                        "label or sequence, *_ms and *_s per call; *.traced_b_per_label the "
                        "tracemalloc peak per label; *.held_b and *.held_kb the traced memory "
                        "a solved complex holds; peak_rss_mb the largest worker's; "
-                       "iota_compile_peak_mb the largest ru_maxrss growth of compiling iota.py "
-                       "in a fresh interpreter; non-blank lines of src/cablecalc",
+                       "iota_compile_peak_mb the largest VmHWM growth of compiling iota.py "
+                       "in a fresh interpreter; import_ms (the quickest), import_peak_mb (the "
+                       "largest VmHWM growth) and import_modules of importing cablecalc and "
+                       "cablecalc.cli in a fresh `python -S -B` from a bytecode-free copy; "
+                       "non-blank lines of src/cablecalc",
         "settings": {"processes": PROCESSES, "repeats": REPEATS,
                      "python": platform.python_version(), "machine": platform.machine(),
                      "cpus": os.cpu_count()},
